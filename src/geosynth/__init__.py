@@ -27,7 +27,6 @@ from .spaces import (
     EPS_PD,
     REPAIR_BUDGET,
     TOL_MEAN,
-    TOL_ROUNDTRIP,
     TOL_VALIDATE,
     FlatCoordinates,
     ObjectPoint,
@@ -110,7 +109,6 @@ __all__ = [
     "REPAIR_BUDGET",
     "SCENARIOS",
     "TOL_MEAN",
-    "TOL_ROUNDTRIP",
     "TOL_VALIDATE",
     "CovariatePanel",
     "FileFormatError",

@@ -336,10 +336,7 @@ def _weighted_points(
     """Weighted combination of the control units at every period."""
     space = panel.space
     if space.kind == "sphere":
-        z = np.stack(
-            [[panel.outcomes[j][t].data for j in range(1, panel.n_units)]
-             for t in range(panel.n_periods)]
-        )
+        z, _ = _sphere_stack(panel, range(panel.n_periods))
         means = _sphere_mean_stack(z, weights.values)
         return [ObjectPoint(space, means[t]) for t in range(panel.n_periods)]
     coords = _panel_coords(panel)

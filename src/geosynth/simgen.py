@@ -25,6 +25,8 @@ from .spaces import (
     ObjectPoint,
     SpaceDescriptor,
     SpaceError,
+    _eig_apply,
+    _logm_spd,
     geodesic_eval,
     laplacian_space,
     scalar_space,
@@ -226,16 +228,6 @@ def _wishart(rng: np.random.Generator, n: int = 10, df: int = 12, scale: float =
     raise SpaceError("failed to draw a positive-definite Wishart matrix")
 
 
-def _logm_psd(x: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((x + x.T) / 2.0)
-    return (vecs * np.log(vals)) @ vecs.T
-
-
-def _expm_sym(x: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((x + x.T) / 2.0)
-    return (vecs * np.exp(vals)) @ vecs.T
-
-
 def gen_spd_panel(cfg: SimConfig) -> SimOutput:
     """SPD panel under the Log-Euclidean geodesic model.
 
@@ -263,8 +255,8 @@ def gen_spd_panel(cfg: SimConfig) -> SimOutput:
 
     mu = _wishart(rng, n)
     u_base = _wishart(rng, n)
-    log_mu = _logm_psd(mu)
-    log_u = _logm_psd(u_base)
+    log_mu = _logm_spd(mu)
+    log_u = _logm_spd(u_base)
     eye = np.eye(n)
     scales = (0.1 * (np.arange(cfg.J) + 2) - 0.5) ** 2
     log_u_controls = np.stack([log_u + c * eye for c in scales])
@@ -274,7 +266,7 @@ def gen_spd_panel(cfg: SimConfig) -> SimOutput:
     def point_at(log_level: np.ndarray, i: int) -> ObjectPoint:
         log_trend = math.log(0.1 * t_grid[i]) * eye + log_mu
         chart = (1.0 - alpha[i]) * log_trend + alpha[i] * log_level
-        return ObjectPoint(space, _expm_sym(chart))
+        return ObjectPoint(space, _eig_apply(chart, np.exp))
 
     control_rows = [
         [point_at(log_u_controls[j], i) for i in range(cfg.T)] for j in range(cfg.J)
@@ -287,8 +279,8 @@ def gen_spd_panel(cfg: SimConfig) -> SimOutput:
         "alpha_clamped": clamped,
         "mu": mu,
         "u_base": u_base,
-        "u_controls": np.stack([_expm_sym(c) for c in log_u_controls]),
-        "u_treated": _expm_sym(log_u_treated),
+        "u_controls": np.stack([_eig_apply(c, np.exp) for c in log_u_controls]),
+        "u_treated": _eig_apply(log_u_treated, np.exp),
         "unit_scales": scales,
     }
     return _assemble(space, control_rows, treated, target, cfg, truth)

@@ -126,9 +126,10 @@ class SolverConfig:
     """Tolerances and budgets shared by the simplex solvers.
 
     ``tol_kkt`` bounds the projected-gradient certificate of the QP and
-    Gauss-Newton solvers, ``max_iter`` caps iterations per run (steps, for
-    Gauss-Newton), ``restarts`` is the number of Nelder-Mead runs of the
-    derivative-free solver, and ``seed`` feeds its random start generator.
+    Gauss-Newton solvers, ``max_iter`` caps iterations per run (active-set
+    iterations for the QP, steps for Gauss-Newton), ``restarts`` is the
+    number of Nelder-Mead runs of the derivative-free solver, and ``seed``
+    feeds its random start generator.
     """
 
     tol_kkt: float = 1e-10
@@ -292,10 +293,14 @@ def _active_set_finish(
     the exact minimizing step on the current face (a minimum-norm solve of
     the face KKT system, so rank-deficient gram matrices are handled), cut
     short by a ratio test at the first coordinate that would turn negative;
-    that coordinate joins the working set. At the face minimizer the zero
-    coordinate with the most negative reduced gradient is released. Stops
-    once ``certified`` holds or no release would lower the objective. See
-    Nocedal & Wright, Numerical Optimization, ch. 16.
+    that coordinate joins the working set. When the face is flat to
+    working precision along a descent direction (the residual of that
+    solve), the step instead follows that direction to the boundary,
+    provided an exact line search along it would not stop first. At the
+    face minimizer the zero coordinate with the most
+    negative reduced gradient is released. Stops once ``certified`` holds
+    or no release would lower the objective. See Nocedal & Wright,
+    Numerical Optimization, ch. 16.
     """
     w = np.array(w, dtype=float)
     free = w > 0.0
@@ -303,24 +308,34 @@ def _active_set_finish(
         support = np.flatnonzero(free)
         k = support.size
         g = problem.gradient(w)
+        face = 2.0 * problem.gram[np.ix_(support, support)]
         kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = 2.0 * problem.gram[np.ix_(support, support)]
+        kkt[:k, :k] = face
         kkt[:k, k] = 1.0
         kkt[k, :k] = 1.0
-        step = np.linalg.lstsq(kkt, np.append(-g[support], 0.0), rcond=None)[0][:k]
-        if not np.all(np.isfinite(step)):
+        rhs = np.append(-g[support], 0.0)
+        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        if not np.all(np.isfinite(sol)):
             break
+        step, cap = sol[:k], 1.0
+        ray = (rhs - kkt @ sol)[:k]
+        ray -= ray.mean()  # keep the step on the plane sum(w) = 1
+        slope = float(g[support] @ ray)
+        if slope < 0.0 and np.any(ray < 0.0):
+            reach = float(np.min(-w[support[ray < 0.0]] / ray[ray < 0.0]))
+            if reach > 0.0 and -slope > float(ray @ face @ ray) * reach:
+                step, cap = ray, np.inf
         shrinking = step < 0.0
         ratios = -w[support[shrinking]] / step[shrinking]
-        alpha = min(1.0, float(ratios.min())) if ratios.size else 1.0
+        alpha = min(cap, float(ratios.min())) if ratios.size else cap
         w[support] += alpha * step
-        if alpha < 1.0:
+        if alpha < cap:
             blocking = support[shrinking][int(np.argmin(ratios))]
             w[blocking] = 0.0
             free[blocking] = False
         w = np.maximum(w, 0.0)
         w /= w.sum()
-        if alpha < 1.0:
+        if alpha < cap:
             continue
         if certified(w):
             break
@@ -338,22 +353,23 @@ def solve_simplex_qp(
 ) -> tuple[SimplexWeights, float]:
     """Minimize a convex quadratic over the probability simplex.
 
-    Runs accelerated projected gradient descent with adaptive restart from
-    the uniform start, finishes with a primal active-set method from its
-    last iterate, and compares against all vertices. The returned point
-    carries a stationarity certificate: the norm of the negative gradient
-    projected onto the simplex tangent cone is at most
+    Runs the primal active-set method of :func:`_active_set_finish` from
+    the best vertex, ``argmin_i (G_ii - 2 l_i)``. Each release adds one
+    coordinate to the support, as in Lawson and Hanson's NNLS, so a fit
+    costs about one small face KKT solve per support coordinate. The
+    returned point carries a stationarity certificate: the norm of the
+    negative gradient projected onto the simplex tangent cone is at most
     ``tol_kkt * (1 + |gradient|)``.
 
-    Ties are broken deterministically: the uniform point wins when nothing
-    improves on it strictly, so a constant objective returns exactly
-    uniform weights.
+    Ties are broken deterministically: the uniform point wins when the
+    active-set point does not improve on it strictly, so a constant
+    objective returns exactly uniform weights.
 
     Raises
     ------
     SolverError
-        If no candidate satisfies the certificate within ``max_iter``
-        iterations.
+        If the point reached is not certified within ``max_iter``
+        active-set iterations.
     """
     cfg = cfg or SolverConfig()
     n = problem.n
@@ -366,40 +382,12 @@ def solve_simplex_qp(
         res = kkt_residual(problem, w)
         return res <= cfg.tol_kkt * (1.0 + float(np.linalg.norm(g)))
 
-    uniform = np.full(n, 1.0 / n)
-    lip = 2.0 * max(float(np.linalg.eigvalsh(problem.gram).max()), 0.0)
-    candidates: list[np.ndarray] = [uniform]
-
-    if lip > 0.0:
-        step = 1.0 / lip
-        x = uniform.copy()
-        y = x.copy()
-        t_acc = 1.0
-        for _ in range(cfg.max_iter):
-            x_new = project_simplex(y - step * problem.gradient(y))
-            if float((y - x_new) @ (x_new - x)) > 0.0:
-                # Adaptive restart: momentum points uphill, drop it.
-                t_acc = 1.0
-                y = x_new.copy()
-            else:
-                t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc)) / 2.0
-                y = x_new + ((t_acc - 1.0) / t_next) * (x_new - x)
-                t_acc = t_next
-            x = x_new
-            if certified(x):
-                break
-        candidates.append(x)
-        candidates.append(_active_set_finish(problem, x, certified, cfg.max_iter))
-
-    eye = np.eye(n)
-    candidates.extend(eye[i] for i in range(n))
-
-    best = candidates[0]
-    best_val = problem.objective(best)
-    for cand in candidates[1:]:
-        val = problem.objective(cand)
-        if val < best_val:
-            best, best_val = cand, val
+    best = np.full(n, 1.0 / n)
+    vertex = np.zeros(n)
+    vertex[int(np.argmin(np.diag(problem.gram) - 2.0 * problem.linear))] = 1.0
+    finish = _active_set_finish(problem, vertex, certified, cfg.max_iter)
+    if problem.objective(finish) < problem.objective(best):
+        best = finish
     if not certified(best):
         raise SolverError(
             f"simplex QP failed to reach KKT residual {cfg.tol_kkt:.1e} "

@@ -31,13 +31,13 @@ are Euclidean, possibly after a fixed diagonal rescaling (``metric_embed``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import isotonic_regression
 
 TOL_VALIDATE = 1e-8
-TOL_ROUNDTRIP = 1e-9
 TOL_MEAN = 1e-10
 TOL_DEGENERATE = 1e-12
 MAX_MEAN_ITER = 1000
@@ -163,6 +163,23 @@ class SpaceDescriptor:
         if self.kind in MATRIX_KINDS:
             return (self.dim, self.dim)
         return (self.dim,)
+
+    @cached_property
+    def _quadrature(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Read-only quadrature weights of a grid kind and their square roots."""
+        if self.kind not in GRID_KINDS:
+            return None
+        g = self.grid
+        w = np.ones(g.size)
+        if g.size > 1:
+            w[0] = (g[1] - g[0]) / 2.0
+            w[-1] = (g[-1] - g[-2]) / 2.0
+            w[1:-1] = (g[2:] - g[:-2]) / 2.0
+        w /= w.sum()
+        root = np.sqrt(w)
+        w.setflags(write=False)
+        root.setflags(write=False)
+        return w, root
 
 
 def default_quantile_grid(n_grid: int = 101) -> np.ndarray:
@@ -485,18 +502,11 @@ def quadrature_weights(space: SpaceDescriptor) -> np.ndarray:
     The normalization makes the metric scale-free in the grid: constant
     functions at levels ``a`` and ``b`` are at distance ``|a - b|`` and a
     location shift of a quantile function by ``c`` has length ``|c|``.
+    The array is computed once per descriptor and is read-only.
     """
     if space.kind not in GRID_KINDS:
         raise SpaceError(f"{space.kind} has no quadrature grid")
-    g = space.grid
-    if g.size == 1:
-        return np.ones(1)
-    w = np.empty(g.size)
-    w[0] = (g[1] - g[0]) / 2.0
-    w[-1] = (g[-1] - g[-2]) / 2.0
-    if g.size > 2:
-        w[1:-1] = (g[2:] - g[:-2]) / 2.0
-    return w / w.sum()
+    return space._quadrature[0]
 
 
 def _chart_forward(space: SpaceDescriptor, x: np.ndarray) -> np.ndarray:
@@ -583,9 +593,7 @@ def flat_restore(
 
 def metric_weight_sqrt(space: SpaceDescriptor) -> np.ndarray | None:
     """Diagonal rescaling that turns chart coordinates into isometric ones."""
-    if space.kind in GRID_KINDS:
-        return np.sqrt(quadrature_weights(space))
-    return None
+    return None if space._quadrature is None else space._quadrature[1]
 
 
 def metric_embed(point: ObjectPoint) -> np.ndarray:

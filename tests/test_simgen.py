@@ -171,6 +171,42 @@ def test_spd_treated_is_exact_weight_combination():
     assert max_pre_fit_gap(out) <= 1e-8
 
 
+def test_spd_panel_matches_reference_eigen_formulas():
+    # the generator's matrix logarithm and exponential, written out: the
+    # panel must be bit-identical to these formulas applied to its truth
+    def logm(x):
+        vals, vecs = np.linalg.eigh((x + x.T) / 2.0)
+        return (vecs * np.log(vals)) @ vecs.T
+
+    def expm(x):
+        vals, vecs = np.linalg.eigh((x + x.T) / 2.0)
+        return (vecs * np.exp(vals)) @ vecs.T
+
+    cfg = g.SimConfig(scenario="spd", T=7, T0=5, J=6, seed=13)
+    out = g.generate(cfg)
+    truth = out.truth
+    eye = np.eye(10)
+    log_mu = logm(truth["mu"])
+    log_controls = np.stack([logm(truth["u_base"]) + c * eye for c in truth["unit_scales"]])
+    log_treated = np.einsum("j,jkl->kl", truth["w_star"], log_controls)
+
+    def point(log_level, i):
+        alpha = truth["alpha"][i]
+        log_trend = math.log(0.1 * (i + 1)) * eye + log_mu
+        return expm((1.0 - alpha) * log_trend + alpha * log_level)
+
+    for j in range(cfg.J):
+        for i in range(cfg.T):
+            assert np.array_equal(out.panel.outcomes[j + 1][i].data, point(log_controls[j], i))
+    natural = [point(log_treated, i) for i in range(cfg.T)]
+    for i in range(cfg.T0):
+        assert np.array_equal(out.panel.outcomes[0][i].data, natural[i])
+    for i in range(cfg.T0, cfg.T):
+        assert np.array_equal(out.counterfactual[i - cfg.T0].data, natural[i])
+    assert np.array_equal(truth["u_controls"], np.stack([expm(c) for c in log_controls]))
+    assert np.array_equal(truth["u_treated"], expm(log_treated))
+
+
 # ---------------------------------------------------------------------------
 # sphere scenario
 

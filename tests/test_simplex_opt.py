@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 import geosynth as g
 from geosynth.simplex_opt import (
@@ -209,6 +210,63 @@ def test_qp_certified_on_rank_deficient_sphere_tangent_qp():
     grad = qp.gradient(w.values)
     assert kkt_residual(qp, w.values) <= 1e-10 * (1.0 + np.linalg.norm(grad))
     assert val == pytest.approx(qp.objective(w.values))
+
+
+def stress_problem(
+    kind: str, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares factor and target of one hard simplex QP."""
+    m = 40
+    if kind == "rank_deficient":
+        r = max(1, n // 4)
+        a = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+        return a, rng.normal(size=m)
+    if kind == "duplicated":
+        base = rng.normal(size=(m, max(2, n // 2)))
+        a = base[:, rng.integers(0, base.shape[1], size=n)]
+        return a, a @ rng.dirichlet(np.ones(n)) + 0.1 * rng.normal(size=m)
+    if kind == "near_rank_one":
+        a = np.outer(rng.normal(size=m), rng.normal(size=n)) + 1e-7 * rng.normal(size=(m, n))
+        return a, rng.normal(size=m)
+    if kind == "constant":
+        return np.tile(rng.normal(size=(m, 1)), (1, n)), rng.normal(size=m)
+    # off hull: the target lies far outside the convex hull of the columns
+    a = rng.normal(size=(m, n))
+    return a, a.mean(axis=1) + 10.0 * rng.normal(size=m)
+
+
+@pytest.mark.parametrize(
+    "seed, kind",
+    enumerate(["rank_deficient", "duplicated", "near_rank_one", "constant", "off_hull"]),
+)
+def test_qp_stress_certified_and_no_worse_than_nnls(seed, kind):
+    # reference: nonnegative least squares with the sum-to-one constraint
+    # as a heavily weighted extra row, normalized onto the simplex
+    rng = np.random.default_rng(seed)
+    for n in (3, 20, 100, 300):
+        for _ in range(2):
+            a, b = stress_problem(kind, n, rng)
+            qp = g.build_unit_weight_qp([(b, a)])
+            w, val = g.solve_simplex_qp(qp)
+            grad = qp.gradient(w.values)
+            assert kkt_residual(qp, w.values) <= 1e-10 * (1.0 + np.linalg.norm(grad)), (kind, n)
+            ref, _ = nnls(np.vstack([a, np.full((1, n), 1e4)]), np.append(b, 1e4),
+                          maxiter=50 * n)
+            ref_val = qp.objective(ref / ref.sum())
+            assert val <= ref_val * (1.0 + 1e-9) + 1e-14 * qp.constant, (kind, n)
+
+
+def test_qp_budget_exhausted_raises():
+    # the optimum has three support coordinates, so reaching it from a
+    # vertex takes two releases; one active-set iteration must fail loudly
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(6, 3))
+    qp = g.build_unit_weight_qp([(a @ np.array([0.5, 0.3, 0.2]), a)])
+    with pytest.raises(SolverError):
+        g.solve_simplex_qp(qp, g.SolverConfig(max_iter=1))
+    w, val = g.solve_simplex_qp(qp)
+    assert w.values == pytest.approx([0.5, 0.3, 0.2], abs=1e-9)
+    assert val <= 1e-20
 
 
 def test_qp_determinism():

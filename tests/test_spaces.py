@@ -212,6 +212,8 @@ def test_quadrature_weights_normalized():
         w = g.quadrature_weights(space)
         assert w.sum() == pytest.approx(1.0, abs=1e-15)
         assert np.all(w > 0)
+        # computed once per descriptor and shared, so callers cannot modify it
+        assert g.quadrature_weights(space) is w and not w.flags.writeable
     with pytest.raises(g.SpaceError):
         g.quadrature_weights(g.laplacian_space(3))
 
