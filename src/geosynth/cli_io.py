@@ -513,7 +513,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--max-iter", type=int, default=10000,
                         help="iteration budget per solver run")
     common.add_argument("--seed", type=int, default=0,
-                        help="seed for simulation and solver restarts")
+                        help="seed for simulation, recorded in result files")
     common.add_argument("--repair", type=_repair_flag, default=True, metavar="on|off",
                         help="allow numerical repairs within budget (default on)")
 

@@ -23,7 +23,6 @@ from .spaces import (
     SpaceDescriptor,
     SpaceError,
     FLAT_KINDS,
-    _sphere_angle,
     _sphere_log_stack,
     _sphere_mean_jacobian,
     _sphere_mean_stack,
@@ -42,7 +41,7 @@ from .simplex_opt import (
     SolverError,
     build_time_weight_qp,
     build_unit_weight_qp,
-    solve_simplex_derivative_free,
+    solve_simplex_derivative_free,  # noqa: F401  (looked up here by geobench's tracer)
     solve_simplex_gauss_newton,
     solve_simplex_qp,
 )
@@ -299,24 +298,32 @@ def _sphere_stack(panel: Panel, periods: Sequence[int]) -> tuple[np.ndarray, np.
     return z, y
 
 
-def _sphere_unit_linearization(
-    panel: Panel,
+def _sphere_linearization(
+    z: np.ndarray, y: np.ndarray
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Residuals and Jacobians of the sphere unit-weight objective.
+    """Residuals and Jacobians of ``mean_b d(m_b(w), y_b)^2`` on the sphere.
 
-    At weights ``w`` the residual of pre period ``t`` is
-    ``Log_{m_t}(y_t)``, the tangent vector from the weighted mean ``m_t``
-    of the controls to the treated outcome, so the mean of their squared
-    norms is the average squared pre-period distance. To first order it
-    moves by ``-dm_t``, the implicit derivative of the mean.
+    ``m_b(w)`` is the ``w``-weighted Frechet mean of the points ``z[b]``
+    (shape (B, n, d)), and ``y`` (shape (B, d)) holds the targets. At
+    weights ``w`` the residual of row ``b`` is ``Log_{m_b}(y_b)``, the
+    tangent vector from the mean to its target, so the mean of the squared
+    residual norms is the objective. To first order it moves by ``-dm_b``,
+    the implicit derivative of the mean.
     """
-    z, y = _sphere_stack(panel, list(panel.pre_periods()))
 
     def linearize(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         means = _sphere_mean_stack(z, w)
         return _sphere_log_stack(means, y), -_sphere_mean_jacobian(z, w, means)
 
     return linearize
+
+
+def _sphere_unit_linearization(
+    panel: Panel,
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Linearization of the sphere unit-weight objective: one row per pre
+    period, the controls' weighted mean against the treated outcome."""
+    return _sphere_linearization(*_sphere_stack(panel, list(panel.pre_periods())))
 
 
 def _solve_unit_weights(panel: Panel, cfg: SolverConfig) -> tuple[SimplexWeights, float]:
@@ -396,73 +403,56 @@ def estimate_gsc_with_covariates(
     between the treated unit's covariates and the weighted control
     combination over the pre-treatment window; the synthetic outcomes are
     then built on the outcome space with those weights.
+
+    With flat components only, the fit is a quadratic program in their
+    charts. A sphere component makes it a nonlinear least-squares problem,
+    solved by Gauss-Newton as for sphere outcomes in :func:`estimate_gsc`;
+    either way the weights carry the same optimality certificate.
     """
     cfg = cfg or SolverConfig()
     if covs.n_units != panel.n_units:
         raise SpaceError("covariate panel and outcome panel disagree on the number of units")
     if covs.n_periods > panel.T0:
         raise SpaceError("covariates may only cover the pre-treatment window")
-    n_controls = panel.n_controls
     kinds = {s.kind for s in covs.spaces}
     if not kinds <= (FLAT_KINDS | {"sphere"}):
         raise SpaceError("covariate spaces must be flat or the sphere")
 
+    periods = range(covs.n_periods)
+    flat_idx = [c for c, s in enumerate(covs.spaces) if s.kind != "sphere"]
+    # Chart coordinates of the flat components, concatenated: (T, J+1, D).
+    flat = np.array(
+        [
+            [
+                np.concatenate([np.zeros(0)] + [metric_embed(row[t][c]) for c in flat_idx])
+                for row in covs.covariates
+            ]
+            for t in periods
+        ]
+    )
     if "sphere" not in kinds:
-        blocks = []
-        for t in range(covs.n_periods):
-            treated_vec = np.concatenate(
-                [metric_embed(covs.covariates[0][t][c]) for c in range(len(covs.spaces))]
-            )
-            control_cols = np.vstack(
-                [
-                    np.stack(
-                        [metric_embed(covs.covariates[j][t][c]) for j in range(1, covs.n_units)]
-                    ).T
-                    for c in range(len(covs.spaces))
-                ]
-            )
-            blocks.append((treated_vec, control_cols))
+        blocks = [(flat[t, 0], flat[t, 1:].T) for t in periods]
         weights, _ = solve_simplex_qp(build_unit_weight_qp(blocks), cfg)
     else:
-        flat_idx = [c for c, s in enumerate(covs.spaces) if s.kind != "sphere"]
-        sphere_idx = [c for c, s in enumerate(covs.spaces) if s.kind == "sphere"]
-        flat_treated = {}
-        flat_controls = {}
-        for c in flat_idx:
-            flat_treated[c] = np.stack(
-                [metric_embed(covs.covariates[0][t][c]) for t in range(covs.n_periods)]
+        flat_jac = flat[:, 1:].transpose(0, 2, 1)
+        sphere_parts = [
+            _sphere_linearization(
+                np.stack([[row[t][c].data for row in covs.covariates[1:]] for t in periods]),
+                np.stack([covs.covariates[0][t][c].data for t in periods]),
             )
-            flat_controls[c] = np.stack(
-                [
-                    [metric_embed(covs.covariates[j][t][c]) for j in range(1, covs.n_units)]
-                    for t in range(covs.n_periods)
-                ]
-            )
-        sphere_treated = {}
-        sphere_controls = {}
-        for c in sphere_idx:
-            sphere_treated[c] = np.stack(
-                [covs.covariates[0][t][c].data for t in range(covs.n_periods)]
-            )
-            sphere_controls[c] = np.stack(
-                [
-                    [covs.covariates[j][t][c].data for j in range(1, covs.n_units)]
-                    for t in range(covs.n_periods)
-                ]
-            )
+            for c, s in enumerate(covs.spaces)
+            if s.kind == "sphere"
+        ]
 
-        def objective(w: np.ndarray) -> float:
-            w = np.asarray(w, dtype=float)
-            total = 0.0
-            for c in flat_idx:
-                resid = np.einsum("j,tjd->td", w, flat_controls[c]) - flat_treated[c]
-                total += float(np.sum(resid * resid))
-            for c in sphere_idx:
-                means = _sphere_mean_stack(sphere_controls[c], w)
-                total += float(np.sum(_sphere_angle(means, sphere_treated[c]) ** 2))
-            return total / covs.n_periods
+        def linearize(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """Each period's residual row: the flat components' ``C_t w - y_t``
+            followed by each sphere component's ``Log_m(y)``."""
+            parts = [part(w) for part in sphere_parts]
+            resid = [flat_jac @ w - flat[:, 0]] + [r for r, _ in parts]
+            jac = [flat_jac] + [d for _, d in parts]
+            return np.concatenate(resid, axis=1), np.concatenate(jac, axis=1)
 
-        weights, _ = solve_simplex_derivative_free(objective, n_controls, cfg)
+        weights, _ = solve_simplex_gauss_newton(linearize, panel.n_controls, cfg)
 
     log = RepairLog()
     synthetic = _weighted_points(panel, weights, log, repair)
@@ -679,7 +669,8 @@ def _solve_time_weights(
     ``targets[j]`` is the post mean (or a single post outcome) for control
     ``j``; the solution lambda minimizes the average squared distance
     between target and lambda-weighted pre-period combination across
-    controls.
+    controls. On the sphere this is the unit-weight problem with the roles
+    of units and periods swapped, and it is solved the same way.
     """
     if panel.space.kind == "sphere":
         z = np.stack(
@@ -687,12 +678,7 @@ def _solve_time_weights(
              for j in range(1, panel.n_units)]
         )
         y = np.stack([p.data for p in targets])
-
-        def objective(lam: np.ndarray) -> float:
-            means = _sphere_mean_stack(z, np.asarray(lam, dtype=float))
-            return float(np.mean(_sphere_angle(means, y) ** 2))
-
-        return solve_simplex_derivative_free(objective, panel.T0, cfg)
+        return solve_simplex_gauss_newton(_sphere_linearization(z, y), panel.T0, cfg)
     pre = [
         np.stack([metric_embed(panel.outcomes[j][t]) for t in panel.pre_periods()])
         for j in range(1, panel.n_units)

@@ -3,9 +3,11 @@
 Synthetic-control weights live on the probability simplex. In every flat
 chart the weight problem is a convex quadratic program. On the sphere it is
 a nonlinear least-squares problem, solved by Gauss-Newton steps whose
-subproblems are such quadratic programs; a derivative-free solver remains
-for objectives given only as a black box. This module provides the solvers
-plus the builders that assemble the quadratic programs from chart
+subproblems are such quadratic programs. Every estimator fit uses one of
+these two solvers, so every fitted weight vector carries the same KKT
+certificate. A derivative-free Nelder-Mead solver remains for objectives
+given only as a black box; no estimator calls it. This module provides the
+solvers plus the builders that assemble the quadratic programs from chart
 coordinates of panel outcomes.
 
 The quadratic objective convention is ``q(w) = w' G w - 2 l' w + c``.
@@ -126,10 +128,11 @@ class SolverConfig:
     """Tolerances and budgets shared by the simplex solvers.
 
     ``tol_kkt`` bounds the projected-gradient certificate of the QP and
-    Gauss-Newton solvers, ``max_iter`` caps iterations per run (active-set
-    iterations for the QP, steps for Gauss-Newton), ``restarts`` is the
-    number of Nelder-Mead runs of the derivative-free solver, and ``seed``
-    feeds its random start generator.
+    Gauss-Newton solvers, and ``max_iter`` caps iterations per run
+    (active-set iterations for the QP, steps for Gauss-Newton). ``restarts``
+    (the number of Nelder-Mead runs) and ``seed`` (its random starts) feed
+    only the derivative-free solver, which no estimator uses; they are kept
+    because configurations set them and result files record them.
     """
 
     tol_kkt: float = 1e-10
@@ -413,7 +416,8 @@ def solve_simplex_gauss_newton(
     of shape (T, D, n), so that ``r_t(v) ~ r_t(w) + D_t (v - w)``. Each step
     minimizes that linear model over the simplex with
     :func:`solve_simplex_qp`, then backtracks on the true ``F`` until the
-    Armijo condition holds. The iteration starts at the uniform point.
+    Armijo condition holds to within a few ulps of ``F``. The iteration
+    starts at the uniform point.
 
     The model's gradient at ``w`` is the gradient of ``F``, so the returned
     point carries the certificate of the QP solver: the norm of the negative
@@ -451,11 +455,15 @@ def solve_simplex_gauss_newton(
         target, _ = solve_simplex_qp(model, cfg)
         step = target.values - w
         slope = float(grad @ step)
+        # A few ulps of F of slack: near the optimum the predicted decrease
+        # can fall below F's rounding, and a strict test would then reject
+        # every step that still moves w.
+        slack = 8.0 * np.finfo(float).eps * abs(fval)
         alpha = 1.0
         while slope < 0.0 and alpha >= 1e-10:
             trial = _normalized(w + alpha * step).values
             f_trial, r_trial, j_trial = evaluate(trial)
-            if f_trial <= fval + 1e-4 * alpha * slope:
+            if f_trial <= fval + 1e-4 * alpha * slope + slack:
                 w, fval, resid, jac = trial, f_trial, r_trial, j_trial
                 break
             alpha *= 0.5

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 import geosynth as g
+from geosynth import estimators
 from geosynth.estimators import (
+    _solve_time_weights,
+    _sphere_linearization,
     _sphere_unit_linearization,
     fit_global_frechet_regression,
     predict_frechet_regression,
@@ -113,7 +116,7 @@ def test_gsc_scalar_reduction_matches_lattice():
 
 
 def sphere_objective_and_gradient(linearize, w):
-    """Unit objective F(w) = mean_t ||r_t||^2 and its gradient from the Jacobians."""
+    """Objective F(w) = mean_t ||r_t||^2 and its gradient from the Jacobians."""
     resid, jac = linearize(w)
     value = float(np.mean(np.sum(resid * resid, axis=1)))
     grad = 2.0 * np.mean(np.einsum("td,tdn->tn", resid, jac), axis=0)
@@ -125,23 +128,30 @@ def test_sphere_implicit_gradient_matches_central_differences():
     space = g.sphere_space(3)
     arrays = np.stack([[random_point(space, rng).data for _ in range(4)] for _ in range(6)])
     panel = panel_from_arrays(space, arrays, T0=3)
-    linearize = _sphere_unit_linearization(panel)
-    w = rng.dirichlet(np.full(5, 3.0))
-    _, grad = sphere_objective_and_gradient(linearize, w)
-    # Central differences err by h^2 |F'''| / 6 plus the rounding error of F
-    # divided by h. The tolerance h^2 admits |F'''| up to 6, well above the
-    # scale of an objective bounded by (pi/2)^2; 1e-12 / h covers rounding.
-    h = 1e-3
-    tol = h * h + 1e-12 / h
-    for i in range(5):
-        for k in range(5):
-            if i == k:
-                continue
-            u = np.zeros(5)
-            u[i], u[k] = 1.0, -1.0
-            f_plus, _ = sphere_objective_and_gradient(linearize, w + h * u)
-            f_minus, _ = sphere_objective_and_gradient(linearize, w - h * u)
-            assert (f_plus - f_minus) / (2.0 * h) == pytest.approx(grad @ u, abs=tol)
+    # Unit weights over the five controls, and the time weights of one post
+    # period: each control's three pre periods matched to its period-4 outcome.
+    cases = [
+        (_sphere_unit_linearization(panel), 5),
+        (_sphere_linearization(arrays[1:, :3], arrays[1:, 3]), 3),
+    ]
+    for linearize, n in cases:
+        w = rng.dirichlet(np.full(n, 3.0))
+        _, grad = sphere_objective_and_gradient(linearize, w)
+        # Central differences err by h^2 |F'''| / 6 plus the rounding error of
+        # F divided by h. The tolerance h^2 admits |F'''| up to 6, well above
+        # the scale of an objective bounded by (pi/2)^2; 1e-12 / h covers
+        # rounding.
+        h = 1e-3
+        tol = h * h + 1e-12 / h
+        for i in range(n):
+            for k in range(n):
+                if i == k:
+                    continue
+                u = np.zeros(n)
+                u[i], u[k] = 1.0, -1.0
+                f_plus, _ = sphere_objective_and_gradient(linearize, w + h * u)
+                f_minus, _ = sphere_objective_and_gradient(linearize, w - h * u)
+                assert (f_plus - f_minus) / (2.0 * h) == pytest.approx(grad @ u, abs=tol)
 
 
 def test_sphere_gsc_weights_are_certified_and_deterministic():
@@ -157,6 +167,86 @@ def test_sphere_gsc_weights_are_certified_and_deterministic():
         assert res.pre_fit_rmse == pytest.approx(np.sqrt(model.objective(w)), rel=1e-6)
         if seed == 0:
             assert np.array_equal(g.estimate_gsc(panel, cfg).weights.values, w)
+
+
+def is_certified(linearize, w, cfg):
+    """The Gauss-Newton certificate of ``w``: KKT residual of the linear model."""
+    resid, jac = linearize(w)
+    model = g.build_unit_weight_qp([(d @ w - r, d) for r, d in zip(resid, jac)])
+    return kkt_residual(model, w) <= cfg.tol_kkt * (1.0 + np.linalg.norm(model.gradient(w)))
+
+
+def record_gauss_newton_fits(monkeypatch):
+    """Record (linearize, n, weights) for every Gauss-Newton fit an estimator runs."""
+    fits = []
+    solve = estimators.solve_simplex_gauss_newton
+
+    def recording(linearize, n, cfg=None):
+        weights, value = solve(linearize, n, cfg)
+        fits.append((linearize, n, weights.values))
+        return weights, value
+
+    monkeypatch.setattr(estimators, "solve_simplex_gauss_newton", recording)
+    return fits
+
+
+def small_sphere_panel(seed, T=8, T0=5):
+    return g.generate(g.SimConfig(scenario="sphere", seed=seed, J=6, T=T, T0=T0)).panel
+
+
+def test_sphere_time_weights_are_certified(monkeypatch):
+    fits = record_gauss_newton_fits(monkeypatch)
+    cfg = g.SolverConfig()
+    for seed in range(4):
+        panel = small_sphere_panel(seed)
+        fits.clear()
+        g.estimate_gsdid(panel, cfg)
+        g.estimate_gsdid_per_time(panel, cfg)
+        time_fits = [(lin, w) for lin, n, w in fits if n == panel.T0]
+        assert len(time_fits) == 1 + panel.n_periods - panel.T0, seed
+        for linearize, w in time_fits:
+            assert is_certified(linearize, w, cfg), seed
+
+
+def test_sphere_gsdid_is_deterministic_and_relabel_invariant():
+    panel = small_sphere_panel(1)
+    first = g.estimate_gsdid(panel)
+    again = g.estimate_gsdid(panel)
+    assert np.array_equal(first.time_weights.values, again.time_weights.values)
+    assert np.array_equal(first.synthetic.data, again.synthetic.data)
+    per_time = [e.length for e in g.estimate_gsdid_per_time(panel)]
+    assert per_time == [e.length for e in g.estimate_gsdid_per_time(panel)]
+
+    perm = [0, 4, 2, 6, 1, 5, 3]
+    arrays = np.stack([[p.data for p in panel.outcomes[j]] for j in perm])
+    relabeled = panel_from_arrays(panel.space, arrays, panel.T0)
+    assert g.estimate_gsdid(relabeled).effect.length == pytest.approx(
+        first.effect.length, abs=1e-9
+    )
+    for effect, length in zip(g.estimate_gsdid_per_time(relabeled), per_time):
+        assert effect.length == pytest.approx(length, abs=1e-9)
+
+
+def test_gauss_newton_steps_below_the_rounding_of_the_objective():
+    # Seed 32's first per-period time-weight fit reaches a point whose step
+    # to the certified QP target predicts a decrease of about 4e-19, below
+    # the rounding of F (about 7.5e-3). A strict Armijo test rejected every
+    # step that moved w, and the fit ran out of steps without a certificate.
+    panel = small_sphere_panel(32, T=6, T0=4)
+    cfg = g.SolverConfig(max_iter=100)
+    targets = [panel.outcomes[j][panel.T0] for j in range(1, panel.n_units)]
+    lam, _ = _solve_time_weights(panel, targets, cfg)
+    z = np.stack([[p.data for p in row[: panel.T0]] for row in panel.controls])
+    y = np.stack([p.data for p in targets])
+    assert is_certified(_sphere_linearization(z, y), lam.values, cfg)
+    assert len(g.estimate_gsdid_per_time(panel)) == 2
+
+
+def test_sphere_gsdid_small_panel_sweep_does_not_raise():
+    for seed in range(40):
+        panel = small_sphere_panel(seed, T=6, T0=4)
+        g.estimate_gsdid(panel)
+        g.estimate_gsdid_per_time(panel)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +307,63 @@ def test_gsc_covariates_two_component_exact_match():
     covs = g.CovariatePanel(spaces=(cspace, cspace), covariates=tuple(rows))
     res = g.estimate_gsc_with_covariates(panel, covs)
     assert np.abs(res.weights.values - w_star).max() <= 1e-6
+
+
+def test_gsc_sphere_covariates_equal_outcomes_match_plain_gsc():
+    panel = small_sphere_panel(2)
+    covs = g.CovariatePanel(
+        spaces=(panel.space,),
+        covariates=tuple(
+            tuple((panel.outcomes[j][t],) for t in range(panel.T0))
+            for j in range(panel.n_units)
+        ),
+    )
+    res = g.estimate_gsc_with_covariates(panel, covs)
+    base = g.estimate_gsc(panel)
+    assert np.array_equal(res.weights.values, base.weights.values)
+    for a, b in zip(res.synthetic, base.synthetic):
+        assert np.array_equal(a.data, b.data)
+
+
+def test_gsc_mixed_sphere_scalar_covariates_are_certified(monkeypatch):
+    fits = record_gauss_newton_fits(monkeypatch)
+    rng = np.random.default_rng(22)
+    panel = small_sphere_panel(3)
+    cspace = g.scalar_space()
+    scalars = 0.3 * rng.normal(size=(panel.n_units, panel.T0))
+    covs = g.CovariatePanel(
+        spaces=(panel.space, cspace),
+        covariates=tuple(
+            tuple(
+                (panel.outcomes[j][t], g.ObjectPoint(cspace, np.full(cspace.dim, scalars[j, t])))
+                for t in range(panel.T0)
+            )
+            for j in range(panel.n_units)
+        ),
+    )
+    cfg = g.SolverConfig()
+    w = g.estimate_gsc_with_covariates(panel, covs, cfg).weights.values
+    [(linearize, _, fitted)] = fits
+    assert np.array_equal(fitted, w)
+    assert is_certified(linearize, w, cfg)
+
+    def objective(v):
+        """Average squared product-metric distance, from the public API."""
+        total = 0.0
+        for t in range(panel.T0):
+            for c in range(2):
+                combo = g.weighted_frechet_mean(
+                    [covs.covariates[j][t][c] for j in range(1, panel.n_units)], v
+                )
+                total += g.distance(combo, covs.covariates[0][t][c]) ** 2
+        return total / panel.T0
+
+    f_fit = objective(w)
+    resid, _ = linearize(w)
+    assert f_fit == pytest.approx(float(np.mean(np.sum(resid * resid, axis=1))), rel=1e-9)
+    n = panel.n_controls
+    for candidate in [np.full(n, 1.0 / n)] + list(np.eye(n)):
+        assert f_fit <= objective(candidate) + 1e-12
 
 
 # ---------------------------------------------------------------------------
