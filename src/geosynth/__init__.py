@@ -28,7 +28,6 @@ from .spaces import (
     REPAIR_BUDGET,
     TOL_MEAN,
     TOL_VALIDATE,
-    FlatCoordinates,
     ObjectPoint,
     RepairLog,
     SpaceDescriptor,
@@ -112,7 +111,6 @@ __all__ = [
     "TOL_VALIDATE",
     "CovariatePanel",
     "FileFormatError",
-    "FlatCoordinates",
     "FrechetRegressionModel",
     "GeodesicEffect",
     "GscResult",

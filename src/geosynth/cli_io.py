@@ -40,7 +40,7 @@ from .spaces import (
     SpaceDescriptor,
     SpaceError,
     distance,
-    validate_point,
+    validate_point,  # noqa: F401  (looked up here by geobench's tracer)
     weighted_frechet_mean,
 )
 
@@ -166,6 +166,8 @@ def encode_point(point: ObjectPoint) -> list:
 
 
 def decode_point(space: SpaceDescriptor, entry: Any, where: str) -> ObjectPoint:
+    """Decode one point, checking its shape and finiteness; its value
+    invariants are checked once, by the panel that receives it."""
     arr = np.asarray(entry, dtype=float) if _is_numeric_nested(entry) else None
     if arr is None or arr.shape != space.data_shape:
         raise FileFormatError(
@@ -173,11 +175,7 @@ def decode_point(space: SpaceDescriptor, entry: Any, where: str) -> ObjectPoint:
         )
     if not np.all(np.isfinite(arr)):
         raise FileFormatError(f"{where}: entries must be finite")
-    point = ObjectPoint(space, arr)
-    report = validate_point(point)
-    if report is not None:
-        raise FileFormatError(f"{where}: {report}")
-    return point
+    return ObjectPoint(space, arr)
 
 
 def _is_numeric_nested(entry: Any) -> bool:

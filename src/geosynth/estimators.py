@@ -6,13 +6,16 @@ synthetic difference-in-differences (GSDID) with a per-period variant and
 a uniform-weight geodesic DID baseline, and placebo permutation tests.
 
 A panel holds one treated unit (row 0) and J control units observed over T
-periods, the first T0 of them pre-treatment. All estimators are pure
-functions of (panel, config) and never mutate their inputs.
+periods, the first T0 of them pre-treatment. It is validated and embedded
+once, into a (J+1, T, D) coordinate tensor that every estimator and
+placebo refit reads. All estimators are pure functions of (panel, config)
+and never mutate their inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -30,10 +33,12 @@ from .spaces import (
     flat_embed,
     flat_restore,
     metric_embed,
+    metric_embed_stack,
     metric_restore,
     transport,
     validate_point,
-    weighted_frechet_mean,
+    validate_stack,
+    weighted_frechet_mean,  # noqa: F401  (looked up here by geobench's tracer)
 )
 from .simplex_opt import (
     SimplexWeights,
@@ -63,6 +68,10 @@ class Panel:
         Number of pre-treatment periods, ``1 <= T0 < T``.
     unit_labels, time_labels : sequence of str, optional
         Display labels; generated when omitted.
+
+    Construction validates all outcomes in one batched call. Estimators
+    read slices of :attr:`coords`, the panel embedded once, and placebo
+    refits permute its rows without validating again.
     """
 
     space: SpaceDescriptor
@@ -70,6 +79,7 @@ class Panel:
     T0: int
     unit_labels: tuple[str, ...] = ()
     time_labels: tuple[str, ...] = ()
+    _coords: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(row) for row in self.outcomes)
@@ -86,9 +96,11 @@ class Panel:
                     raise SpaceError(f"outcome ({j},{t}) is not an ObjectPoint")
                 if point.space != self.space:
                     raise SpaceError(f"outcome ({j},{t}) belongs to a different space")
-                report = validate_point(point)
-                if report is not None:
-                    raise SpaceError(f"outcome ({j},{t}) is invalid: {report}")
+        object.__setattr__(self, "outcomes", rows)
+        report = validate_stack(self.space, self._data().reshape((-1,) + self.space.data_shape))
+        if report is not None:
+            j, t = divmod(report[0], t_len)
+            raise SpaceError(f"outcome (unit {j}, time {t}) is invalid: {report[1]}")
         units = tuple(self.unit_labels) or tuple(
             ["treated"] + [f"control_{j}" for j in range(1, len(rows))]
         )
@@ -97,10 +109,29 @@ class Panel:
             raise SpaceError(f"expected {len(rows)} unit labels, got {len(units)}")
         if len(times) != t_len:
             raise SpaceError(f"expected {t_len} time labels, got {len(times)}")
-        object.__setattr__(self, "outcomes", rows)
         object.__setattr__(self, "T0", int(self.T0))
         object.__setattr__(self, "unit_labels", tuple(str(u) for u in units))
         object.__setattr__(self, "time_labels", tuple(str(t) for t in times))
+
+    @property
+    def coords(self) -> np.ndarray:
+        """Read-only (J+1, T, D) coordinates of the outcomes: the isometric
+        chart (:func:`metric_embed_stack`) for the flat kinds and the unit
+        vectors themselves for the sphere.
+
+        Computed in one batched call on first use and cached, so a panel
+        that no estimator reads holds no second copy of its data.
+        """
+        if self._coords is None:
+            data = self._data()
+            coords = data if self.space.kind == "sphere" else metric_embed_stack(self.space, data)
+            coords.setflags(write=False)
+            object.__setattr__(self, "_coords", coords)
+        return self._coords
+
+    def _data(self) -> np.ndarray:
+        """The outcomes' data stacked into one (J+1, T, *data_shape) array."""
+        return np.array([[point.data for point in row] for row in self.outcomes])
 
     @property
     def n_units(self) -> int:
@@ -134,14 +165,18 @@ class Panel:
         The remaining units keep their original relative order, so placebo
         fits see the same donor pool regardless of which unit is held out.
         """
-        order = [j] + [i for i in range(self.n_units) if i != j]
-        return Panel(
-            space=self.space,
-            outcomes=tuple(self.outcomes[i] for i in order),
-            T0=self.T0,
-            unit_labels=tuple(self.unit_labels[i] for i in order),
-            time_labels=self.time_labels,
-        )
+        return self._permuted([j] + [i for i in range(self.n_units) if i != j])
+
+    def _permuted(self, order: list[int]) -> "Panel":
+        """This panel with its units in ``order``, built from the validated
+        and embedded arrays without running the constructor again."""
+        coords = self.coords[order]
+        coords.setflags(write=False)
+        panel = copy.copy(self)
+        object.__setattr__(panel, "outcomes", tuple(self.outcomes[i] for i in order))
+        object.__setattr__(panel, "unit_labels", tuple(self.unit_labels[i] for i in order))
+        object.__setattr__(panel, "_coords", coords)
+        return panel
 
 
 @dataclass(frozen=True)
@@ -282,20 +317,9 @@ class PlaceboReport:
 # weight estimation
 
 
-def _metric_coords(points: Sequence[ObjectPoint]) -> np.ndarray:
-    return np.stack([metric_embed(p) for p in points])
-
-
-def _panel_coords(panel: Panel) -> np.ndarray:
-    """Metric coordinates of every outcome, shape (J+1, T, D)."""
-    return np.stack([_metric_coords(row) for row in panel.outcomes])
-
-
-def _sphere_stack(panel: Panel, periods: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Control and treated sphere data over ``periods``: (len, J, d), (len, d)."""
-    z = np.stack([[panel.outcomes[j][t].data for j in range(1, panel.n_units)] for t in periods])
-    y = np.stack([panel.outcomes[0][t].data for t in periods])
-    return z, y
+def _sphere_batches(x: np.ndarray) -> np.ndarray:
+    """(units, periods, d) sphere data as a contiguous (periods, units, d) stack."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2))
 
 
 def _sphere_linearization(
@@ -323,7 +347,8 @@ def _sphere_unit_linearization(
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Linearization of the sphere unit-weight objective: one row per pre
     period, the controls' weighted mean against the treated outcome."""
-    return _sphere_linearization(*_sphere_stack(panel, list(panel.pre_periods())))
+    pre = panel.coords[:, : panel.T0]
+    return _sphere_linearization(_sphere_batches(pre[1:]), pre[0])
 
 
 def _solve_unit_weights(panel: Panel, cfg: SolverConfig) -> tuple[SimplexWeights, float]:
@@ -332,31 +357,32 @@ def _solve_unit_weights(panel: Panel, cfg: SolverConfig) -> tuple[SimplexWeights
         return solve_simplex_gauss_newton(
             _sphere_unit_linearization(panel), panel.n_controls, cfg
         )
-    coords = _panel_coords(panel)
-    blocks = [(coords[0, t], coords[1:, t].T) for t in panel.pre_periods()]
+    x = panel.coords
+    blocks = [(x[0, t], x[1:, t].T) for t in panel.pre_periods()]
     return solve_simplex_qp(build_unit_weight_qp(blocks), cfg)
 
 
-def _weighted_points(
-    panel: Panel, weights: SimplexWeights, log: RepairLog, repair: bool = True
-) -> list[ObjectPoint]:
-    """Weighted combination of the control units at every period."""
+def _gsc_result(panel: Panel, weights: SimplexWeights, repair: bool) -> GscResult:
+    """Synthetic outcomes for fitted unit weights, the controls' weighted
+    Frechet mean in every period, with their effects and pre-period fit."""
     space = panel.space
+    log = RepairLog()
     if space.kind == "sphere":
-        z, _ = _sphere_stack(panel, range(panel.n_periods))
-        means = _sphere_mean_stack(z, weights.values)
-        return [ObjectPoint(space, means[t]) for t in range(panel.n_periods)]
-    coords = _panel_coords(panel)
-    combos = np.einsum("j,jtd->td", weights.values, coords[1:])
-    return [
-        metric_restore(combos[t], space, repair=repair, log=log)
-        for t in range(panel.n_periods)
-    ]
-
-
-def _pre_fit_rmse(panel: Panel, fitted: Sequence[ObjectPoint]) -> float:
-    sq = [distance(panel.outcomes[0][t], fitted[t]) ** 2 for t in panel.pre_periods()]
-    return float(np.sqrt(np.mean(sq)))
+        means = _sphere_mean_stack(_sphere_batches(panel.coords[1:]), weights.values)
+        synthetic = tuple(ObjectPoint(space, m) for m in means)
+    else:
+        combos = np.einsum("j,jtd->td", weights.values, panel.coords[1:])
+        synthetic = tuple(metric_restore(c, space, repair=repair, log=log) for c in combos)
+    sq = [distance(panel.outcomes[0][t], synthetic[t]) ** 2 for t in panel.pre_periods()]
+    return GscResult(
+        weights=weights,
+        synthetic=synthetic,
+        effects=tuple(
+            geodesic_effect(synthetic[t], panel.outcomes[0][t]) for t in panel.post_periods()
+        ),
+        pre_fit_rmse=float(np.sqrt(np.mean(sq))),
+        repair_flags=tuple(log.events),
+    )
 
 
 def estimate_gsc(
@@ -377,18 +403,7 @@ def estimate_gsc(
     """
     cfg = cfg or SolverConfig()
     weights, _ = _solve_unit_weights(panel, cfg)
-    log = RepairLog()
-    synthetic = _weighted_points(panel, weights, log, repair)
-    effects = tuple(
-        geodesic_effect(synthetic[t], panel.outcomes[0][t]) for t in panel.post_periods()
-    )
-    return GscResult(
-        weights=weights,
-        synthetic=tuple(synthetic),
-        effects=effects,
-        pre_fit_rmse=_pre_fit_rmse(panel, synthetic),
-        repair_flags=tuple(log.events),
-    )
+    return _gsc_result(panel, weights, repair)
 
 
 def estimate_gsc_with_covariates(
@@ -453,19 +468,7 @@ def estimate_gsc_with_covariates(
             return np.concatenate(resid, axis=1), np.concatenate(jac, axis=1)
 
         weights, _ = solve_simplex_gauss_newton(linearize, panel.n_controls, cfg)
-
-    log = RepairLog()
-    synthetic = _weighted_points(panel, weights, log, repair)
-    effects = tuple(
-        geodesic_effect(synthetic[t], panel.outcomes[0][t]) for t in panel.post_periods()
-    )
-    return GscResult(
-        weights=weights,
-        synthetic=tuple(synthetic),
-        effects=effects,
-        pre_fit_rmse=_pre_fit_rmse(panel, synthetic),
-        repair_flags=tuple(log.events),
-    )
+    return _gsc_result(panel, weights, repair)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +542,7 @@ def fit_global_frechet_regression(
     for t, row in enumerate(outcomes):
         if len(row) != n_units:
             raise SpaceError(f"period {t} has {len(row)} outcomes, expected {n_units}")
-        charts.append(np.stack([flat_embed(p).vector for p in row]))
+        charts.append(np.stack([flat_embed(p) for p in row]))
     x_bar = x.mean(axis=0)
     centered = x - x_bar
     cov = centered.T @ centered / n_units
@@ -651,40 +654,32 @@ def estimate_augmented_gsc(
 # synthetic difference-in-differences
 
 
-def _post_means(panel: Panel) -> list[ObjectPoint]:
-    """Per-unit uniform Frechet mean over the post window."""
-    n_post = panel.n_periods - panel.T0
-    uniform = np.full(n_post, 1.0 / n_post)
-    return [
-        weighted_frechet_mean([row[t] for t in panel.post_periods()], uniform)
-        for row in panel.outcomes
-    ]
+def _post_means(panel: Panel) -> np.ndarray:
+    """Per-unit uniform Frechet means over the post window, (J+1, D) coordinates."""
+    post = panel.coords[:, panel.T0 :]
+    uniform = np.full(post.shape[1], 1.0 / post.shape[1])
+    if panel.space.kind == "sphere":
+        return _sphere_mean_stack(post, uniform)
+    return uniform @ post
 
 
 def _solve_time_weights(
-    panel: Panel, targets: Sequence[ObjectPoint], cfg: SolverConfig
+    panel: Panel, targets: np.ndarray, cfg: SolverConfig
 ) -> tuple[SimplexWeights, float]:
     """Time weights matching each control's target to its weighted pre-window.
 
-    ``targets[j]`` is the post mean (or a single post outcome) for control
-    ``j``; the solution lambda minimizes the average squared distance
-    between target and lambda-weighted pre-period combination across
-    controls. On the sphere this is the unit-weight problem with the roles
-    of units and periods swapped, and it is solved the same way.
+    ``targets[j]`` holds the coordinates of control ``j``'s post mean (or of
+    a single post outcome); the solution lambda minimizes the average
+    squared distance between target and lambda-weighted pre-period
+    combination across controls. On the sphere this is the unit-weight
+    problem with the roles of units and periods swapped, and it is solved
+    the same way.
     """
+    pre = panel.coords[1:, : panel.T0]
     if panel.space.kind == "sphere":
-        z = np.stack(
-            [[panel.outcomes[j][t].data for t in panel.pre_periods()]
-             for j in range(1, panel.n_units)]
-        )
-        y = np.stack([p.data for p in targets])
-        return solve_simplex_gauss_newton(_sphere_linearization(z, y), panel.T0, cfg)
-    pre = [
-        np.stack([metric_embed(panel.outcomes[j][t]) for t in panel.pre_periods()])
-        for j in range(1, panel.n_units)
-    ]
-    post = [metric_embed(p) for p in targets]
-    return solve_simplex_qp(build_time_weight_qp(pre, post), cfg)
+        linearize = _sphere_linearization(np.ascontiguousarray(pre), targets)
+        return solve_simplex_gauss_newton(linearize, panel.T0, cfg)
+    return solve_simplex_qp(build_time_weight_qp(list(pre), list(targets)), cfg)
 
 
 def _grid_mean(
@@ -695,50 +690,70 @@ def _grid_mean(
     rows: Sequence[int],
 ) -> ObjectPoint:
     """Frechet mean over a (unit, period) grid with product weights."""
-    points = [panel.outcomes[j][t] for j in rows for t in periods]
-    weights = np.array(
-        [unit_weights[i] * time_weights[k] for i in range(len(rows)) for k in range(len(periods))]
+    x = panel.coords[np.ix_(rows, periods)]
+    points = x.reshape(-1, x.shape[-1])
+    weights = np.outer(unit_weights, time_weights).ravel()
+    weights = weights / weights.sum()
+    if panel.space.kind == "sphere":
+        return ObjectPoint(panel.space, _sphere_mean_stack(points[None], weights)[0])
+    return metric_restore(weights @ points, panel.space)
+
+
+def _did_transport(
+    panel: Panel,
+    unit_weights: np.ndarray,
+    time_weights: np.ndarray,
+    periods: Sequence[int],
+    period_weights: np.ndarray,
+    repair: bool,
+    log: RepairLog | None,
+) -> tuple[dict[str, ObjectPoint], ObjectPoint]:
+    """The treated unit's time-weighted pre mean, transported by the control
+    group's displacement from its doubly weighted pre mean to its
+    ``period_weights``-weighted mean over ``periods``.
+
+    Returns the three means (``treated_pre``, ``controls_pre``,
+    ``controls_post``) and the transported, synthetic point.
+    """
+    pre = list(panel.pre_periods())
+    controls = list(range(1, panel.n_units))
+    means = {
+        "treated_pre": _grid_mean(panel, np.ones(1), time_weights, pre, [0]),
+        "controls_pre": _grid_mean(panel, unit_weights, time_weights, pre, controls),
+        "controls_post": _grid_mean(panel, unit_weights, period_weights, periods, controls),
+    }
+    synthetic = transport(
+        means["controls_pre"], means["controls_post"], means["treated_pre"],
+        repair=repair, log=log,
     )
-    return weighted_frechet_mean(points, weights / weights.sum())
+    return means, synthetic
 
 
 def _gsdid_core(
     panel: Panel,
     unit_weights: SimplexWeights,
     time_weights: SimplexWeights,
-    observed_post_mean: ObjectPoint,
+    post_mean: np.ndarray,
     repair: bool = True,
 ) -> GsdidResult:
-    T0 = panel.T0
-    n_post = panel.n_periods - T0
-    control_rows = list(range(1, panel.n_units))
-    treated_pre = _grid_mean(
-        panel, np.ones(1), time_weights.values, list(panel.pre_periods()), [0]
-    )
-    controls_pre = _grid_mean(
-        panel, unit_weights.values, time_weights.values, list(panel.pre_periods()), control_rows
-    )
-    controls_post = _grid_mean(
-        panel,
-        unit_weights.values,
-        np.full(n_post, 1.0 / n_post),
-        list(panel.post_periods()),
-        control_rows,
-    )
+    """GSDID from fitted weights and the coordinates of the treated post mean."""
+    if panel.space.kind == "sphere":
+        observed_post_mean = ObjectPoint(panel.space, post_mean)
+    else:
+        observed_post_mean = metric_restore(post_mean, panel.space)
+    n_post = panel.n_periods - panel.T0
     log = RepairLog()
-    synthetic = transport(controls_pre, controls_post, treated_pre, repair=repair, log=log)
+    means, synthetic = _did_transport(
+        panel, unit_weights.values, time_weights.values, list(panel.post_periods()),
+        np.full(n_post, 1.0 / n_post), repair, log,
+    )
     return GsdidResult(
         unit_weights=unit_weights,
         time_weights=time_weights,
         synthetic=synthetic,
         observed_post_mean=observed_post_mean,
         effect=geodesic_effect(synthetic, observed_post_mean),
-        intermediates={
-            "treated_pre": treated_pre,
-            "controls_pre": controls_pre,
-            "controls_post": controls_post,
-            "treated_post": observed_post_mean,
-        },
+        intermediates={**means, "treated_post": observed_post_mean},
         repair_flags=tuple(log.events),
     )
 
@@ -787,32 +802,18 @@ def estimate_gsdid_per_time(
     """
     cfg = cfg or SolverConfig()
     unit_weights, _ = _solve_unit_weights(panel, cfg)
-    control_rows = list(range(1, panel.n_units))
     effects = []
     for t in panel.post_periods():
-        targets = [panel.outcomes[j][t] for j in range(1, panel.n_units)]
-        time_weights, _ = _solve_time_weights(panel, targets, cfg)
-        treated_pre = _grid_mean(
-            panel, np.ones(1), time_weights.values, list(panel.pre_periods()), [0]
+        time_weights, _ = _solve_time_weights(panel, panel.coords[1:, t], cfg)
+        _, synthetic = _did_transport(
+            panel, unit_weights.values, time_weights.values, [t], np.ones(1), repair, None
         )
-        controls_pre = _grid_mean(
-            panel, unit_weights.values, time_weights.values,
-            list(panel.pre_periods()), control_rows,
-        )
-        controls_at_t = _grid_mean(
-            panel, unit_weights.values, np.ones(1), [t], control_rows
-        )
-        synthetic = transport(controls_pre, controls_at_t, treated_pre, repair=repair)
         effects.append(geodesic_effect(synthetic, panel.outcomes[0][t]))
     return effects
 
 
 # ---------------------------------------------------------------------------
 # placebo permutation tests
-
-
-def _max_rank(stats: np.ndarray, index: int) -> int:
-    return int(np.sum(stats >= stats[index]))
 
 
 def placebo_test(
@@ -838,30 +839,20 @@ def placebo_test(
     if method not in ("gsc", "gsdid"):
         raise SolverError(f"unknown placebo method {method!r}")
     n = panel.n_units
-    post = list(panel.post_periods())
-    per_unit: list[np.ndarray] = []
+    per_unit: list[list[float]] = []
     for j in range(n):
         pseudo = panel.with_treated_unit(j)
         try:
             if method == "gsc":
-                result = estimate_gsc(pseudo, cfg, repair)
-                stats_j = np.array([result.effects[i].length for i in range(len(post))])
+                per_unit.append([e.length for e in estimate_gsc(pseudo, cfg, repair).effects])
             else:
-                result = estimate_gsdid(pseudo, cfg, repair)
-                stats_j = np.array([result.effect.length])
+                per_unit.append([estimate_gsdid(pseudo, cfg, repair).effect.length])
         except (SolverError, SpaceError) as exc:
             raise SolverError(
                 f"placebo fit failed for unit {panel.unit_labels[j]!r}: {exc}"
             ) from exc
-        per_unit.append(stats_j)
-    table = np.stack(per_unit)
-    if method == "gsdid":
-        stats = table[:, 0]
-        rank = _max_rank(stats, 0)
-        return PlaceboReport(statistics=stats, rank_of_treated=rank, p_value=rank / n)
     reports = []
-    for i in range(len(post)):
-        stats = table[:, i]
-        rank = _max_rank(stats, 0)
+    for stats in np.array(per_unit).T:
+        rank = int(np.sum(stats >= stats[0]))  # max-rank of the treated unit, row 0
         reports.append(PlaceboReport(statistics=stats, rank_of_treated=rank, p_value=rank / n))
-    return reports
+    return reports if method == "gsc" else reports[0]

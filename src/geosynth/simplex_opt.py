@@ -429,7 +429,8 @@ def solve_simplex_gauss_newton(
     ------
     SolverError
         If the certificate is not met within ``max_iter`` steps, the line
-        search stalls, or the residuals are not finite.
+        search stalls, an accepted step leaves the weights unchanged (the
+        next step would repeat it), or the residuals are not finite.
     """
     cfg = cfg or SolverConfig()
     if n < 1:
@@ -464,6 +465,11 @@ def solve_simplex_gauss_newton(
             trial = _normalized(w + alpha * step).values
             f_trial, r_trial, j_trial = evaluate(trial)
             if f_trial <= fval + 1e-4 * alpha * slope + slack:
+                if np.array_equal(trial, w):
+                    raise SolverError(
+                        f"Gauss-Newton step left the weights unchanged at objective "
+                        f"{fval:.3e} before reaching KKT residual {cfg.tol_kkt:.1e}"
+                    )
                 w, fval, resid, jac = trial, f_trial, r_trial, j_trial
                 break
             alpha *= 0.5

@@ -26,6 +26,13 @@ Registered space kinds
 Except for the sphere, every kind is "flat": there is a bijective chart
 (``flat_embed`` / ``flat_restore``) into a vector space in which distances
 are Euclidean, possibly after a fixed diagonal rescaling (``metric_embed``).
+Chart coordinates are plain read-only vectors.
+
+Validation (``validate_stack``) and the chart map (``metric_embed_stack``)
+work on stacks of points, shape (n, *data_shape), so that a panel is
+checked and embedded in one call; ``validate_point`` and ``metric_embed``
+are their one-point cases. The sphere's Frechet means are likewise one
+batched routine (``_sphere_mean_stack``).
 """
 
 from __future__ import annotations
@@ -276,18 +283,6 @@ class ObjectPoint:
 
 
 @dataclass(frozen=True)
-class FlatCoordinates:
-    """Coordinates of a point in a flat chart of its space."""
-
-    vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        vec = np.array(self.vector, dtype=float).ravel()
-        vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
-
-
-@dataclass(frozen=True)
 class TangentVector:
     """A tangent vector to the sphere at ``base``, orthogonal to it."""
 
@@ -314,47 +309,66 @@ class TangentVector:
 # validation
 
 
+def validate_stack(space: SpaceDescriptor, data: np.ndarray) -> tuple[int, str] | None:
+    """Check the value invariants of a stack of points, shape (n, *data_shape).
+
+    Returns ``None`` when every point is valid, otherwise the index of the
+    first invalid point and a message naming its first violated invariant.
+    Each invariant is checked for the whole stack at once; ``eigvalsh``
+    broadcasts over the leading axis.
+    """
+    kind = space.kind
+    x = np.asarray(data, dtype=float)
+    if not np.isfinite(x).all():
+        first = int(np.argmin(np.isfinite(x.reshape(len(x), -1)).all(axis=1)))
+        return validate_stack(space, x[:first]) or (first, f"{kind}: entries must be finite")
+    # (mask of failing points, message or its maker from the point index)
+    checks: list[tuple[np.ndarray, object]] = []
+    if kind in MATRIX_KINDS:
+        asym = np.abs(x - np.swapaxes(x, -1, -2)).max(axis=(-2, -1))
+        checks.append((asym > TOL_VALIDATE, f"{kind}: matrix is not symmetric"))
+    if kind == "laplacian":
+        off = np.where(np.eye(space.dim, dtype=bool), 0.0, x).max(axis=(-2, -1))
+        row_sums = np.abs(x.sum(axis=-1)).max(axis=-1)
+        checks += [
+            (off > TOL_VALIDATE, "laplacian: off-diagonal entries must be nonpositive"),
+            (row_sums > TOL_VALIDATE, "laplacian: rows do not sum to 0"),
+        ]
+    elif kind in MATRIX_KINDS:
+        eig = np.linalg.eigvalsh(_sym(x)).min(axis=-1)
+        checks.append(
+            (eig < EPS_PD, lambda i: f"{kind}: minimum eigenvalue {eig[i]:.3e} is below {EPS_PD:.0e}")
+        )
+    elif kind == "sphere":
+        norm = np.sqrt(np.einsum("ij,ij->i", x, x))
+        off_unit = np.abs(norm - 1.0) > TOL_VALIDATE
+        checks += [
+            (x.min(axis=-1) < -TOL_VALIDATE, "sphere: entries must be nonnegative"),
+            (off_unit, lambda i: f"sphere: norm is {norm[i]:.12g}, expected 1"),
+        ]
+    elif kind == "wasserstein1d":
+        drop = np.diff(x, axis=-1).min(axis=-1, initial=0.0)
+        message = "wasserstein1d: quantile values must be nondecreasing"
+        checks.append((drop < -TOL_VALIDATE, message))
+    elif kind != "l2function":
+        raise SpaceError(f"unknown space kind {kind!r}")
+    if not any(bad.any() for bad, _ in checks):
+        return None
+    failing = np.stack([bad for bad, _ in checks])
+    first = int(np.argmax(failing.any(axis=0)))
+    _, message = checks[int(np.argmax(failing[:, first]))]
+    return first, message(first) if callable(message) else message
+
+
 def validate_point(point: ObjectPoint) -> str | None:
     """Check the value invariants of ``point``.
 
     Returns ``None`` when the point is valid, otherwise a message naming
-    the first violated invariant.
+    the first violated invariant. This is :func:`validate_stack` on a stack
+    of one.
     """
-    kind = point.space.kind
-    x = point.data
-    if not np.all(np.isfinite(x)):
-        return f"{kind}: entries must be finite"
-    if kind == "laplacian":
-        if np.max(np.abs(x - x.T)) > TOL_VALIDATE:
-            return "laplacian: matrix is not symmetric"
-        off = x - np.diag(np.diag(x))
-        if np.max(off) > TOL_VALIDATE:
-            return "laplacian: off-diagonal entries must be nonpositive"
-        row_sums = x.sum(axis=1)
-        if np.max(np.abs(row_sums)) > TOL_VALIDATE:
-            return "laplacian: rows do not sum to 0"
-        return None
-    if kind == "sphere":
-        if np.min(x) < -TOL_VALIDATE:
-            return "sphere: entries must be nonnegative"
-        norm = float(np.linalg.norm(x))
-        if abs(norm - 1.0) > TOL_VALIDATE:
-            return f"sphere: norm is {norm:.12g}, expected 1"
-        return None
-    if kind in MATRIX_KINDS:
-        if np.max(np.abs(x - x.T)) > TOL_VALIDATE:
-            return f"{kind}: matrix is not symmetric"
-        min_eig = float(np.linalg.eigvalsh(_sym(x)).min())
-        if min_eig < EPS_PD:
-            return f"{kind}: minimum eigenvalue {min_eig:.3e} is below {EPS_PD:.0e}"
-        return None
-    if kind == "wasserstein1d":
-        if np.min(np.diff(x)) < -TOL_VALIDATE:
-            return "wasserstein1d: quantile values must be nondecreasing"
-        return None
-    if kind == "l2function":
-        return None
-    raise SpaceError(f"unknown space kind {kind!r}")
+    report = validate_stack(point.space, point.data[None])
+    return None if report is None else report[1]
 
 
 def require_valid(point: ObjectPoint) -> None:
@@ -380,26 +394,27 @@ def _require_same_space(*points: ObjectPoint) -> SpaceDescriptor:
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) / 2.0
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
-def _eig_apply(a: np.ndarray, fn) -> np.ndarray:
+def _eig_apply(a: np.ndarray, fn, name: str | None = None) -> np.ndarray:
+    """Apply ``fn`` to the eigenvalues of symmetric matrices, shape (..., n, n).
+
+    ``eigh`` broadcasts over the leading axes. When ``name`` is given the
+    matrices must be positive definite, and ``name`` labels the error.
+    """
     vals, vecs = np.linalg.eigh(_sym(a))
-    return (vecs * fn(vals)) @ vecs.T
+    if name is not None and vals.min(initial=np.inf) <= 0:
+        raise SpaceError(f"matrix {name} requires a positive-definite matrix")
+    return (vecs * fn(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 def _logm_spd(a: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(_sym(a))
-    if vals.min() <= 0:
-        raise SpaceError("matrix logarithm requires a positive-definite matrix")
-    return (vecs * np.log(vals)) @ vecs.T
+    return _eig_apply(a, np.log, "logarithm")
 
 
 def _powm_spd(a: np.ndarray, p: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(_sym(a))
-    if vals.min() <= 0:
-        raise SpaceError("matrix power requires a positive-definite matrix")
-    return (vecs * np.power(vals, p)) @ vecs.T
+    return _eig_apply(a, lambda vals: np.power(vals, p), "power")
 
 
 def _clip_to_cone(
@@ -510,19 +525,27 @@ def quadrature_weights(space: SpaceDescriptor) -> np.ndarray:
 
 
 def _chart_forward(space: SpaceDescriptor, x: np.ndarray) -> np.ndarray:
+    """Chart coordinates of a stack of points, shape (..., *data_shape) -> (..., D).
+
+    One point is the stack with no leading axes; ``eigh`` and ``cholesky``
+    broadcast over the leading axes of larger stacks.
+    """
     kind = space.kind
+    n = space.dim
+    lead = x.shape[: x.ndim - len(space.data_shape)]
     if kind in ("laplacian", "spd_frobenius"):
-        return x.ravel().copy()
+        return x.reshape(lead + (n * n,)).copy()
     if kind == "spd_log_euclidean":
-        return _logm_spd(x).ravel()
+        return _logm_spd(x).reshape(lead + (n * n,))
     if kind == "spd_power":
-        return _powm_spd(x, space.power_p).ravel()
+        return _powm_spd(x, space.power_p).reshape(lead + (n * n,))
     if kind == "spd_log_cholesky":
         chol = np.linalg.cholesky(_sym(x))
-        rows, cols = _strict_lower_indices(space.dim)
-        return np.concatenate([chol[rows, cols], np.log(np.diag(chol))])
+        rows, cols = _strict_lower_indices(n)
+        diag = np.diagonal(chol, axis1=-2, axis2=-1)
+        return np.concatenate([chol[..., rows, cols], np.log(diag)], axis=-1)
     if kind in GRID_KINDS:
-        return x.copy()
+        return np.array(x, dtype=float)
     raise SpaceError(f"{kind} has no flat chart")
 
 
@@ -554,8 +577,8 @@ def _chart_backward(
     raise SpaceError(f"{kind} has no flat chart")
 
 
-def flat_embed(point: ObjectPoint) -> FlatCoordinates:
-    """Map a point of a flat space to its chart coordinates.
+def flat_embed(point: ObjectPoint) -> np.ndarray:
+    """Map a point of a flat space to its read-only chart coordinate vector.
 
     The chart is the identity vectorization for ``laplacian``,
     ``spd_frobenius``, and the grid kinds, the matrix logarithm for
@@ -563,11 +586,13 @@ def flat_embed(point: ObjectPoint) -> FlatCoordinates:
     pair (strict lower triangle, log-diagonal) of the Cholesky factor for
     ``spd_log_cholesky``. The sphere has no flat chart.
     """
-    return FlatCoordinates(_chart_forward(point.space, point.data))
+    vec = _chart_forward(point.space, point.data)
+    vec.setflags(write=False)
+    return vec
 
 
 def flat_restore(
-    coords: FlatCoordinates | np.ndarray,
+    coords: np.ndarray,
     space: SpaceDescriptor,
     repair: bool = True,
     log: RepairLog | None = None,
@@ -580,7 +605,7 @@ def flat_restore(
     change stays within the repair budget; with ``repair=False`` such
     coordinates raise instead.
     """
-    vec = coords.vector if isinstance(coords, FlatCoordinates) else np.asarray(coords, float)
+    vec = np.asarray(coords, dtype=float)
     if vec.shape != (chart_dim(space),):
         raise SpaceError(
             f"{space.kind} chart coordinates must have length {chart_dim(space)}, "
@@ -596,16 +621,24 @@ def metric_weight_sqrt(space: SpaceDescriptor) -> np.ndarray | None:
     return None if space._quadrature is None else space._quadrature[1]
 
 
-def metric_embed(point: ObjectPoint) -> np.ndarray:
-    """Isometric coordinates: Euclidean distances equal space distances.
+def metric_embed_stack(space: SpaceDescriptor, data: np.ndarray) -> np.ndarray:
+    """Isometric coordinates of a stack of points, shape (..., *data_shape) -> (..., D).
 
+    Euclidean distances between coordinate vectors equal space distances.
     For matrix kinds this is the plain chart; for the grid kinds the chart
     is rescaled by square-root quadrature weights so that the 2-norm of a
     coordinate difference equals the trapezoidal L2 distance.
     """
-    vec = _chart_forward(point.space, point.data)
-    scale = metric_weight_sqrt(point.space)
-    return vec if scale is None else vec * scale
+    vec = _chart_forward(space, data)
+    scale = metric_weight_sqrt(space)
+    if scale is not None:
+        vec *= scale
+    return vec
+
+
+def metric_embed(point: ObjectPoint) -> np.ndarray:
+    """Isometric coordinates of one point: :func:`metric_embed_stack` on its data."""
+    return metric_embed_stack(point.space, point.data)
 
 
 def metric_restore(
@@ -744,70 +777,43 @@ def weighted_frechet_mean(points: Sequence[ObjectPoint], weights) -> ObjectPoint
     distances to ``points``.
 
     Flat spaces use the closed form (the weighted average in the chart).
-    The sphere uses an intrinsic gradient iteration started at the
-    normalized extrinsic average, with unit step size and halving on any
-    objective increase, run until the gradient norm falls below
-    ``TOL_MEAN``.
+    The sphere uses an intrinsic gradient iteration with unit steps,
+    started at the normalized extrinsic average and run until the gradient
+    norm falls below ``TOL_MEAN`` (see :func:`_sphere_mean_stack`).
     """
     points = list(points)
     if not points:
         raise SpaceError("Frechet mean needs at least one point")
     space = _require_same_space(*points)
     w = _as_weights(weights, len(points))
-    for p in points:
-        require_valid(p)
-    if all(p is points[0] or np.array_equal(p.data, points[0].data) for p in points[1:]):
+    data = np.stack([p.data for p in points])
+    report = validate_stack(space, data)
+    if report is not None:
+        raise SpaceError(report[1])
+    if np.array_equal(data, np.broadcast_to(data[0], data.shape)):
         return points[0]
     if space.kind == "sphere":
-        nu = _sphere_mean_single(np.stack([p.data for p in points]), w)
-        out = ObjectPoint(space, nu)
+        out = ObjectPoint(space, _sphere_mean_single(data, w))
         require_valid(out)
         return out
-    stack = np.stack([metric_embed(p) for p in points])
-    return metric_restore(w @ stack, space)
+    return metric_restore(w @ metric_embed_stack(space, data), space)
 
 
 def _sphere_mean_single(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    nu = w @ z
-    norm = float(np.linalg.norm(nu))
-    if norm <= TOL_DEGENERATE:
-        raise SpaceError("sphere mean is undefined: extrinsic average is at the origin")
-    nu = nu / norm
-
-    def objective(v: np.ndarray) -> float:
-        return float(w @ _sphere_angle(z, v) ** 2)
-
-    fval = objective(nu)
-    for _ in range(MAX_MEAN_ITER):
-        dots = np.clip(z @ nu, -1.0, 1.0)
-        theta = _sphere_angle(z, nu)
-        u = z - dots[:, None] * nu[None, :]
-        unorm = np.linalg.norm(u, axis=1)
-        factor = np.where(unorm > TOL_DEGENERATE, theta / np.maximum(unorm, TOL_DEGENERATE), 0.0)
-        grad = (w * factor) @ u
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= TOL_MEAN:
-            return nu / np.linalg.norm(nu)
-        eta = 1.0
-        while True:
-            candidate = _sphere_exp_raw(nu, eta * grad)
-            fcand = objective(candidate)
-            # Tolerate roundoff-level ties; halve only on a definite increase.
-            if fcand <= fval * (1.0 + 1e-12) + 1e-300:
-                nu, fval = candidate, fcand
-                break
-            eta *= 0.5
-            if eta < 1e-12:
-                raise SpaceError("sphere mean iteration stalled without reaching tolerance")
-    raise SpaceError(f"sphere mean did not converge within {MAX_MEAN_ITER} iterations")
+    """Frechet mean of one sphere configuration: :func:`_sphere_mean_stack` with B = 1."""
+    return _sphere_mean_stack(z[None], w)[0]
 
 
 def _sphere_mean_stack(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Frechet means of a batch of sphere configurations, shape (B, J, d) -> (B, d).
 
-    Fixed unit step; every batch row iterates until its gradient is below
-    TOL_MEAN. Used in optimization loops where the mean is evaluated many
-    times for the same point cloud under varying weights.
+    Starts at the normalized extrinsic averages and takes unit Riemannian
+    gradient steps until every row's gradient is below ``TOL_MEAN``. No
+    step needs a decrease check: the Riemannian Hessian of
+    ``1/2 sum_j w_j d(nu, z_j)^2`` has eigenvalue 1 along each
+    ``Log_nu(z_j)`` and ``theta_j cot theta_j <= 1`` across it, so it is
+    at most the identity and a unit step along the negative gradient
+    always descends (Afsari, Tron and Vidal, SIAM J. Control Optim. 2013).
     """
     nu = np.einsum("j,bjd->bd", w, z)
     norms = np.linalg.norm(nu, axis=1, keepdims=True)

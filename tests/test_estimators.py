@@ -14,7 +14,7 @@ from geosynth.estimators import (
     predict_frechet_regression,
 )
 from geosynth.simplex_opt import SolverError, kkt_residual
-from helpers import panel_from_arrays, random_point, scalar_panel
+from helpers import all_spaces, panel_from_arrays, random_point, scalar_panel
 
 
 def make_flat_panel(rng, space, J=4, T=7, T0=5):
@@ -60,6 +60,32 @@ def test_panel_default_labels_and_views():
     assert list(panel.post_periods()) == [2]
     swapped = panel.with_treated_unit(2)
     assert swapped.unit_labels[0] == "control_2"
+
+
+@pytest.mark.parametrize("space", all_spaces(3), ids=lambda s: s.kind)
+def test_panel_coords_are_embedded_once_and_permuted_by_placebo_refits(space, monkeypatch):
+    panel = make_flat_panel(np.random.default_rng(5), space, J=3, T=4, T0=2)
+    coords = panel.coords
+    assert coords is panel.coords and not coords.flags.writeable
+    for j, row in enumerate(panel.outcomes):
+        for t, point in enumerate(row):
+            expected = point.data if space.kind == "sphere" else g.metric_embed(point)
+            assert np.array_equal(coords[j, t], expected)
+
+    builds = []
+    post_init = estimators.Panel.__post_init__
+    monkeypatch.setattr(
+        estimators.Panel, "__post_init__", lambda self: builds.append(self) or post_init(self)
+    )
+    swapped = panel.with_treated_unit(2)
+    assert builds == []
+    order = [2, 0, 1, 3]
+    fresh = g.Panel(space=space, outcomes=tuple(panel.outcomes[i] for i in order), T0=2)
+    assert len(builds) == 1
+    assert swapped.outcomes == fresh.outcomes
+    assert swapped.unit_labels == tuple(panel.unit_labels[i] for i in order)
+    assert np.array_equal(swapped.coords, fresh.coords)
+    assert not swapped.coords.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +261,9 @@ def test_gauss_newton_steps_below_the_rounding_of_the_objective():
     panel = small_sphere_panel(32, T=6, T0=4)
     cfg = g.SolverConfig(max_iter=100)
     targets = [panel.outcomes[j][panel.T0] for j in range(1, panel.n_units)]
-    lam, _ = _solve_time_weights(panel, targets, cfg)
     z = np.stack([[p.data for p in row[: panel.T0]] for row in panel.controls])
     y = np.stack([p.data for p in targets])
+    lam, _ = _solve_time_weights(panel, y, cfg)
     assert is_certified(_sphere_linearization(z, y), lam.values, cfg)
     assert len(g.estimate_gsdid_per_time(panel)) == 2
 

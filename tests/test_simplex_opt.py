@@ -330,6 +330,28 @@ def test_gauss_newton_reports_uncertified_budget():
     assert np.sin(3.0 * w.values[0]) == pytest.approx(0.5, abs=1e-9)
 
 
+def test_gauss_newton_raises_when_an_accepted_step_leaves_w_unchanged():
+    # The model's target lies about 1e-7 from the uniform start, but the
+    # objective rises off the start by a cliff the model cannot see, so the
+    # line search halves until the trial rounds back to the start. Within
+    # a few ulps of F that trial is accepted; it makes no progress, and
+    # the next step would repeat it.
+    start = np.full(2, 0.5)
+    jac = np.array([[[1.0, -1.0], [0.0, 0.0]]])
+    calls = []
+
+    def linearize(w):
+        calls.append(w)
+        drift = 2e-7 if np.array_equal(w, start) else 1.0
+        return np.array([[drift, 1e-5]]), jac
+
+    with pytest.raises(SolverError, match="unchanged"):
+        solve_simplex_gauss_newton(linearize, 2, g.SolverConfig(max_iter=200))
+    # one evaluation at the start plus one halving line search, far from
+    # the 200-step budget (which would take about 6,600 evaluations)
+    assert len(calls) <= 40
+
+
 # ---------------------------------------------------------------------------
 # derivative-free solver
 

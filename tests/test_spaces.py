@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import geosynth as g
-from geosynth.spaces import RepairLog, metric_restore
+from geosynth.spaces import RepairLog, metric_restore, validate_stack
 from helpers import all_spaces, flat_spaces, random_point
 
 
@@ -68,6 +68,26 @@ def test_validate_spd_and_quantiles():
     assert g.validate_point(g.ObjectPoint(spd, np.eye(3))) is None
     ws = g.wasserstein_space(4, grid=[0.2, 0.4, 0.6, 0.8])
     assert g.validate_point(g.ObjectPoint(ws, np.array([0.0, 1.0, 0.5, 2.0]))) is not None
+
+
+@pytest.mark.parametrize("space", all_spaces(), ids=lambda s: s.kind)
+def test_validate_stack_names_the_first_invalid_point(space):
+    rng = np.random.default_rng(11)
+    stack = np.stack([random_point(space, rng).data for _ in range(6)])
+    assert validate_stack(space, stack) is None
+    assert validate_stack(space, stack[:0]) is None
+    broken = stack.copy()
+    broken[4, ...] = np.nan
+    assert validate_stack(space, broken) == (4, f"{space.kind}: entries must be finite")
+    if space.kind == "l2function":
+        return
+    # negating a point breaks its cone, orthant or monotonicity
+    broken[2:4] = -stack[2:4]
+    expected = g.validate_point(g.ObjectPoint(space, broken[2]))
+    assert expected is not None
+    assert validate_stack(space, broken) == (2, expected)
+    broken[1, ...] = np.inf
+    assert validate_stack(space, broken)[0] == 1
 
 
 def test_object_point_shape_check():
@@ -176,13 +196,13 @@ def test_fisher_rao_distance():
 def test_log_euclidean_chart_of_identity_is_zero():
     space = g.spd_space(3, "log_euclidean")
     coords = g.flat_embed(g.ObjectPoint(space, np.eye(3)))
-    assert np.allclose(coords.vector, 0.0, atol=1e-15)
+    assert np.allclose(coords, 0.0, atol=1e-15)
 
 
 def test_log_cholesky_chart_example():
     space = g.spd_space(2, "log_cholesky")
     coords = g.flat_embed(g.ObjectPoint(space, np.diag([4.0, 9.0])))
-    assert coords.vector == pytest.approx([0.0, math.log(2.0), math.log(3.0)], abs=1e-12)
+    assert coords == pytest.approx([0.0, math.log(2.0), math.log(3.0)], abs=1e-12)
 
 
 def test_chart_roundtrip_all_flat_spaces():
