@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any, Sequence
 
@@ -61,21 +62,38 @@ class FileFormatError(ValueError):
 
 
 def _format_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise FileFormatError(f"cannot serialize non-finite number {x!r}")
-    if x == int(x) and abs(x) < 1e16:
-        return format(x, ".1f")
-    return format(x, ".17g")
+    return format(x, ".1f" if x.is_integer() and abs(x) < 1e16 else ".17g")
+
+
+def _json_block(items: Sequence[str], indent: int, brackets: str = "[]") -> str:
+    """Serialized items inside ``brackets``, one per line, indented one level."""
+    if not items:
+        return brackets
+    child = "\n" + "  " * (indent + 1)
+    return brackets[0] + child + ("," + child).join(items) + "\n" + "  " * indent + brackets[1]
+
+
+def _float_array_json(arr: np.ndarray, indent: int) -> str:
+    """:func:`canonical_json` of ``arr.tolist()``: the flat array formatted
+    in one pass, then joined row by row, innermost axis first."""
+    parts = [_format_float(x) for x in arr.ravel().tolist()]
+    for depth in reversed(range(arr.ndim)):
+        n = arr.shape[depth]
+        starts = range(0, len(parts), n) if n else [0] * int(np.prod(arr.shape[:depth]))
+        parts = [_json_block(parts[i : i + n], indent + depth) for i in starts]
+    return parts[0]
 
 
 def canonical_json(obj: Any, indent: int = 0) -> str:
     """Serialize with sorted keys and fixed float formatting.
 
     Floats use 17 significant digits, enough to round-trip IEEE doubles
-    exactly, so repeated saves of the same data are byte-identical.
+    exactly, so repeated saves of the same data are byte-identical. Float
+    arrays are formatted a whole array at a time, to the same bytes as
+    their nested lists.
     """
-    pad = "  " * indent
-    child = "  " * (indent + 1)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -87,21 +105,18 @@ def canonical_json(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            return _float_array_json(obj, indent)
         return canonical_json(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [canonical_json(v, indent + 1) for v in obj]
-        return "[\n" + ",\n".join(child + s for s in items) + "\n" + pad + "]"
+        return _json_block([canonical_json(v, indent + 1) for v in obj], indent)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         parts = []
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise FileFormatError(f"document keys must be strings, got {key!r}")
-            parts.append(child + json.dumps(key) + ": " + canonical_json(obj[key], indent + 1))
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+            parts.append(json.dumps(key) + ": " + canonical_json(obj[key], indent + 1))
+        return _json_block(parts, indent, "{}")
     raise FileFormatError(f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -160,15 +175,15 @@ def space_from_doc(doc: Any, where: str) -> SpaceDescriptor:
         raise FileFormatError(f"{where}: {exc}") from exc
 
 
-def encode_point(point: ObjectPoint) -> list:
-    """Nested-list encoding: row-major matrix or plain vector."""
-    return point.data.tolist()
+def encode_point(point: ObjectPoint) -> np.ndarray:
+    """The point's read-only data, written as nested row-major lists."""
+    return point.data
 
 
 def decode_point(space: SpaceDescriptor, entry: Any, where: str) -> ObjectPoint:
     """Decode one point, checking its shape and finiteness; its value
     invariants are checked once, by the panel that receives it."""
-    arr = np.asarray(entry, dtype=float) if _is_numeric_nested(entry) else None
+    arr = _float_array(entry)
     if arr is None or arr.shape != space.data_shape:
         raise FileFormatError(
             f"{where}: expected a numeric array of shape {space.data_shape}"
@@ -178,12 +193,12 @@ def decode_point(space: SpaceDescriptor, entry: Any, where: str) -> ObjectPoint:
     return ObjectPoint(space, arr)
 
 
-def _is_numeric_nested(entry: Any) -> bool:
+def _float_array(entry: Any) -> np.ndarray | None:
+    """``entry`` as a float array, or ``None`` when it is not numeric."""
     try:
-        arr = np.asarray(entry, dtype=float)
+        return np.asarray(entry, dtype=float)
     except (TypeError, ValueError):
-        return False
-    return arr.dtype.kind == "f"
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +229,20 @@ def panel_from_doc(doc: dict, origin: str) -> Panel:
     outcomes = doc.get("outcomes")
     if not isinstance(outcomes, list) or len(outcomes) < 2:
         raise FileFormatError(f"{origin}: outcomes must list at least two units")
-    rows = []
-    for j, row in enumerate(outcomes):
-        if not isinstance(row, list) or not row:
-            raise FileFormatError(f"{origin}: outcomes[{j}] must be a nonempty list over periods")
-        rows.append(
-            tuple(
+    batch = _float_array(outcomes)
+    if batch is not None and batch.shape[2:] == space.data_shape and np.isfinite(batch).all():
+        rows = [tuple(ObjectPoint(space, x) for x in row) for row in batch]
+    else:  # decode point by point, to name the offending unit and time
+        rows = []
+        for j, row in enumerate(outcomes):
+            if not isinstance(row, list) or not row:
+                raise FileFormatError(
+                    f"{origin}: outcomes[{j}] must be a nonempty list over periods"
+                )
+            rows.append(tuple(
                 decode_point(space, entry, f"{origin}: outcomes[{j}][{t}] (unit {j}, time {t})")
                 for t, entry in enumerate(row)
-            )
-        )
+            ))
     t0 = doc.get("T0")
     if not isinstance(t0, int):
         raise FileFormatError(f"{origin}: T0 must be an integer")
@@ -286,10 +305,9 @@ def _covariates_from_doc(doc: Any, origin: str) -> CovariatePanel | np.ndarray:
         raise FileFormatError(f"{origin}: covariates block must be an object")
     kind = doc.get("type")
     if kind == "covariates_euclidean":
-        vectors = doc.get("vectors")
-        if not _is_numeric_nested(vectors):
+        arr = _float_array(doc.get("vectors"))
+        if arr is None:
             raise FileFormatError(f"{origin}: vectors must be a numeric matrix")
-        arr = np.asarray(vectors, dtype=float)
         if arr.ndim != 2 or not np.all(np.isfinite(arr)):
             raise FileFormatError(f"{origin}: vectors must be a finite 2-D matrix")
         return arr

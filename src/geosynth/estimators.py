@@ -26,6 +26,8 @@ from .spaces import (
     SpaceDescriptor,
     SpaceError,
     FLAT_KINDS,
+    _chart_backward,
+    _sphere_angle,
     _sphere_log_stack,
     _sphere_mean_jacobian,
     _sphere_mean_stack,
@@ -35,6 +37,7 @@ from .spaces import (
     metric_embed,
     metric_embed_stack,
     metric_restore,
+    metric_restore_stack,
     transport,
     validate_point,
     validate_stack,
@@ -362,24 +365,45 @@ def _solve_unit_weights(panel: Panel, cfg: SolverConfig) -> tuple[SimplexWeights
     return solve_simplex_qp(build_unit_weight_qp(blocks), cfg)
 
 
+def _synthetic_effects(
+    panel: Panel, data: np.ndarray, periods: Sequence[int]
+) -> tuple[tuple[ObjectPoint, ...], tuple[GeodesicEffect, ...]]:
+    """The synthetic outcomes ``data`` of ``periods``, validated in one call,
+    and their effects: the distances to the treated unit, measured on the
+    stacks as :func:`distance` measures them point by point."""
+    space = panel.space
+    report = validate_stack(space, data)
+    if report is not None:
+        raise SpaceError(f"synthetic outcome (time {periods[report[0]]}) is invalid: {report[1]}")
+    treated = panel.coords[0, periods]
+    if space.kind == "sphere":
+        lengths = _sphere_angle(treated, data)
+    else:
+        diff = metric_embed_stack(space, data) - treated
+        lengths = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+    synthetic = tuple(ObjectPoint(space, x) for x in data)
+    return synthetic, tuple(
+        GeodesicEffect(start, panel.outcomes[0][t], length)
+        for start, t, length in zip(synthetic, periods, lengths)
+    )
+
+
 def _gsc_result(panel: Panel, weights: SimplexWeights, repair: bool) -> GscResult:
     """Synthetic outcomes for fitted unit weights, the controls' weighted
     Frechet mean in every period, with their effects and pre-period fit."""
     space = panel.space
     log = RepairLog()
     if space.kind == "sphere":
-        means = _sphere_mean_stack(_sphere_batches(panel.coords[1:]), weights.values)
-        synthetic = tuple(ObjectPoint(space, m) for m in means)
+        data = _sphere_mean_stack(_sphere_batches(panel.coords[1:]), weights.values)
     else:
         combos = np.einsum("j,jtd->td", weights.values, panel.coords[1:])
-        synthetic = tuple(metric_restore(c, space, repair=repair, log=log) for c in combos)
-    sq = [distance(panel.outcomes[0][t], synthetic[t]) ** 2 for t in panel.pre_periods()]
+        data = metric_restore_stack(space, combos, repair=repair, log=log)
+    synthetic, effects = _synthetic_effects(panel, data, range(panel.n_periods))
+    sq = [e.length**2 for e in effects[: panel.T0]]
     return GscResult(
         weights=weights,
         synthetic=synthetic,
-        effects=tuple(
-            geodesic_effect(synthetic[t], panel.outcomes[0][t]) for t in panel.post_periods()
-        ),
+        effects=effects[panel.T0 :],
         pre_fit_rmse=float(np.sqrt(np.mean(sq))),
         repair_flags=tuple(log.events),
     )
@@ -624,22 +648,21 @@ def estimate_augmented_gsc(
 
     log = RepairLog()
     log.events.extend(base.repair_flags)
-    synthetic = list(base.synthetic)
+    post = list(panel.post_periods())
+    corrected = []
     correction_lengths = []
-    for t in panel.post_periods():
+    for t in post:
         charts = model.outcome_charts[t]
         pred_treated = pred_weights_treated @ charts
         pred_combo = (w @ pred_weights_controls) @ charts
-        gsc_vec = w @ charts
-        corrected = gsc_vec + (pred_treated - pred_combo)
-        synthetic[t] = flat_restore(corrected, panel.space, repair=repair, log=log)
+        corrected.append(w @ charts + (pred_treated - pred_combo))
         correction_lengths.append(float(np.linalg.norm(pred_treated - pred_combo)))
-    effects = tuple(
-        geodesic_effect(synthetic[t], panel.outcomes[0][t]) for t in panel.post_periods()
+    post_synthetic, effects = _synthetic_effects(
+        panel, _chart_backward(panel.space, corrected, repair, log), post
     )
     return GscResult(
         weights=base.weights,
-        synthetic=tuple(synthetic),
+        synthetic=base.synthetic[: panel.T0] + post_synthetic,
         effects=effects,
         pre_fit_rmse=base.pre_fit_rmse,
         repair_flags=tuple(log.events),

@@ -331,13 +331,16 @@ def _active_set_finish(
         shrinking = step < 0.0
         ratios = -w[support[shrinking]] / step[shrinking]
         alpha = min(cap, float(ratios.min())) if ratios.size else cap
-        w[support] += alpha * step
+        trial = w.copy()
+        trial[support] += alpha * step
         if alpha < cap:
             blocking = support[shrinking][int(np.argmin(ratios))]
-            w[blocking] = 0.0
+            trial[blocking] = 0.0
             free[blocking] = False
-        w = np.maximum(w, 0.0)
-        w /= w.sum()
+        trial = np.maximum(trial, 0.0)
+        if not trial.sum() > 0.0:
+            break  # the face solve lost every coordinate to rounding: keep w
+        w = trial / trial.sum()
         if alpha < cap:
             continue
         if certified(w):
@@ -366,7 +369,8 @@ def solve_simplex_qp(
 
     Ties are broken deterministically: the uniform point wins when the
     active-set point does not improve on it strictly, so a constant
-    objective returns exactly uniform weights.
+    objective returns exactly uniform weights, unless the uniform point
+    fails the certificate and the active-set point ties it.
 
     Raises
     ------
@@ -389,7 +393,8 @@ def solve_simplex_qp(
     vertex = np.zeros(n)
     vertex[int(np.argmin(np.diag(problem.gram) - 2.0 * problem.linear))] = 1.0
     finish = _active_set_finish(problem, vertex, certified, cfg.max_iter)
-    if problem.objective(finish) < problem.objective(best):
+    f_best, f_finish = problem.objective(best), problem.objective(finish)
+    if f_finish < f_best or (f_finish == f_best and not certified(best)):
         best = finish
     if not certified(best):
         raise SolverError(

@@ -28,11 +28,12 @@ Except for the sphere, every kind is "flat": there is a bijective chart
 are Euclidean, possibly after a fixed diagonal rescaling (``metric_embed``).
 Chart coordinates are plain read-only vectors.
 
-Validation (``validate_stack``) and the chart map (``metric_embed_stack``)
-work on stacks of points, shape (n, *data_shape), so that a panel is
-checked and embedded in one call; ``validate_point`` and ``metric_embed``
-are their one-point cases. The sphere's Frechet means are likewise one
-batched routine (``_sphere_mean_stack``).
+Validation (``validate_stack``), the chart map (``metric_embed_stack``)
+and its inverse (``metric_restore_stack``) work on stacks of points, so
+that a panel is checked and embedded, and a fit's synthetic points are
+restored, in one call each; ``validate_point``, ``metric_embed`` and
+``metric_restore`` are their one-point cases. The sphere's Frechet means
+are likewise one batched routine (``_sphere_mean_stack``).
 """
 
 from __future__ import annotations
@@ -420,71 +421,73 @@ def _powm_spd(a: np.ndarray, p: float) -> np.ndarray:
 def _clip_to_cone(
     a: np.ndarray, kind: str, repair: bool, log: RepairLog | None
 ) -> np.ndarray:
-    """Project a symmetric matrix onto the PD cone by eigenvalue clipping.
+    """Project symmetric matrices, shape (m, n, n), onto the PD cone by
+    eigenvalue clipping, in place and in stack order.
 
-    Clipping is only allowed while the change per eigenvalue stays within
+    One batched ``eigh`` finds the matrices below ``EPS_PD``. Clipping is
+    only allowed while the change per eigenvalue stays within
     ``REPAIR_BUDGET`` of the spectral norm; larger excursions are treated
     as genuine infeasibility and raise.
     """
-    a = _sym(a)
     vals, vecs = np.linalg.eigh(a)
-    if vals.min() >= EPS_PD:
-        return a
-    if not repair:
-        raise SpaceError(f"{kind}: result leaves the positive-definite cone and repair is off")
-    spectral = max(float(np.abs(vals).max()), 1.0)
-    # Clip slightly above the validation floor so that eigendecomposition
-    # roundoff in the reconstruction cannot drop the result below it again.
-    clipped = np.maximum(vals, 2.0 * EPS_PD)
-    change = float(np.max(np.abs(clipped - vals)))
-    if change > REPAIR_BUDGET * spectral:
-        raise SpaceError(
-            f"{kind}: eigenvalue clipping would move an eigenvalue by {change:.3e}, "
-            f"beyond the repair budget {REPAIR_BUDGET:.0e} x spectral norm"
-        )
-    if log is not None:
-        log.note(f"{kind}: clipped eigenvalues by up to {change:.3e}")
-    return (vecs * clipped) @ vecs.T
+    for i in np.flatnonzero(vals.min(axis=-1) < EPS_PD):
+        if not repair:
+            raise SpaceError(f"{kind}: result leaves the positive-definite cone and repair is off")
+        spectral = max(float(np.abs(vals[i]).max()), 1.0)
+        # Clip slightly above the validation floor so that eigendecomposition
+        # roundoff in the reconstruction cannot drop the result below it again.
+        clipped = np.maximum(vals[i], 2.0 * EPS_PD)
+        change = float(np.max(np.abs(clipped - vals[i])))
+        if change > REPAIR_BUDGET * spectral:
+            raise SpaceError(
+                f"{kind}: eigenvalue clipping would move an eigenvalue by {change:.3e}, "
+                f"beyond the repair budget {REPAIR_BUDGET:.0e} x spectral norm"
+            )
+        if log is not None:
+            log.note(f"{kind}: clipped eigenvalues by up to {change:.3e}")
+        a[i] = (vecs[i] * clipped) @ vecs[i].T
+    return a
 
 
 def _repair_laplacian(
     a: np.ndarray, repair: bool, log: RepairLog | None
 ) -> np.ndarray:
-    """Zero out stray positive off-diagonals and rebuild the diagonal."""
-    a = _sym(a)
-    off = a - np.diag(np.diag(a))
-    worst = float(np.max(off)) if a.shape[0] > 1 else 0.0
-    if worst <= TOL_VALIDATE:
-        return a
-    if not repair:
-        raise SpaceError("laplacian: result has positive off-diagonal entries and repair is off")
-    scale = max(float(np.abs(a).max()), 1.0)
-    if worst > REPAIR_BUDGET * scale:
-        raise SpaceError(
-            f"laplacian: off-diagonal excursion {worst:.3e} exceeds the repair budget "
-            f"{REPAIR_BUDGET:.0e} x max entry"
-        )
-    off = np.minimum(off, 0.0)
-    repaired = off - np.diag(off.sum(axis=1))
-    if log is not None:
-        log.note(f"laplacian: clipped positive off-diagonals by up to {worst:.3e}")
-    return repaired
+    """Zero out stray positive off-diagonals of symmetric matrices, shape
+    (m, n, n), and rebuild their diagonals, in place and in stack order."""
+    off = np.where(np.eye(a.shape[-1], dtype=bool), 0.0, a)
+    worst = off.max(axis=(-2, -1))
+    for i in np.flatnonzero(worst > TOL_VALIDATE):
+        if not repair:
+            message = "laplacian: result has positive off-diagonal entries and repair is off"
+            raise SpaceError(message)
+        scale = max(float(np.abs(a[i]).max()), 1.0)
+        if worst[i] > REPAIR_BUDGET * scale:
+            raise SpaceError(
+                f"laplacian: off-diagonal excursion {worst[i]:.3e} exceeds the repair budget "
+                f"{REPAIR_BUDGET:.0e} x max entry"
+            )
+        kept = np.minimum(off[i], 0.0)
+        a[i] = kept - np.diag(kept.sum(axis=1))
+        if log is not None:
+            log.note(f"laplacian: clipped positive off-diagonals by up to {worst[i]:.3e}")
+    return a
 
 
 def _isotonize(
     q: np.ndarray, grid_weights: np.ndarray, repair: bool, log: RepairLog | None
 ) -> np.ndarray:
-    """Project quantile values onto the nondecreasing cone (weighted PAV)."""
-    diffs = np.diff(q)
-    if q.size < 2 or np.all(diffs >= 0):
-        return q
-    if not repair:
-        raise SpaceError("wasserstein1d: quantile values are not nondecreasing and repair is off")
-    worst = float(-diffs.min())
-    projected = isotonic_regression(q, weights=grid_weights, increasing=True).x
-    if log is not None:
-        log.note(f"wasserstein1d: isotonic projection moved values by up to {worst:.3e}")
-    return np.asarray(projected, dtype=float)
+    """Project quantile vectors, shape (..., G), onto the nondecreasing cone
+    (weighted PAV), in place and in stack order."""
+    rows = q.reshape(-1, q.shape[-1])
+    drops = np.diff(rows, axis=-1).min(axis=-1, initial=0.0)
+    for i in np.flatnonzero(drops < 0.0):
+        if not repair:
+            message = "wasserstein1d: quantile values are not nondecreasing and repair is off"
+            raise SpaceError(message)
+        rows[i] = isotonic_regression(rows[i], weights=grid_weights, increasing=True).x
+        if log is not None:
+            log.note(f"wasserstein1d: isotonic projection moved values by up to {-drops[i]:.3e}")
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -550,31 +553,46 @@ def _chart_forward(space: SpaceDescriptor, x: np.ndarray) -> np.ndarray:
 
 
 def _chart_backward(
-    space: SpaceDescriptor, vec: np.ndarray, repair: bool, log: RepairLog | None
+    space: SpaceDescriptor, vecs: np.ndarray, repair: bool, log: RepairLog | None
 ) -> np.ndarray:
+    """Points' data from chart coordinates, shape (..., D) -> (..., *data_shape).
+
+    ``eigh`` and ``exp`` broadcast over the stack. For the kinds that can
+    repair, one vectorized test picks out the points outside the feasible
+    set, and only those are repaired, in stack order, so repair notes and
+    errors come in the order of the points.
+    """
+    vecs = np.asarray(vecs, dtype=float)
+    if vecs.shape[-1:] != (chart_dim(space),):
+        raise SpaceError(
+            f"{space.kind} chart coordinates must have length {chart_dim(space)}, "
+            f"got shape {vecs.shape}"
+        )
+    if not np.all(np.isfinite(vecs)):
+        raise SpaceError("flat coordinates must be finite")
     kind = space.kind
     n = space.dim
-    if kind == "laplacian":
-        return _repair_laplacian(vec.reshape(n, n), repair, log)
-    if kind == "spd_frobenius":
-        return _clip_to_cone(vec.reshape(n, n), kind, repair, log)
+    lead = vecs.shape[:-1]
+    vecs = vecs.reshape(-1, vecs.shape[-1])
     if kind == "spd_log_euclidean":
-        return _eig_apply(vec.reshape(n, n), np.exp)
-    if kind == "spd_power":
-        powered = _clip_to_cone(vec.reshape(n, n), kind, repair, log)
-        return _powm_spd(powered, 1.0 / space.power_p)
-    if kind == "spd_log_cholesky":
+        out = _eig_apply(vecs.reshape(-1, n, n), np.exp)
+    elif kind == "spd_log_cholesky":
         rows, cols = _strict_lower_indices(n)
-        n_lower = rows.size
-        chol = np.zeros((n, n))
-        chol[rows, cols] = vec[:n_lower]
-        chol[np.arange(n), np.arange(n)] = np.exp(vec[n_lower:])
-        return chol @ chol.T
-    if kind == "wasserstein1d":
-        return _isotonize(vec.copy(), quadrature_weights(space), repair, log)
-    if kind == "l2function":
-        return vec.copy()
-    raise SpaceError(f"{kind} has no flat chart")
+        chol = np.zeros((len(vecs), n, n))
+        chol[:, rows, cols] = vecs[:, : rows.size]
+        chol[:, range(n), range(n)] = np.exp(vecs[:, rows.size :])
+        out = chol @ np.swapaxes(chol, -1, -2)
+    elif kind in GRID_KINDS:
+        out = vecs.copy()
+        if kind == "wasserstein1d":
+            out = _isotonize(out, quadrature_weights(space), repair, log)
+    elif kind == "laplacian":
+        out = _repair_laplacian(_sym(vecs.reshape(-1, n, n)), repair, log)
+    else:
+        out = _clip_to_cone(_sym(vecs.reshape(-1, n, n)), kind, repair, log)
+        if kind == "spd_power":
+            out = _powm_spd(out, 1.0 / space.power_p)
+    return out.reshape(lead + space.data_shape)
 
 
 def flat_embed(point: ObjectPoint) -> np.ndarray:
@@ -605,15 +623,7 @@ def flat_restore(
     change stays within the repair budget; with ``repair=False`` such
     coordinates raise instead.
     """
-    vec = np.asarray(coords, dtype=float)
-    if vec.shape != (chart_dim(space),):
-        raise SpaceError(
-            f"{space.kind} chart coordinates must have length {chart_dim(space)}, "
-            f"got shape {vec.shape}"
-        )
-    if not np.all(np.isfinite(vec)):
-        raise SpaceError("flat coordinates must be finite")
-    return ObjectPoint(space, _chart_backward(space, vec, repair, log))
+    return ObjectPoint(space, _chart_backward(space, coords, repair, log))
 
 
 def metric_weight_sqrt(space: SpaceDescriptor) -> np.ndarray | None:
@@ -641,18 +651,30 @@ def metric_embed(point: ObjectPoint) -> np.ndarray:
     return metric_embed_stack(point.space, point.data)
 
 
+def metric_restore_stack(
+    space: SpaceDescriptor,
+    vecs: np.ndarray,
+    repair: bool = True,
+    log: RepairLog | None = None,
+) -> np.ndarray:
+    """Invert :func:`metric_embed_stack`: points' data, shape (..., D) ->
+    (..., *data_shape), repaired or rejected point by point in stack order
+    as :func:`flat_restore` does."""
+    vecs = np.asarray(vecs, dtype=float)
+    scale = metric_weight_sqrt(space)
+    if scale is not None and vecs.shape[-1:] == scale.shape:  # else the length check raises
+        vecs = vecs / scale
+    return _chart_backward(space, vecs, repair, log)
+
+
 def metric_restore(
     vec: np.ndarray,
     space: SpaceDescriptor,
     repair: bool = True,
     log: RepairLog | None = None,
 ) -> ObjectPoint:
-    """Invert :func:`metric_embed`."""
-    vec = np.asarray(vec, dtype=float)
-    scale = metric_weight_sqrt(space)
-    if scale is not None:
-        vec = vec / scale
-    return flat_restore(vec, space, repair=repair, log=log)
+    """Invert :func:`metric_embed`: :func:`metric_restore_stack` on one vector."""
+    return ObjectPoint(space, metric_restore_stack(space, vec, repair, log))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ from geosynth.cli_io import (
     emit_plot_series,
     load_covariates,
     load_panel,
+    panel_to_doc,
+    result_document,
     run_cli,
     save_covariates,
     save_panel,
@@ -65,6 +67,60 @@ def test_canonical_json_round_trips_doubles():
     values = list(rng.normal(size=64)) + [2.0**-1074, 1e308, -0.0]
     parsed = json.loads(canonical_json(values))
     assert all(a == b for a, b in zip(parsed, values))
+
+
+def _as_lists(doc):
+    """``doc`` with every array replaced by its nested lists."""
+    if isinstance(doc, dict):
+        return {key: _as_lists(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_as_lists(value) for value in doc]
+    return doc.tolist() if isinstance(doc, np.ndarray) else doc
+
+
+def test_canonical_json_arrays_are_byte_identical_to_lists():
+    values = np.array([
+        -0.0, 1e16 - 2, 1e16, 1e16 + 2, 5e-324, 2.2250738585072014e-308,
+        1.7976931348623157e308, 0.1, 1 / 3, 3.0, -7.0, 2.0**53,
+    ])
+    arrays = [
+        values, values.reshape(3, 4), values.reshape(2, 3, 2), np.arange(4),
+        np.array(0.5), np.zeros(0), np.zeros((0, 3)), np.zeros((3, 0)),
+    ]
+    for arr in arrays:
+        for indent in (0, 2):
+            assert canonical_json(arr, indent) == canonical_json(arr.tolist(), indent)
+    assert canonical_json(values[:5]) == (
+        "[\n  -0.0,\n  9999999999999998.0,\n  10000000000000000,\n"
+        "  10000000000000002,\n  4.9406564584124654e-324\n]"
+    )
+    for bad in (np.array([1.0, math.nan]), np.array([[2.0, -math.inf], [math.inf, 0.0]])):
+        messages = []
+        for obj in (bad, bad.tolist()):
+            with pytest.raises(FileFormatError, match="finite") as info:
+                canonical_json(obj)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("scenario", g.SCENARIOS)
+def test_saved_files_equal_documents_of_lists(scenario, tmp_path):
+    panel = g.generate(g.SimConfig(scenario, J=5, T=5, T0=3, seed=1, effect_size=0.5)).panel
+    cfg = g.SolverConfig()
+    gsc, placebo = g.estimate_gsc(panel), g.placebo_test(panel, "gsc")
+    did = g.estimate_gsdid(panel)
+    path = str(tmp_path / "out.json")
+    for save, doc in [
+        (lambda: save_panel(panel, path), panel_to_doc(panel)),
+        (
+            lambda: save_result(gsc, path, panel, cfg, "gsc", placebo),
+            result_document("gsc", gsc, panel, cfg, placebo),
+        ),
+        (lambda: save_result(did, path, panel, cfg, "gsdid"), result_document("gsdid", did, panel, cfg)),
+    ]:
+        save()
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == canonical_json(_as_lists(doc)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +218,7 @@ def test_load_panel_rejects_non_finite_entries(tmp_path):
     }
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(doc).replace("null", "NaN"))
-    with pytest.raises(FileFormatError, match="finite"):
+    with pytest.raises(FileFormatError, match=r"\(unit 0, time 1\): entries must be finite"):
         load_panel(str(path))
 
 

@@ -129,6 +129,40 @@ def test_gsc_result_structure():
     assert res.augmentation is None
 
 
+@pytest.mark.parametrize("space", all_spaces(3), ids=lambda s: s.kind)
+def test_gsc_lengths_and_fit_equal_point_distances(space):
+    rng = np.random.default_rng(9)
+    panel = make_flat_panel(rng, space, J=4, T=6, T0=4)
+    treated = panel.outcomes[0]
+    results = [g.estimate_gsc(panel)]
+    if space.kind in ("spd_log_euclidean", "spd_log_cholesky", "wasserstein1d", "l2function"):
+        # kinds whose chart has no cone that the regression correction could leave
+        results.append(g.estimate_augmented_gsc(panel, rng.normal(size=(panel.n_units, 2))))
+    for res in results:
+        sq = [g.distance(treated[t], res.synthetic[t]) ** 2 for t in panel.pre_periods()]
+        assert res.pre_fit_rmse == float(np.sqrt(np.mean(sq)))
+        assert [e.length for e in res.effects] == [
+            g.distance(res.synthetic[t], treated[t]) for t in panel.post_periods()
+        ]
+        assert [e.end for e in res.effects] == list(treated[panel.T0 :])
+
+
+def test_invalid_synthetic_point_names_its_period(monkeypatch):
+    panel = make_flat_panel(np.random.default_rng(2), g.spd_space(3), J=3, T=5, T0=3)
+    restore = estimators.metric_restore_stack
+
+    def negate_period_3(space, vecs, **kwargs):
+        data = restore(space, vecs, **kwargs)
+        data[3] = -data[3]
+        return data
+
+    monkeypatch.setattr(estimators, "metric_restore_stack", negate_period_3)
+    with pytest.raises(
+        g.SpaceError, match=r"synthetic outcome \(time 3\) is invalid: spd_frobenius: minimum"
+    ):
+        g.estimate_gsc(panel)
+
+
 def test_gsc_scalar_reduction_matches_lattice():
     from test_simplex_opt import lattice_minimum
     from helpers import pre_qp_blocks

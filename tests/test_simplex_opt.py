@@ -11,6 +11,7 @@ from geosynth.simplex_opt import (
     SimplexQp,
     SimplexWeights,
     SolverError,
+    _active_set_finish,
     kkt_residual,
     project_simplex,
     solve_simplex_gauss_newton,
@@ -157,6 +158,33 @@ def test_qp_constant_objective_returns_uniform():
     w, val = g.solve_simplex_qp(qp)
     assert np.array_equal(w.values, np.full(4, 0.25))
     assert val == 2.0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_qp_two_unit_problems_within_rounding_of_the_uniform_point(sign):
+    # gram a^2 [[1, -1], [-1, 1]] and linear +-1e-10 [1, -1] put the minimizer
+    # 1e-10 / a^2 from the uniform point, whose own gradient fails the bound
+    mixing = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    linear = sign * np.array([1e-10, -1e-10])
+    uniform = np.full(2, 0.5)
+    # a = 100 with a constant the weights cannot change: the certified
+    # active-set point ties the uncertified uniform point and wins the tie
+    qp = SimplexQp(gram=100.0**2 * mixing, linear=linear, constant=1.0)
+    assert kkt_residual(qp, uniform) > 1e-10 * (1.0 + np.linalg.norm(qp.gradient(uniform)))
+    w, val = g.solve_simplex_qp(qp)
+    assert kkt_residual(qp, w.values) <= 1e-10 * (1.0 + np.linalg.norm(qp.gradient(w.values)))
+    assert val == qp.objective(uniform) == 1.0
+    assert w.values == pytest.approx(uniform, abs=1e-14)
+    # a = 1e4: the face solve rounds both coordinates to zero; the active-set
+    # loop stops at its feasible point instead of normalizing a zero vector,
+    # and the solve fails the certificate cleanly, because no double within
+    # rounding of the minimizer meets the absolute 1e-10 bound there
+    qp = SimplexQp(gram=1e4**2 * mixing, linear=linear, constant=0.0)
+    vertex = np.eye(2)[int(np.argmin(np.diag(qp.gram) - 2.0 * qp.linear))]
+    finish = _active_set_finish(qp, vertex, lambda w: False, 100)
+    assert np.all(finish >= 0.0) and finish.sum() == 1.0
+    with pytest.raises(SolverError, match="KKT residual"):
+        g.solve_simplex_qp(qp)
 
 
 def test_qp_matches_lattice_on_random_problems():

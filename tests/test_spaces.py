@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import geosynth as g
-from geosynth.spaces import RepairLog, metric_restore, validate_stack
+from geosynth.spaces import (
+    RepairLog,
+    metric_restore,
+    metric_restore_stack,
+    metric_weight_sqrt,
+    validate_stack,
+)
 from helpers import all_spaces, flat_spaces, random_point
 
 
@@ -223,8 +229,61 @@ def test_flat_restore_rejects_bad_coords():
         g.flat_restore(np.zeros(5), space)
     with pytest.raises(g.SpaceError):
         g.flat_restore(np.full(9, np.nan), space)
+    with pytest.raises(g.SpaceError, match="must have length 5"):
+        metric_restore(np.zeros(4), g.wasserstein_space(5))
     with pytest.raises(g.SpaceError):
         g.flat_embed(g.ObjectPoint(g.sphere_space(3), np.array([1.0, 0.0, 0.0])))
+
+
+REPAIRABLE = ("laplacian", "spd_frobenius", "spd_power", "wasserstein1d")
+
+
+def _outside(space, vec, eps):
+    """Metric coordinates ``vec`` moved about ``eps`` out of the feasible set."""
+    if space.kind not in REPAIRABLE:
+        return vec
+    if space.kind == "wasserstein1d":
+        q = vec / metric_weight_sqrt(space)
+        q[5] = q[6] + eps
+        return q * metric_weight_sqrt(space)
+    n = space.dim
+    a = vec.reshape(n, n).copy()
+    if space.kind == "laplacian":
+        a[0, 1] = a[1, 0] = eps
+    else:  # the chart is the (powered) matrix itself
+        a -= (np.linalg.eigvalsh(a)[0] + eps) * np.eye(n)
+    return a.ravel()
+
+
+@pytest.mark.parametrize("space", flat_spaces(), ids=lambda s: s.kind)
+def test_metric_restore_stack_matches_per_point_restore(space):
+    rng = np.random.default_rng(11)
+    feasible = np.stack([g.metric_embed(random_point(space, rng)) for _ in range(5)])
+    near = feasible.copy()  # rows 1 and 3 need a repair within the budget
+    near[1], near[3] = _outside(space, near[1], 3e-7), _outside(space, near[3], 5e-7)
+    far = near.copy()  # and row 4 one beyond it (isotonic repair has no budget)
+    far[4] = _outside(space, far[4], 10.0)
+    outcomes = []
+    for vecs in (feasible, near, far):
+        for repair in (True, False):
+            point_log, stack_log = RepairLog(), RepairLog()
+            try:
+                expected = np.stack([metric_restore(v, space, repair, point_log).data for v in vecs])
+            except g.SpaceError as exc:
+                with pytest.raises(g.SpaceError) as info:
+                    metric_restore_stack(space, vecs, repair, stack_log)
+                assert str(info.value) == str(exc)
+                outcomes.append("raised")
+            else:
+                restored = metric_restore_stack(space, vecs, repair, stack_log)
+                assert restored.tobytes() == expected.tobytes()
+                outcomes.append(len(point_log.events))
+            assert stack_log.events == point_log.events
+    if space.kind not in REPAIRABLE:
+        assert outcomes == [0] * 6
+    else:
+        beyond = 3 if space.kind == "wasserstein1d" else "raised"
+        assert outcomes == [0, 0, 2, "raised", beyond, "raised"]
 
 
 def test_quadrature_weights_normalized():
