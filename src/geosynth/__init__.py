@@ -62,7 +62,6 @@ from .simplex_opt import (
     SimplexWeights,
     SolverConfig,
     SolverError,
-    build_time_weight_qp,
     build_unit_weight_qp,
     kkt_residual,
     project_simplex,
@@ -128,7 +127,6 @@ __all__ = [
     "SpaceDescriptor",
     "SpaceError",
     "TangentVector",
-    "build_time_weight_qp",
     "build_unit_weight_qp",
     "canonical_json",
     "default_quantile_grid",

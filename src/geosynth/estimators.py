@@ -34,12 +34,13 @@ from .spaces import (
     distance,
     flat_embed,
     flat_restore,
-    metric_embed,
+    metric_embed,  # noqa: F401  (looked up here by geobench's tracer)
     metric_embed_stack,
-    metric_restore,
+    metric_restore,  # noqa: F401  (looked up here by geobench's tracer)
     metric_restore_stack,
+    metric_weight_sqrt,
     transport,
-    validate_point,
+    validate_point,  # noqa: F401  (looked up here by geobench's tracer)
     validate_stack,
     weighted_frechet_mean,  # noqa: F401  (looked up here by geobench's tracer)
 )
@@ -47,7 +48,6 @@ from .simplex_opt import (
     SimplexWeights,
     SolverConfig,
     SolverError,
-    build_time_weight_qp,
     build_unit_weight_qp,
     solve_simplex_derivative_free,  # noqa: F401  (looked up here by geobench's tracer)
     solve_simplex_gauss_newton,
@@ -187,7 +187,8 @@ class CovariatePanel:
     """Object-valued covariates observed over the pre-treatment window.
 
     ``covariates[j][t][c]`` is unit ``j``'s covariate component ``c`` at pre
-    period ``t``; component ``c`` lives in ``spaces[c]``.
+    period ``t``; component ``c`` lives in ``spaces[c]``. Construction
+    validates each component in one batched call.
     """
 
     spaces: tuple[SpaceDescriptor, ...]
@@ -212,11 +213,18 @@ class CovariatePanel:
                         raise SpaceError(
                             f"covariate ({j},{t},{c}) does not match component space {c}"
                         )
-                    report = validate_point(point)
-                    if report is not None:
-                        raise SpaceError(f"covariate ({j},{t},{c}) is invalid: {report}")
         object.__setattr__(self, "spaces", spaces)
         object.__setattr__(self, "covariates", rows)
+        for c, space in enumerate(spaces):
+            report = validate_stack(space, self._component(c).reshape((-1,) + space.data_shape))
+            if report is not None:
+                t, j = divmod(report[0], len(rows))
+                raise SpaceError(f"covariate ({j},{t},{c}) is invalid: {report[1]}")
+
+    def _component(self, c: int) -> np.ndarray:
+        """Component ``c`` of every covariate as one (T, J+1, *data_shape) array."""
+        periods = range(self.n_periods)
+        return np.array([[row[t][c].data for row in self.covariates] for t in periods])
 
     @property
     def n_units(self) -> int:
@@ -320,11 +328,6 @@ class PlaceboReport:
 # weight estimation
 
 
-def _sphere_batches(x: np.ndarray) -> np.ndarray:
-    """(units, periods, d) sphere data as a contiguous (periods, units, d) stack."""
-    return np.ascontiguousarray(x.transpose(1, 0, 2))
-
-
 def _sphere_linearization(
     z: np.ndarray, y: np.ndarray
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
@@ -337,6 +340,7 @@ def _sphere_linearization(
     residual norms is the objective. To first order it moves by ``-dm_b``,
     the implicit derivative of the mean.
     """
+    z = np.ascontiguousarray(z)
 
     def linearize(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         means = _sphere_mean_stack(z, w)
@@ -345,24 +349,38 @@ def _sphere_linearization(
     return linearize
 
 
-def _sphere_unit_linearization(
-    panel: Panel,
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Linearization of the sphere unit-weight objective: one row per pre
-    period, the controls' weighted mean against the treated outcome."""
-    pre = panel.coords[:, : panel.T0]
-    return _sphere_linearization(_sphere_batches(pre[1:]), pre[0])
+def _fit_weights(
+    space: SpaceDescriptor, z: np.ndarray, y: np.ndarray, cfg: SolverConfig
+) -> tuple[SimplexWeights, float]:
+    """Simplex weights minimizing ``mean_b d(m_b(w), y_b)^2``, and that value.
+
+    ``m_b(w)`` is the ``w``-weighted Frechet mean of the points ``z[b]``
+    (shape (B, n, D)) and ``y`` (shape (B, D)) holds the targets, both in
+    :attr:`Panel.coords` form. Unit weights are the problem over (pre
+    periods x controls), time weights over (controls x pre periods). On
+    the flat kinds it is an exact QP; on the sphere, Gauss-Newton.
+    """
+    if space.kind == "sphere":
+        return solve_simplex_gauss_newton(_sphere_linearization(z, y), z.shape[1], cfg)
+    return solve_simplex_qp(build_unit_weight_qp([(y_b, z_b.T) for y_b, z_b in zip(y, z)]), cfg)
 
 
-def _solve_unit_weights(panel: Panel, cfg: SolverConfig) -> tuple[SimplexWeights, float]:
-    """Minimize the average squared pre-period distance over unit weights."""
-    if panel.space.kind == "sphere":
-        return solve_simplex_gauss_newton(
-            _sphere_unit_linearization(panel), panel.n_controls, cfg
-        )
-    x = panel.coords
-    blocks = [(x[0, t], x[1:, t].T) for t in panel.pre_periods()]
-    return solve_simplex_qp(build_unit_weight_qp(blocks), cfg)
+def _means(space: SpaceDescriptor, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The ``w``-weighted Frechet means of the stacks ``z[b]`` (shape
+    (B, n, D)), as (B, D) coordinates."""
+    if space.kind == "sphere":
+        return _sphere_mean_stack(z, w)
+    return w @ z
+
+
+def _restore(
+    space: SpaceDescriptor, coords: np.ndarray, repair: bool, log: RepairLog | None
+) -> np.ndarray:
+    """Points' data from coordinates in :attr:`Panel.coords` form, shape
+    (..., D): the unit vectors themselves on the sphere."""
+    if space.kind == "sphere":
+        return coords
+    return metric_restore_stack(space, coords, repair=repair, log=log)
 
 
 def _synthetic_effects(
@@ -391,13 +409,9 @@ def _synthetic_effects(
 def _gsc_result(panel: Panel, weights: SimplexWeights, repair: bool) -> GscResult:
     """Synthetic outcomes for fitted unit weights, the controls' weighted
     Frechet mean in every period, with their effects and pre-period fit."""
-    space = panel.space
     log = RepairLog()
-    if space.kind == "sphere":
-        data = _sphere_mean_stack(_sphere_batches(panel.coords[1:]), weights.values)
-    else:
-        combos = np.einsum("j,jtd->td", weights.values, panel.coords[1:])
-        data = metric_restore_stack(space, combos, repair=repair, log=log)
+    means = _means(panel.space, panel.coords[1:].swapaxes(0, 1), weights.values)
+    data = _restore(panel.space, means, repair, log)
     synthetic, effects = _synthetic_effects(panel, data, range(panel.n_periods))
     sq = [e.length**2 for e in effects[: panel.T0]]
     return GscResult(
@@ -426,7 +440,8 @@ def estimate_gsc(
     theorem; its weights carry the same optimality certificate.
     """
     cfg = cfg or SolverConfig()
-    weights, _ = _solve_unit_weights(panel, cfg)
+    pre = panel.coords[:, : panel.T0]
+    weights, _ = _fit_weights(panel.space, pre[1:].swapaxes(0, 1), pre[0], cfg)
     return _gsc_result(panel, weights, repair)
 
 
@@ -457,30 +472,21 @@ def estimate_gsc_with_covariates(
     if not kinds <= (FLAT_KINDS | {"sphere"}):
         raise SpaceError("covariate spaces must be flat or the sphere")
 
-    periods = range(covs.n_periods)
-    flat_idx = [c for c, s in enumerate(covs.spaces) if s.kind != "sphere"]
-    # Chart coordinates of the flat components, concatenated: (T, J+1, D).
-    flat = np.array(
-        [
-            [
-                np.concatenate([np.zeros(0)] + [metric_embed(row[t][c]) for c in flat_idx])
-                for row in covs.covariates
-            ]
-            for t in periods
-        ]
+    # Isometric coordinates of the flat components, concatenated: (T, J+1, D).
+    flat = np.concatenate(
+        [np.zeros((covs.n_periods, covs.n_units, 0))]
+        + [metric_embed_stack(s, covs._component(c)) for c, s in enumerate(covs.spaces)
+           if s.kind in FLAT_KINDS],
+        axis=-1,
     )
     if "sphere" not in kinds:
-        blocks = [(flat[t, 0], flat[t, 1:].T) for t in periods]
-        weights, _ = solve_simplex_qp(build_unit_weight_qp(blocks), cfg)
+        weights, _ = _fit_weights(covs.spaces[0], flat[:, 1:], flat[:, 0], cfg)
     else:
         flat_jac = flat[:, 1:].transpose(0, 2, 1)
         sphere_parts = [
-            _sphere_linearization(
-                np.stack([[row[t][c].data for row in covs.covariates[1:]] for t in periods]),
-                np.stack([covs.covariates[0][t][c].data for t in periods]),
-            )
-            for c, s in enumerate(covs.spaces)
-            if s.kind == "sphere"
+            _sphere_linearization(data[:, 1:], data[:, 0])
+            for data in (covs._component(c) for c, s in enumerate(covs.spaces)
+                         if s.kind == "sphere")
         ]
 
         def linearize(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -649,14 +655,16 @@ def estimate_augmented_gsc(
     log = RepairLog()
     log.events.extend(base.repair_flags)
     post = list(panel.post_periods())
+    metric_scale = metric_weight_sqrt(panel.space)
     corrected = []
     correction_lengths = []
     for t in post:
         charts = model.outcome_charts[t]
-        pred_treated = pred_weights_treated @ charts
-        pred_combo = (w @ pred_weights_controls) @ charts
-        corrected.append(w @ charts + (pred_treated - pred_combo))
-        correction_lengths.append(float(np.linalg.norm(pred_treated - pred_combo)))
+        correction = pred_weights_treated @ charts - (w @ pred_weights_controls) @ charts
+        corrected.append(w @ charts + correction)
+        if metric_scale is not None:  # chart to isometric coordinates
+            correction = metric_scale * correction
+        correction_lengths.append(float(np.linalg.norm(correction)))
     post_synthetic, effects = _synthetic_effects(
         panel, _chart_backward(panel.space, corrected, repair, log), post
     )
@@ -680,29 +688,7 @@ def estimate_augmented_gsc(
 def _post_means(panel: Panel) -> np.ndarray:
     """Per-unit uniform Frechet means over the post window, (J+1, D) coordinates."""
     post = panel.coords[:, panel.T0 :]
-    uniform = np.full(post.shape[1], 1.0 / post.shape[1])
-    if panel.space.kind == "sphere":
-        return _sphere_mean_stack(post, uniform)
-    return uniform @ post
-
-
-def _solve_time_weights(
-    panel: Panel, targets: np.ndarray, cfg: SolverConfig
-) -> tuple[SimplexWeights, float]:
-    """Time weights matching each control's target to its weighted pre-window.
-
-    ``targets[j]`` holds the coordinates of control ``j``'s post mean (or of
-    a single post outcome); the solution lambda minimizes the average
-    squared distance between target and lambda-weighted pre-period
-    combination across controls. On the sphere this is the unit-weight
-    problem with the roles of units and periods swapped, and it is solved
-    the same way.
-    """
-    pre = panel.coords[1:, : panel.T0]
-    if panel.space.kind == "sphere":
-        linearize = _sphere_linearization(np.ascontiguousarray(pre), targets)
-        return solve_simplex_gauss_newton(linearize, panel.T0, cfg)
-    return solve_simplex_qp(build_time_weight_qp(list(pre), list(targets)), cfg)
+    return _means(panel.space, post, np.full(post.shape[1], 1.0 / post.shape[1]))
 
 
 def _grid_mean(
@@ -714,12 +700,9 @@ def _grid_mean(
 ) -> ObjectPoint:
     """Frechet mean over a (unit, period) grid with product weights."""
     x = panel.coords[np.ix_(rows, periods)]
-    points = x.reshape(-1, x.shape[-1])
     weights = np.outer(unit_weights, time_weights).ravel()
-    weights = weights / weights.sum()
-    if panel.space.kind == "sphere":
-        return ObjectPoint(panel.space, _sphere_mean_stack(points[None], weights)[0])
-    return metric_restore(weights @ points, panel.space)
+    mean = _means(panel.space, x.reshape(1, -1, x.shape[-1]), weights / weights.sum())
+    return ObjectPoint(panel.space, _restore(panel.space, mean[0], True, None))
 
 
 def _did_transport(
@@ -760,10 +743,7 @@ def _gsdid_core(
     repair: bool = True,
 ) -> GsdidResult:
     """GSDID from fitted weights and the coordinates of the treated post mean."""
-    if panel.space.kind == "sphere":
-        observed_post_mean = ObjectPoint(panel.space, post_mean)
-    else:
-        observed_post_mean = metric_restore(post_mean, panel.space)
+    observed_post_mean = ObjectPoint(panel.space, _restore(panel.space, post_mean, True, None))
     n_post = panel.n_periods - panel.T0
     log = RepairLog()
     means, synthetic = _did_transport(
@@ -794,9 +774,10 @@ def estimate_gsdid(
     from that synthetic point to the treated post mean.
     """
     cfg = cfg or SolverConfig()
-    unit_weights, _ = _solve_unit_weights(panel, cfg)
+    pre = panel.coords[:, : panel.T0]
+    unit_weights, _ = _fit_weights(panel.space, pre[1:].swapaxes(0, 1), pre[0], cfg)
     post_means = _post_means(panel)
-    time_weights, _ = _solve_time_weights(panel, post_means[1:], cfg)
+    time_weights, _ = _fit_weights(panel.space, pre[1:], post_means[1:], cfg)
     return _gsdid_core(panel, unit_weights, time_weights, post_means[0], repair)
 
 
@@ -824,10 +805,11 @@ def estimate_gsdid_per_time(
     weighted pre window and that period.
     """
     cfg = cfg or SolverConfig()
-    unit_weights, _ = _solve_unit_weights(panel, cfg)
+    pre = panel.coords[:, : panel.T0]
+    unit_weights, _ = _fit_weights(panel.space, pre[1:].swapaxes(0, 1), pre[0], cfg)
     effects = []
     for t in panel.post_periods():
-        time_weights, _ = _solve_time_weights(panel, panel.coords[1:, t], cfg)
+        time_weights, _ = _fit_weights(panel.space, pre[1:], panel.coords[1:, t], cfg)
         _, synthetic = _did_transport(
             panel, unit_weights.values, time_weights.values, [t], np.ones(1), repair, None
         )

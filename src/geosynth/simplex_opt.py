@@ -6,9 +6,14 @@ a nonlinear least-squares problem, solved by Gauss-Newton steps whose
 subproblems are such quadratic programs. Every estimator fit uses one of
 these two solvers, so every fitted weight vector carries the same KKT
 certificate. A derivative-free Nelder-Mead solver remains for objectives
-given only as a black box; no estimator calls it. This module provides the
-solvers plus the builders that assemble the quadratic programs from chart
-coordinates of panel outcomes.
+given only as a black box; no estimator calls it.
+
+There is one weight problem, in two roles: match the weighted combination
+of n points to a target in each of B blocks. Unit weights match the
+controls to the treated unit in each pre-treatment period; time weights
+match each control's pre-treatment periods to its post-treatment target.
+:func:`build_unit_weight_qp` assembles that problem from chart coordinates
+for either role.
 
 The quadratic objective convention is ``q(w) = w' G w - 2 l' w + c``.
 Problems built from panel data keep the underlying least-squares factors so
@@ -145,92 +150,54 @@ class SolverConfig:
             raise SolverError("tolerances and iteration budgets must be positive")
 
 
-def _stacked_least_squares(
-    blocks: Sequence[tuple[np.ndarray, np.ndarray]], scale: float
+def build_unit_weight_qp(
+    pre_periods: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> SimplexQp:
-    """Assemble scale * sum_t ||y_t - C_t w||^2 as a SimplexQp."""
+    """Quadratic program for simplex weights from chart coordinates.
+
+    Parameters
+    ----------
+    pre_periods : sequence of (target_vector, column_matrix)
+        One entry per matched block ``t``: the target's chart coordinates
+        ``y_t`` (length D) and a D x n matrix whose columns are the
+        coordinates of the n weighted points. For unit weights a block is a
+        pre-treatment period, ``y_t`` the treated unit and the columns the
+        controls; for time weights a block is a control, ``y_t`` its post
+        target and the columns its pre-treatment periods.
+
+    Returns
+    -------
+    SimplexQp
+        Objective ``(1/T) sum_t || y_t - C_t w ||^2`` over the T blocks, the
+        average squared distance between each target and its w-weighted
+        combination.
+    """
+    if not pre_periods:
+        raise SolverError("at least one pre-treatment period is required")
     mats = []
     vecs = []
-    n = None
-    for y, c in blocks:
+    for y, c in pre_periods:
         y = np.asarray(y, dtype=float).ravel()
         c = np.asarray(c, dtype=float)
         if c.ndim != 2 or c.shape[0] != y.size:
             raise SolverError(
                 f"coordinate block shapes are inconsistent: target {y.shape}, matrix {c.shape}"
             )
-        if n is None:
-            n = c.shape[1]
-        elif c.shape[1] != n:
+        if mats and c.shape[1] != mats[0].shape[1]:
             raise SolverError("all blocks must share the same number of columns")
         mats.append(c)
         vecs.append(y)
+    scale = 1.0 / len(mats)
     factor = np.vstack(mats)
     target = np.concatenate(vecs)
-    gram = scale * (factor.T @ factor)
-    linear = scale * (factor.T @ target)
-    constant = scale * float(target @ target)
     return SimplexQp(
-        gram=gram, linear=linear, constant=constant, factor=factor, target=target, scale=scale
+        gram=scale * (factor.T @ factor),
+        linear=scale * (factor.T @ target),
+        constant=scale * float(target @ target),
+        factor=factor,
+        target=target,
+        scale=scale,
     )
-
-
-def build_unit_weight_qp(
-    pre_periods: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> SimplexQp:
-    """Quadratic program for unit weights from pre-treatment chart coordinates.
-
-    Parameters
-    ----------
-    pre_periods : sequence of (treated_vector, control_matrix)
-        One entry per pre-treatment period ``t``: the treated unit's chart
-        coordinates ``y_t`` (length D) and a D x J matrix whose columns are
-        the control units' chart coordinates at that period.
-
-    Returns
-    -------
-    SimplexQp
-        Objective ``(1/T0) sum_t || y_t - C_t w ||^2``, the average squared
-        distance between the treated unit and the w-weighted control
-        combination over the pre-treatment window.
-    """
-    if not pre_periods:
-        raise SolverError("at least one pre-treatment period is required")
-    return _stacked_least_squares(list(pre_periods), 1.0 / len(pre_periods))
-
-
-def build_time_weight_qp(
-    controls_pre: Sequence[np.ndarray],
-    controls_post_mean: Sequence[np.ndarray],
-) -> SimplexQp:
-    """Quadratic program for time weights from per-control chart coordinates.
-
-    Parameters
-    ----------
-    controls_pre : sequence of (T0, D) arrays
-        Row ``t`` of entry ``j`` holds control ``j``'s chart coordinates in
-        pre period ``t``.
-    controls_post_mean : sequence of (D,) arrays
-        Chart coordinates of control ``j``'s Frechet mean over the post
-        window.
-
-    Returns
-    -------
-    SimplexQp
-        Objective ``(1/J) sum_j || m_j - P_j' lambda ||^2`` where ``m_j`` is
-        the post mean and the columns of ``P_j'`` are the pre-period
-        coordinates: the average squared distance between each control's
-        post mean and its lambda-weighted pre-period combination.
-    """
-    if len(controls_pre) != len(controls_post_mean) or not controls_pre:
-        raise SolverError("need matching, nonempty pre and post-mean sequences")
-    blocks = []
-    for pre, post in zip(controls_pre, controls_post_mean):
-        pre = np.asarray(pre, dtype=float)
-        if pre.ndim != 2:
-            raise SolverError("each control's pre coordinates must be a (T0, D) array")
-        blocks.append((np.asarray(post, dtype=float), pre.T))
-    return _stacked_least_squares(blocks, 1.0 / len(controls_pre))
 
 
 # ---------------------------------------------------------------------------

@@ -419,24 +419,28 @@ def _powm_spd(a: np.ndarray, p: float) -> np.ndarray:
 
 
 def _clip_to_cone(
-    a: np.ndarray, kind: str, repair: bool, log: RepairLog | None
+    a: np.ndarray, space: SpaceDescriptor, repair: bool, log: RepairLog | None
 ) -> np.ndarray:
-    """Project symmetric matrices, shape (m, n, n), onto the PD cone by
-    eigenvalue clipping, in place and in stack order.
+    """Project symmetric chart matrices, shape (m, n, n), onto the PD cone
+    by eigenvalue clipping, in place and in stack order.
 
-    One batched ``eigh`` finds the matrices below ``EPS_PD``. Clipping is
-    only allowed while the change per eigenvalue stays within
-    ``REPAIR_BUDGET`` of the spectral norm; larger excursions are treated
-    as genuine infeasibility and raise.
+    One batched ``eigh`` finds the matrices whose points would fall below
+    ``EPS_PD``. For ``spd_power`` with ``p < 1`` the chart eigenvalue
+    ``v`` is the point's eigenvalue to the power ``p``, so the floors are
+    raised to that power. Clipping is only allowed while the change per
+    eigenvalue stays within ``REPAIR_BUDGET`` of the spectral norm; larger
+    excursions are treated as genuine infeasibility and raise.
     """
+    kind = space.kind
+    power = min(space.power_p, 1.0) if kind == "spd_power" else 1.0
     vals, vecs = np.linalg.eigh(a)
-    for i in np.flatnonzero(vals.min(axis=-1) < EPS_PD):
+    for i in np.flatnonzero(vals.min(axis=-1) < EPS_PD**power):
         if not repair:
             raise SpaceError(f"{kind}: result leaves the positive-definite cone and repair is off")
         spectral = max(float(np.abs(vals[i]).max()), 1.0)
         # Clip slightly above the validation floor so that eigendecomposition
         # roundoff in the reconstruction cannot drop the result below it again.
-        clipped = np.maximum(vals[i], 2.0 * EPS_PD)
+        clipped = np.maximum(vals[i], (2.0 * EPS_PD) ** power)
         change = float(np.max(np.abs(clipped - vals[i])))
         if change > REPAIR_BUDGET * spectral:
             raise SpaceError(
@@ -589,7 +593,7 @@ def _chart_backward(
     elif kind == "laplacian":
         out = _repair_laplacian(_sym(vecs.reshape(-1, n, n)), repair, log)
     else:
-        out = _clip_to_cone(_sym(vecs.reshape(-1, n, n)), kind, repair, log)
+        out = _clip_to_cone(_sym(vecs.reshape(-1, n, n)), space, repair, log)
         if kind == "spd_power":
             out = _powm_spd(out, 1.0 / space.power_p)
     return out.reshape(lead + space.data_shape)
@@ -789,6 +793,8 @@ def _as_weights(weights, n: int) -> np.ndarray:
     w = np.asarray(values, dtype=float)
     if w.shape != (n,):
         raise SpaceError(f"expected {n} weights, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise SpaceError("weights must be finite")
     if np.min(w) < -1e-12 or abs(float(w.sum()) - 1.0) > 1e-9:
         raise SpaceError("weights must be nonnegative and sum to 1")
     return np.maximum(w, 0.0)

@@ -444,6 +444,20 @@ def test_cli_frechet_mean_stdout_and_file(tmp_path, capsys):
     assert code == EXIT_VALIDATION and "expected 3 values" in err
 
 
+@pytest.mark.parametrize(
+    "space", [g.sphere_space(3), g.scalar_space()], ids=["sphere", "scalar"]
+)
+def test_cli_frechet_mean_rejects_non_finite_weights(tmp_path, capsys, space):
+    rng = np.random.default_rng(10)
+    panel_path = str(tmp_path / "panel.json")
+    data = [[random_point(space, rng).data for _ in range(3)] for _ in range(4)]
+    save_panel(panel_of(space, data, T0=2), panel_path)
+    code, _, err = run(
+        capsys, "frechet-mean", "--panel", panel_path, "--weights", "nan,0.5,0.25,0.25"
+    )
+    assert code == EXIT_VALIDATION and "weights must be finite" in err
+
+
 def test_cli_agsc_and_covariate_type_checks(tmp_path, capsys):
     rng = np.random.default_rng(8)
     panel_path = str(tmp_path / "panel.json")

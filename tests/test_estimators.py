@@ -7,9 +7,8 @@ import pytest
 import geosynth as g
 from geosynth import estimators
 from geosynth.estimators import (
-    _solve_time_weights,
+    _fit_weights,
     _sphere_linearization,
-    _sphere_unit_linearization,
     fit_global_frechet_regression,
     predict_frechet_regression,
 )
@@ -183,6 +182,12 @@ def sphere_objective_and_gradient(linearize, w):
     return value, grad
 
 
+def unit_linearization(panel):
+    """The sphere unit-weight problem: pre periods x controls."""
+    pre = panel.coords[:, : panel.T0]
+    return _sphere_linearization(pre[1:].swapaxes(0, 1), pre[0])
+
+
 def test_sphere_implicit_gradient_matches_central_differences():
     rng = np.random.default_rng(11)
     space = g.sphere_space(3)
@@ -191,7 +196,7 @@ def test_sphere_implicit_gradient_matches_central_differences():
     # Unit weights over the five controls, and the time weights of one post
     # period: each control's three pre periods matched to its period-4 outcome.
     cases = [
-        (_sphere_unit_linearization(panel), 5),
+        (unit_linearization(panel), 5),
         (_sphere_linearization(arrays[1:, :3], arrays[1:, 3]), 3),
     ]
     for linearize, n in cases:
@@ -220,7 +225,7 @@ def test_sphere_gsc_weights_are_certified_and_deterministic():
         panel = g.generate(g.SimConfig(scenario="sphere", seed=seed)).panel
         res = g.estimate_gsc(panel, cfg)
         w = res.weights.values
-        resid, jac = _sphere_unit_linearization(panel)(w)
+        resid, jac = unit_linearization(panel)(w)
         model = g.build_unit_weight_qp([(d @ w - r, d) for r, d in zip(resid, jac)])
         grad = model.gradient(w)
         assert kkt_residual(model, w) <= cfg.tol_kkt * (1.0 + np.linalg.norm(grad)), seed
@@ -297,7 +302,7 @@ def test_gauss_newton_steps_below_the_rounding_of_the_objective():
     targets = [panel.outcomes[j][panel.T0] for j in range(1, panel.n_units)]
     z = np.stack([[p.data for p in row[: panel.T0]] for row in panel.controls])
     y = np.stack([p.data for p in targets])
-    lam, _ = _solve_time_weights(panel, y, cfg)
+    lam, _ = _fit_weights(panel.space, z, y, cfg)
     assert is_certified(_sphere_linearization(z, y), lam.values, cfg)
     assert len(g.estimate_gsdid_per_time(panel)) == 2
 
@@ -541,6 +546,37 @@ def test_agsc_corrects_flat_offset():
     assert max(e.length for e in agsc.effects) <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "space", [g.scalar_space(), g.l2function_space(np.linspace(0.0, 1.0, 7))],
+    ids=["scalar", "l2function"],
+)
+def test_agsc_correction_lengths_are_metric_shifts(space):
+    # The grid kinds' metric rescales the chart by square-root quadrature
+    # weights; on the scalar space an unscaled length reads sqrt(2) too long.
+    rng = np.random.default_rng(12)
+    panel = make_flat_panel(rng, space, J=5, T=8, T0=5)
+    gsc = g.estimate_gsc(panel)
+    agsc = g.estimate_augmented_gsc(panel, rng.normal(size=(panel.n_units, 2)))
+    lengths = agsc.augmentation["correction_lengths"]
+    assert len(lengths) == panel.n_periods - panel.T0
+    assert min(lengths) > 1e-3
+    for k, length in enumerate(lengths):
+        t = panel.T0 + k
+        assert length == pytest.approx(g.distance(agsc.synthetic[t], gsc.synthetic[t]), abs=1e-12)
+
+
+def test_covariate_panel_names_the_invalid_covariate():
+    quantiles = g.wasserstein_space(3, grid=[0.25, 0.5, 0.75])
+    good = g.ObjectPoint(quantiles, np.array([0.0, 1.0, 2.0]))
+    bad = g.ObjectPoint(quantiles, np.array([0.0, 2.0, 1.0]))
+    scalar = g.ObjectPoint(g.scalar_space(), np.zeros(2))
+    cells = [[(scalar, good) for _ in range(3)] for _ in range(4)]
+    cells[2][1] = (scalar, bad)
+    message = r"covariate \(2,1,1\) is invalid: wasserstein1d: quantile values must be"
+    with pytest.raises(g.SpaceError, match=message):
+        g.CovariatePanel(spaces=(g.scalar_space(), quantiles), covariates=cells)
+
+
 def test_agsc_rejects_sphere_panels():
     rng = np.random.default_rng(10)
     space = g.sphere_space(3)
@@ -610,10 +646,8 @@ def test_gsdid_per_time_scalar_formula():
     assert len(effects) == 2
     y = values
     for k, t in enumerate((2, 3)):
-        lam_qp = g.build_time_weight_qp(
-            [y[j, :2].reshape(2, 1) for j in (1, 2)],
-            [y[j, t].reshape(1) for j in (1, 2)],
-        )
+        # time weights: one block per control, its pre periods as columns
+        lam_qp = g.build_unit_weight_qp([(y[j, t : t + 1], y[j, None, :2]) for j in (1, 2)])
         lam, _ = g.solve_simplex_qp(lam_qp)
         w = g.estimate_gsc(panel).weights.values
         synth = lam.values @ y[0, :2] + (w @ y[1:, t] - w @ (y[1:, :2] @ lam.values))

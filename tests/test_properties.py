@@ -1,6 +1,7 @@
 """Property tests over all eight space kinds.
 
-Covers permutation invariance of the Frechet mean, equivariance of GSC
+Covers permutation invariance of the Frechet mean, the time-weight
+objective as a mean of squared distances, equivariance of GSC
 and GSDID under relabelling the controls, edge-case panels (one control,
 one pre period, duplicated controls, constant panels) and exact
 identification on a Wasserstein location-scale panel. Examples are drawn
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import geosynth as g
+from geosynth.estimators import _fit_weights
 from helpers import all_spaces, panel_from_arrays, random_point
 
 SPACES = all_spaces(3)
@@ -74,6 +76,32 @@ def test_frechet_mean_is_invariant_under_permuting_the_points(space, seed, n):
     permuted = g.weighted_frechet_mean([points[i] for i in perm], w[perm])
     scale = data_scale(np.stack([p.data for p in points]))
     assert g.distance(mean, permuted) <= 1e-9 * scale
+
+
+# ---------------------------------------------------------------------------
+# the weight problem in its time role
+
+
+@pytest.mark.parametrize("space", SPACES, ids=KINDS)
+@examples(5)
+@given(
+    seed=SEEDS, J=st.integers(min_value=2, max_value=5), T0=st.integers(min_value=2, max_value=4)
+)
+def test_time_weight_fit_value_is_the_mean_squared_distance(space, seed, J, T0):
+    """Time weights: one row per control, its pre periods weighted against
+    its outcome in the last period. Swapping units and periods would pair
+    each control's weighted mean with another row's target, or fail."""
+    rng = np.random.default_rng(seed)
+    T = T0 + 2
+    panel = panel_from_arrays(space, interior_data(space, rng, J + 1, T), T0)
+    pre, target = panel.coords[1:, :T0], panel.coords[1:, T - 1]
+    lam, value = _fit_weights(space, pre, target, g.SolverConfig())
+    assert len(lam) == T0
+    direct = np.mean([
+        g.distance(g.weighted_frechet_mean(row[:T0], lam), row[T - 1]) ** 2
+        for row in panel.controls
+    ])
+    assert value == pytest.approx(direct, rel=1e-9, abs=1e-14 * data_scale(pre) ** 2)
 
 
 # ---------------------------------------------------------------------------

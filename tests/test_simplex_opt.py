@@ -110,17 +110,24 @@ def test_unit_qp_objective_matches_distances():
             assert qp.objective(w) == pytest.approx(direct, rel=1e-10, abs=1e-12), space.kind
 
 
+def time_weight_qp(rows, post):
+    """The unit-weight QP in the time role: one block per control, with
+    its (T0, D) pre-period coordinates ``rows[j]`` as columns and its
+    post target ``post[j]``."""
+    return g.build_unit_weight_qp([(y, r.T) for r, y in zip(rows, post)])
+
+
 def test_time_qp_stationary_controls_constant_objective():
     rng = np.random.default_rng(3)
     rows = [np.tile(rng.normal(size=4), (3, 1)) for _ in range(2)]
     post = [row[0] for row in rows]
-    qp = g.build_time_weight_qp(rows, post)
+    qp = time_weight_qp(rows, post)
     vals = [qp.objective(rng.dirichlet(np.ones(3))) for _ in range(10)]
     assert np.ptp(vals) <= 1e-14
 
 
 def test_time_qp_scalar_midpoint():
-    qp = g.build_time_weight_qp([np.array([[0.0], [2.0]])], [np.array([1.0])])
+    qp = time_weight_qp([np.array([[0.0], [2.0]])], [np.array([1.0])])
     lam, val = g.solve_simplex_qp(qp)
     assert lam.values == pytest.approx([0.5, 0.5], abs=1e-9)
     assert val <= 1e-16
@@ -130,7 +137,7 @@ def test_time_qp_vertex_evaluation():
     rng = np.random.default_rng(4)
     rows = [rng.normal(size=(3, 4)) for _ in range(5)]
     post = [rng.normal(size=4) for _ in range(5)]
-    qp = g.build_time_weight_qp(rows, post)
+    qp = time_weight_qp(rows, post)
     for s in range(3):
         e = np.eye(3)[s]
         direct = np.mean([np.sum((post[j] - rows[j][s]) ** 2) for j in range(5)])

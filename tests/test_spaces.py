@@ -277,10 +277,15 @@ def test_metric_restore_stack_matches_per_point_restore(space):
             else:
                 restored = metric_restore_stack(space, vecs, repair, stack_log)
                 assert restored.tobytes() == expected.tobytes()
+                assert validate_stack(space, restored) is None
                 outcomes.append(len(point_log.events))
             assert stack_log.events == point_log.events
     if space.kind not in REPAIRABLE:
         assert outcomes == [0] * 6
+    elif space.kind == "spd_power":
+        # p = 0.5: a point eigenvalue of 2e-10 is a chart eigenvalue of 1.4e-5,
+        # so lifting a chart eigenvalue from -3e-7 exceeds the repair budget.
+        assert outcomes == [0, 0, "raised", "raised", "raised", "raised"]
     else:
         beyond = 3 if space.kind == "wasserstein1d" else "raised"
         assert outcomes == [0, 0, 2, "raised", beyond, "raised"]
@@ -432,6 +437,16 @@ def test_mean_weight_validation():
         g.weighted_frechet_mean([p, q], [1.2, -0.2])
     with pytest.raises(g.SpaceError):
         g.weighted_frechet_mean([], [])
+
+
+@pytest.mark.parametrize("space", [g.sphere_space(3), g.l2function_space([0.0, 1.0])],
+                         ids=["sphere", "l2function"])
+def test_mean_rejects_non_finite_weights(space):
+    rng = np.random.default_rng(3)
+    points = [random_point(space, rng) for _ in range(4)]
+    for bad in (np.nan, np.inf):
+        with pytest.raises(g.SpaceError, match="weights must be finite"):
+            g.weighted_frechet_mean(points, [bad, 0.5, 0.25, 0.25])
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +608,20 @@ def test_spd_repair_beyond_budget_raises():
     beta = g.ObjectPoint(space, np.diag([1.0, 1e-9]))
     with pytest.raises(g.SpaceError):
         g.transport(alpha, beta, omega)
+
+
+def test_spd_power_below_one_restores_valid_points_or_raises():
+    # The chart of spd_power with p = 0.5 holds square roots of eigenvalues:
+    # a chart floor of 2e-10 would map back to 4e-20, below EPS_PD.
+    space = g.spd_power_space(3, 0.5)
+    with pytest.raises(g.SpaceError, match="repair budget"):
+        metric_restore(np.diag([-3e-7, 1.0, 2.0]).ravel(), space)
+    for diag in ([-3e-7, 10.0, 20.0], [5e-6, 10.0, 20.0]):
+        log = RepairLog()
+        point = metric_restore(np.diag(diag).ravel(), space, log=log)
+        assert g.validate_point(point) is None
+        assert np.linalg.eigvalsh(point.data).min() >= 1.9 * g.EPS_PD
+        assert log.flagged
 
 
 def test_isotonic_repair_flags():
