@@ -48,10 +48,10 @@ from .simplex_opt import (
     SimplexWeights,
     SolverConfig,
     SolverError,
-    build_unit_weight_qp,
     solve_simplex_derivative_free,  # noqa: F401  (looked up here by geobench's tracer)
     solve_simplex_gauss_newton,
     solve_simplex_qp,
+    stack_weight_qp,
 )
 
 Method = Literal["gsc", "gsdid"]
@@ -73,8 +73,9 @@ class Panel:
         Display labels; generated when omitted.
 
     Construction validates all outcomes in one batched call. Estimators
-    read slices of :attr:`coords`, the panel embedded once, and placebo
-    refits permute its rows without validating again.
+    read slices of :attr:`coords`, the panel embedded once, and on the flat
+    kinds assemble every weight QP from :attr:`grams`, computed once;
+    placebo refits permute the rows of both without validating again.
     """
 
     space: SpaceDescriptor
@@ -83,6 +84,7 @@ class Panel:
     unit_labels: tuple[str, ...] = ()
     time_labels: tuple[str, ...] = ()
     _coords: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _grams: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(row) for row in self.outcomes)
@@ -132,6 +134,23 @@ class Panel:
             object.__setattr__(self, "_coords", coords)
         return self._coords
 
+    @property
+    def grams(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only Gram blocks of a flat kind's pre-period coordinates, cached
+        like :attr:`coords`: the (J+1, J+1) unit Gram ``(1/T0) sum_t X_t X_t'``
+        of the period slices ``X_t = coords[:, t]``, whose ``[1:, 1:]`` block
+        is the unit-weight QP's, and the (J+1, T0, T0) time Grams
+        ``Z_j Z_j'`` of ``Z_j = coords[j, :T0]``, whose mean over controls is
+        the time-weight QP's."""
+        if self._grams is None:
+            pre = self.coords[:, : self.T0]
+            flat = pre.reshape(self.n_units, -1)
+            grams = ((flat @ flat.T) / self.T0, pre @ pre.swapaxes(1, 2))
+            for gram in grams:
+                gram.setflags(write=False)
+            object.__setattr__(self, "_grams", grams)
+        return self._grams
+
     def _data(self) -> np.ndarray:
         """The outcomes' data stacked into one (J+1, T, *data_shape) array."""
         return np.array([[point.data for point in row] for row in self.outcomes])
@@ -173,12 +192,15 @@ class Panel:
     def _permuted(self, order: list[int]) -> "Panel":
         """This panel with its units in ``order``, built from the validated
         and embedded arrays without running the constructor again."""
-        coords = self.coords[order]
-        coords.setflags(write=False)
         panel = copy.copy(self)
         object.__setattr__(panel, "outcomes", tuple(self.outcomes[i] for i in order))
         object.__setattr__(panel, "unit_labels", tuple(self.unit_labels[i] for i in order))
-        object.__setattr__(panel, "_coords", coords)
+        object.__setattr__(panel, "_coords", self.coords[order])
+        if self.space.kind != "sphere":
+            unit, time = self.grams
+            object.__setattr__(panel, "_grams", (unit[np.ix_(order, order)], time[order]))
+        for array in (panel._coords,) + (panel._grams or ()):
+            array.setflags(write=False)
         return panel
 
 
@@ -350,7 +372,8 @@ def _sphere_linearization(
 
 
 def _fit_weights(
-    space: SpaceDescriptor, z: np.ndarray, y: np.ndarray, cfg: SolverConfig
+    space: SpaceDescriptor, z: np.ndarray, y: np.ndarray, cfg: SolverConfig,
+    gram: np.ndarray | None = None,
 ) -> tuple[SimplexWeights, float]:
     """Simplex weights minimizing ``mean_b d(m_b(w), y_b)^2``, and that value.
 
@@ -358,11 +381,25 @@ def _fit_weights(
     (shape (B, n, D)) and ``y`` (shape (B, D)) holds the targets, both in
     :attr:`Panel.coords` form. Unit weights are the problem over (pre
     periods x controls), time weights over (controls x pre periods). On
-    the flat kinds it is an exact QP; on the sphere, Gauss-Newton.
+    the flat kinds it is an exact QP (``gram``: see :func:`stack_weight_qp`);
+    on the sphere, Gauss-Newton.
     """
     if space.kind == "sphere":
         return solve_simplex_gauss_newton(_sphere_linearization(z, y), z.shape[1], cfg)
-    return solve_simplex_qp(build_unit_weight_qp([(y_b, z_b.T) for y_b, z_b in zip(y, z)]), cfg)
+    return solve_simplex_qp(stack_weight_qp(z, y, gram), cfg)
+
+
+def _unit_weights(panel: Panel, cfg: SolverConfig) -> SimplexWeights:
+    """Unit weights: the controls matched to the treated unit before treatment."""
+    pre = panel.coords[:, : panel.T0]
+    gram = None if panel.space.kind == "sphere" else panel.grams[0][1:, 1:]
+    return _fit_weights(panel.space, pre[1:].swapaxes(0, 1), pre[0], cfg, gram)[0]
+
+
+def _time_weights(panel: Panel, targets: np.ndarray, cfg: SolverConfig) -> SimplexWeights:
+    """Time weights: each control's pre periods matched to its (J, D) ``targets``."""
+    gram = None if panel.space.kind == "sphere" else panel.grams[1][1:].mean(axis=0)
+    return _fit_weights(panel.space, panel.coords[1:, : panel.T0], targets, cfg, gram)[0]
 
 
 def _means(space: SpaceDescriptor, z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -439,10 +476,7 @@ def estimate_gsc(
     the derivative of each weighted mean from the implicit function
     theorem; its weights carry the same optimality certificate.
     """
-    cfg = cfg or SolverConfig()
-    pre = panel.coords[:, : panel.T0]
-    weights, _ = _fit_weights(panel.space, pre[1:].swapaxes(0, 1), pre[0], cfg)
-    return _gsc_result(panel, weights, repair)
+    return _gsc_result(panel, _unit_weights(panel, cfg or SolverConfig()), repair)
 
 
 def estimate_gsc_with_covariates(
@@ -695,21 +729,25 @@ def _grid_mean(
     panel: Panel,
     unit_weights: np.ndarray,
     time_weights: np.ndarray,
-    periods: Sequence[int],
-    rows: Sequence[int],
+    periods: slice,
+    rows: slice,
 ) -> ObjectPoint:
-    """Frechet mean over a (unit, period) grid with product weights."""
-    x = panel.coords[np.ix_(rows, periods)]
-    weights = np.outer(unit_weights, time_weights).ravel()
-    mean = _means(panel.space, x.reshape(1, -1, x.shape[-1]), weights / weights.sum())
-    return ObjectPoint(panel.space, _restore(panel.space, mean[0], True, None))
+    """Frechet mean over a (unit, period) grid with product weights; flat
+    kinds contract them one axis at a time on a view of the coordinates."""
+    x = panel.coords[rows, periods]
+    if panel.space.kind == "sphere":
+        weights = np.outer(unit_weights, time_weights).ravel()
+        mean = _sphere_mean_stack(x.reshape(1, -1, x.shape[-1]), weights / weights.sum())[0]
+    else:
+        mean = unit_weights @ (time_weights @ x) / (unit_weights.sum() * time_weights.sum())
+    return ObjectPoint(panel.space, _restore(panel.space, mean, True, None))
 
 
 def _did_transport(
     panel: Panel,
     unit_weights: np.ndarray,
     time_weights: np.ndarray,
-    periods: Sequence[int],
+    periods: slice,
     period_weights: np.ndarray,
     repair: bool,
     log: RepairLog | None,
@@ -721,10 +759,9 @@ def _did_transport(
     Returns the three means (``treated_pre``, ``controls_pre``,
     ``controls_post``) and the transported, synthetic point.
     """
-    pre = list(panel.pre_periods())
-    controls = list(range(1, panel.n_units))
+    pre, controls = slice(0, panel.T0), slice(1, None)
     means = {
-        "treated_pre": _grid_mean(panel, np.ones(1), time_weights, pre, [0]),
+        "treated_pre": _grid_mean(panel, np.ones(1), time_weights, pre, slice(0, 1)),
         "controls_pre": _grid_mean(panel, unit_weights, time_weights, pre, controls),
         "controls_post": _grid_mean(panel, unit_weights, period_weights, periods, controls),
     }
@@ -747,7 +784,7 @@ def _gsdid_core(
     n_post = panel.n_periods - panel.T0
     log = RepairLog()
     means, synthetic = _did_transport(
-        panel, unit_weights.values, time_weights.values, list(panel.post_periods()),
+        panel, unit_weights.values, time_weights.values, slice(panel.T0, None),
         np.full(n_post, 1.0 / n_post), repair, log,
     )
     return GsdidResult(
@@ -774,10 +811,9 @@ def estimate_gsdid(
     from that synthetic point to the treated post mean.
     """
     cfg = cfg or SolverConfig()
-    pre = panel.coords[:, : panel.T0]
-    unit_weights, _ = _fit_weights(panel.space, pre[1:].swapaxes(0, 1), pre[0], cfg)
+    unit_weights = _unit_weights(panel, cfg)
     post_means = _post_means(panel)
-    time_weights, _ = _fit_weights(panel.space, pre[1:], post_means[1:], cfg)
+    time_weights = _time_weights(panel, post_means[1:], cfg)
     return _gsdid_core(panel, unit_weights, time_weights, post_means[0], repair)
 
 
@@ -805,13 +841,13 @@ def estimate_gsdid_per_time(
     weighted pre window and that period.
     """
     cfg = cfg or SolverConfig()
-    pre = panel.coords[:, : panel.T0]
-    unit_weights, _ = _fit_weights(panel.space, pre[1:].swapaxes(0, 1), pre[0], cfg)
+    unit_weights = _unit_weights(panel, cfg)
     effects = []
     for t in panel.post_periods():
-        time_weights, _ = _fit_weights(panel.space, pre[1:], panel.coords[1:, t], cfg)
+        time_weights = _time_weights(panel, panel.coords[1:, t], cfg)
         _, synthetic = _did_transport(
-            panel, unit_weights.values, time_weights.values, [t], np.ones(1), repair, None
+            panel, unit_weights.values, time_weights.values, slice(t, t + 1), np.ones(1),
+            repair, None,
         )
         effects.append(geodesic_effect(synthetic, panel.outcomes[0][t]))
     return effects

@@ -12,14 +12,15 @@ There is one weight problem, in two roles: match the weighted combination
 of n points to a target in each of B blocks. Unit weights match the
 controls to the treated unit in each pre-treatment period; time weights
 match each control's pre-treatment periods to its post-treatment target.
-:func:`build_unit_weight_qp` assembles that problem from chart coordinates
-for either role.
+:func:`stack_weight_qp` assembles that problem for either role from a
+(B, n, D) stack of chart coordinates, taking its Gram matrix (the one part
+that costs more than a pass over the stack) from the panel's cached Gram
+blocks when it can.
 
 The quadratic objective convention is ``q(w) = w' G w - 2 l' w + c``.
-Problems built from panel data keep the underlying least-squares factors so
-the objective can be evaluated in residual form, which avoids the
-catastrophic cancellation the expanded quadratic form suffers near a
-perfect fit.
+Problems keep the stack, a view of the panel's coordinates, and evaluate
+the objective in residual form, ``mean_b |y_b - w @ z_b|^2``, which avoids
+the catastrophic cancellation the expanded form suffers near a perfect fit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 
 class SolverError(RuntimeError):
@@ -75,10 +75,11 @@ def _normalized(w: np.ndarray) -> SimplexWeights:
 class SimplexQp:
     """Convex quadratic objective ``q(w) = w' gram w - 2 linear' w + constant``.
 
-    When built from least squares over panel coordinates, the factors
-    ``factor``, ``target`` and ``scale`` are retained with
-    ``q(w) = scale * || factor w - target ||^2`` and evaluation uses this
-    residual form.
+    When built from least squares over a coordinate stack, the stack
+    ``factor`` (B, n, D), uncopied, its targets ``target`` (B, D) and
+    ``scale`` are retained with
+    ``q(w) = scale * sum_b || target_b - w @ factor_b ||^2`` and evaluation
+    uses this residual form.
     """
 
     gram: np.ndarray
@@ -103,9 +104,9 @@ class SimplexQp:
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "constant", float(self.constant))
         if self.factor is not None:
-            factor = np.array(self.factor, dtype=float)
-            target = np.array(self.target, dtype=float).ravel()
-            if factor.shape != (target.size, n):
+            factor = np.asarray(self.factor, dtype=float).view()
+            target = np.asarray(self.target, dtype=float).view()
+            if target.ndim != 2 or factor.shape != (len(target), n, target.shape[1]):
                 raise SolverError("factor/target dimensions are inconsistent")
             factor.setflags(write=False)
             target.setflags(write=False)
@@ -120,8 +121,8 @@ class SimplexQp:
     def objective(self, w: np.ndarray) -> float:
         w = np.asarray(w, dtype=float)
         if self.factor is not None:
-            resid = self.factor @ w - self.target
-            return self.scale * float(resid @ resid)
+            resid = self.target - w @ self.factor
+            return self.scale * float(np.vdot(resid, resid))
         return float(w @ self.gram @ w - 2.0 * self.linear @ w + self.constant)
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
@@ -150,54 +151,54 @@ class SolverConfig:
             raise SolverError("tolerances and iteration budgets must be positive")
 
 
+def stack_weight_qp(
+    stacks: np.ndarray, targets: np.ndarray, gram: np.ndarray | None = None
+) -> SimplexQp:
+    """Objective ``(1/B) sum_b || y_b - w @ z_b ||^2`` over a (B, n, D) stack
+    ``z`` of chart coordinates (any strided view, not copied) and its (B, D)
+    targets ``y``: the average squared distance between each target and its
+    w-weighted combination. ``gram``, ``(1/B) sum_b z_b z_b'``, is computed
+    here unless the caller has it.
+    """
+    z, y = np.asarray(stacks, dtype=float), np.asarray(targets, dtype=float)
+    scale = 1.0 / z.shape[0]
+    if gram is None:
+        flat = z.swapaxes(0, 1).reshape(z.shape[1], -1)
+        gram = scale * (flat @ flat.T)
+    linear = scale * np.einsum("bnd,bd->n", z, y)
+    return SimplexQp(gram, linear, scale * float(np.vdot(y, y)), z, y, scale)
+
+
 def build_unit_weight_qp(
     pre_periods: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> SimplexQp:
-    """Quadratic program for simplex weights from chart coordinates.
+    """:func:`stack_weight_qp` from a list of blocks.
 
-    Parameters
-    ----------
-    pre_periods : sequence of (target_vector, column_matrix)
-        One entry per matched block ``t``: the target's chart coordinates
-        ``y_t`` (length D) and a D x n matrix whose columns are the
-        coordinates of the n weighted points. For unit weights a block is a
-        pre-treatment period, ``y_t`` the treated unit and the columns the
-        controls; for time weights a block is a control, ``y_t`` its post
-        target and the columns its pre-treatment periods.
-
-    Returns
-    -------
-    SimplexQp
-        Objective ``(1/T) sum_t || y_t - C_t w ||^2`` over the T blocks, the
-        average squared distance between each target and its w-weighted
-        combination.
+    ``pre_periods`` holds one ``(y_t, C_t)`` per block ``t``: the target's
+    chart coordinates (length D_t) and a D_t x n matrix whose columns are
+    the n weighted points. For unit weights a block is a pre-treatment
+    period, ``y_t`` the treated unit and the columns the controls; for time
+    weights a block is a control, ``y_t`` its post target and the columns
+    its pre-treatment periods. Blocks of different lengths are zero-padded
+    into one stack, which leaves the objective
+    ``(1/T) sum_t || y_t - C_t w ||^2`` unchanged.
     """
     if not pre_periods:
         raise SolverError("at least one pre-treatment period is required")
-    mats = []
-    vecs = []
-    for y, c in pre_periods:
-        y = np.asarray(y, dtype=float).ravel()
-        c = np.asarray(c, dtype=float)
+    blocks = [(np.asarray(y, dtype=float).ravel(), np.asarray(c, dtype=float))
+              for y, c in pre_periods]
+    for y, c in blocks:
         if c.ndim != 2 or c.shape[0] != y.size:
             raise SolverError(
                 f"coordinate block shapes are inconsistent: target {y.shape}, matrix {c.shape}"
             )
-        if mats and c.shape[1] != mats[0].shape[1]:
+        if c.shape[1] != blocks[0][1].shape[1]:
             raise SolverError("all blocks must share the same number of columns")
-        mats.append(c)
-        vecs.append(y)
-    scale = 1.0 / len(mats)
-    factor = np.vstack(mats)
-    target = np.concatenate(vecs)
-    return SimplexQp(
-        gram=scale * (factor.T @ factor),
-        linear=scale * (factor.T @ target),
-        constant=scale * float(target @ target),
-        factor=factor,
-        target=target,
-        scale=scale,
-    )
+    stacks = np.zeros((len(blocks), blocks[0][1].shape[1], max(y.size for y, _ in blocks)))
+    targets = np.zeros((len(blocks), stacks.shape[2]))
+    for b, (y, c) in enumerate(blocks):
+        stacks[b, :, : y.size], targets[b, : y.size] = c.T, y
+    return stack_weight_qp(stacks, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +420,7 @@ def solve_simplex_gauss_newton(
     if n == 1:
         return SimplexWeights(w), fval
     for _ in range(cfg.max_iter):
-        model = build_unit_weight_qp(
-            [(d_t @ w - r_t, d_t) for r_t, d_t in zip(resid, jac)]
-        )
+        model = stack_weight_qp(jac.swapaxes(1, 2), jac @ w - resid)
         grad = model.gradient(w)
         if kkt_residual(model, w) <= cfg.tol_kkt * (1.0 + float(np.linalg.norm(grad))):
             return SimplexWeights(w), fval
@@ -493,6 +492,8 @@ def solve_simplex_derivative_free(
     SolverError
         If the objective returns a non-finite value.
     """
+    from scipy.optimize import minimize
+
     cfg = cfg or SolverConfig()
     if n < 1:
         raise SolverError("need at least one weight")

@@ -43,7 +43,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 TOL_VALIDATE = 1e-8
 TOL_MEAN = 1e-10
@@ -488,6 +487,8 @@ def _isotonize(
         if not repair:
             message = "wasserstein1d: quantile values are not nondecreasing and repair is off"
             raise SpaceError(message)
+        from scipy.optimize import isotonic_regression
+
         rows[i] = isotonic_regression(rows[i], weights=grid_weights, increasing=True).x
         if log is not None:
             log.note(f"wasserstein1d: isotonic projection moved values by up to {-drops[i]:.3e}")

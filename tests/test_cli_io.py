@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -530,3 +533,15 @@ def test_cli_repair_flag(tmp_path, capsys):
     assert code == EXIT_OK
     code, _, _ = run(capsys, "gsc", "--panel", panel_path, "--out", out, "--repair", "banana")
     assert code == EXIT_USAGE
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """The command line starts without loading ``scipy.optimize``; only the
+    isotonic repair and the derivative-free solver import it, on first use."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(g.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, geosynth; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -13,7 +13,14 @@ from geosynth.estimators import (
     predict_frechet_regression,
 )
 from geosynth.simplex_opt import SolverError, kkt_residual
-from helpers import all_spaces, panel_from_arrays, random_point, scalar_panel
+from helpers import (
+    all_spaces,
+    flat_spaces,
+    panel_from_arrays,
+    pre_qp_blocks,
+    random_point,
+    scalar_panel,
+)
 
 
 def make_flat_panel(rng, space, J=4, T=7, T0=5):
@@ -85,6 +92,93 @@ def test_panel_coords_are_embedded_once_and_permuted_by_placebo_refits(space, mo
     assert swapped.unit_labels == tuple(panel.unit_labels[i] for i in order)
     assert np.array_equal(swapped.coords, fresh.coords)
     assert not swapped.coords.flags.writeable
+
+
+def assert_close_to_scale(actual, expected, rel):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected)) <= rel * max(np.max(np.abs(expected)), 1e-300)
+
+
+@pytest.mark.parametrize("space", flat_spaces(3), ids=lambda s: s.kind)
+def test_weight_qps_from_the_panel_grams_match_per_block_assembly(space, monkeypatch):
+    """The unit and time QPs that GSDID solves, assembled from the panel's
+    cached Gram blocks, against ``build_unit_weight_qp`` on blocks embedded
+    point by point."""
+    panel = make_flat_panel(np.random.default_rng(11), space, J=5, T=7, T0=4)
+    qps = []
+    solve = estimators.solve_simplex_qp
+    monkeypatch.setattr(
+        estimators, "solve_simplex_qp", lambda qp, cfg=None: qps.append(qp) or solve(qp, cfg)
+    )
+    g.estimate_gsdid(panel)
+    assert len(qps) == 2
+
+    embedded = np.array([[g.metric_embed(p) for p in row] for row in panel.outcomes])
+    time_blocks = [
+        (embedded[j, panel.T0 :].mean(axis=0), embedded[j, : panel.T0].T)
+        for j in range(1, panel.n_units)
+    ]
+    expected = [g.build_unit_weight_qp(pre_qp_blocks(panel)), g.build_unit_weight_qp(time_blocks)]
+    rng = np.random.default_rng(3)
+    for qp, ref in zip(qps, expected):
+        assert_close_to_scale(qp.gram, ref.gram, 1e-12)
+        assert_close_to_scale(qp.linear, ref.linear, 1e-12)
+        assert qp.constant == pytest.approx(ref.constant, rel=1e-12)
+        for w in rng.dirichlet(np.ones(qp.n), size=5):
+            f = ref.objective(w)
+            assert abs(qp.objective(w) - f) <= 1e-12 * (1.0 + f)
+
+
+@pytest.mark.parametrize("space", flat_spaces(3), ids=lambda s: s.kind)
+def test_placebo_refits_carry_the_permuted_grams(space):
+    panel = make_flat_panel(np.random.default_rng(7), space, J=4, T=6, T0=3)
+    unit, time = panel.grams
+    assert unit.shape == (5, 5) and time.shape == (5, 3, 3)
+    assert not unit.flags.writeable and not time.flags.writeable
+    for j in range(panel.n_units):
+        order = [j] + [i for i in range(panel.n_units) if i != j]
+        swapped = panel.with_treated_unit(j)
+        fresh = g.Panel(space=space, outcomes=tuple(panel.outcomes[i] for i in order), T0=3)
+        for carried, computed in zip(swapped.grams, fresh.grams):
+            assert_close_to_scale(carried, computed, 1e-13)
+            assert not carried.flags.writeable
+
+
+@pytest.mark.parametrize("space", flat_spaces(3), ids=lambda s: s.kind)
+def test_separable_grid_mean_equals_the_product_weighted_mean(space):
+    panel = make_flat_panel(np.random.default_rng(9), space, J=4, T=6, T0=3)
+    rng = np.random.default_rng(4)
+    unit_w, time_w = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(3))
+    mean = estimators._grid_mean(panel, unit_w, time_w, slice(0, 3), slice(1, None))
+    points = [p for row in panel.controls for p in row[:3]]
+    flat = g.weighted_frechet_mean(points, np.outer(unit_w, time_w).ravel())
+    assert_close_to_scale(mean.data, flat.data, 1e-13)
+
+
+@pytest.mark.parametrize("space", flat_spaces(3), ids=lambda s: s.kind)
+def test_panel_grams_are_computed_once_per_analysis_and_placebo(space, monkeypatch):
+    computed = []
+    grams = estimators.Panel.grams
+
+    def counting(self):
+        if self._grams is None:
+            computed.append(self)
+        return grams.fget(self)
+
+    monkeypatch.setattr(estimators.Panel, "grams", property(counting))
+    # Units constant over time: every transport is the identity, so GSDID
+    # stays inside the cone of every kind.
+    rng = np.random.default_rng(5)
+    data = np.array([[random_point(space, rng).data] * 5 for _ in range(4)])
+    panel = panel_from_arrays(space, data, 3)
+    g.estimate_gsc(panel)
+    g.estimate_gsdid(panel)
+    g.estimate_gsdid_per_time(panel)
+    assert len(computed) == 1 and computed[0] is panel
+    fresh = panel_from_arrays(space, data, 3)
+    g.placebo_test(fresh, "gsc")
+    assert len(computed) == 2 and computed[1] is fresh
 
 
 # ---------------------------------------------------------------------------
