@@ -8,7 +8,9 @@ a uniform-weight geodesic DID baseline, and placebo permutation tests.
 A panel holds one treated unit (row 0) and J control units observed over T
 periods, the first T0 of them pre-treatment. It is validated and embedded
 once, into a (J+1, T, D) coordinate tensor that every estimator and
-placebo refit reads. All estimators are pure functions of (panel, config)
+placebo refit reads: the isometric coordinates on the flat kinds, so the
+augmented estimator's regression and its correction are combinations of
+that tensor too. All estimators are pure functions of (panel, config)
 and never mutate their inputs.
 """
 
@@ -26,19 +28,15 @@ from .spaces import (
     SpaceDescriptor,
     SpaceError,
     FLAT_KINDS,
-    _chart_backward,
     _sphere_angle,
     _sphere_log_stack,
     _sphere_mean_jacobian,
     _sphere_mean_stack,
     distance,
-    flat_embed,
-    flat_restore,
     metric_embed,  # noqa: F401  (looked up here by geobench's tracer)
     metric_embed_stack,
     metric_restore,  # noqa: F401  (looked up here by geobench's tracer)
     metric_restore_stack,
-    metric_weight_sqrt,
     transport,
     validate_point,  # noqa: F401  (looked up here by geobench's tracer)
     validate_stack,
@@ -544,10 +542,11 @@ class FrechetRegressionModel:
     """Global Frechet regression of object outcomes on Euclidean covariates.
 
     Stores the training covariates with their mean and covariance, and the
-    chart coordinates of the training outcomes per period. Predictions are
-    the chart combinations ``(1/J) sum_j s_j(x) y_j`` with the linear
-    weights ``s_j(x) = 1 + (X_j - mean)' Cov^{-1} (x - mean)``, which
-    average to 1 over the training units.
+    isometric coordinates (:func:`metric_embed_stack`) of the training
+    outcomes, shape (T, J, D). Predictions are the coordinate combinations
+    ``(1/J) sum_j s_j(x) y_j`` with the linear weights
+    ``s_j(x) = 1 + (X_j - mean)' Cov^{-1} (x - mean)``, which average to 1
+    over the training units.
     """
 
     space: SpaceDescriptor
@@ -555,7 +554,7 @@ class FrechetRegressionModel:
     covariate_mean: np.ndarray
     covariance: np.ndarray
     precision: np.ndarray
-    outcome_charts: tuple[np.ndarray, ...]
+    outcome_coords: np.ndarray
     used_pseudo_inverse: bool
 
     @property
@@ -564,7 +563,7 @@ class FrechetRegressionModel:
 
     @property
     def n_periods(self) -> int:
-        return len(self.outcome_charts)
+        return len(self.outcome_coords)
 
     def weights(self, x: np.ndarray) -> np.ndarray:
         """Per-unit regression weights ``s_j(x) / J`` (they sum to 1)."""
@@ -572,6 +571,40 @@ class FrechetRegressionModel:
         centered = self.covariates - self.covariate_mean
         s = 1.0 + centered @ (self.precision @ (x - self.covariate_mean))
         return s / self.n_units
+
+
+def _fit_regression(
+    space: SpaceDescriptor, coords: np.ndarray, x: np.ndarray, allow_pseudo_inverse: bool
+) -> FrechetRegressionModel:
+    """Global Frechet regression on outcome coordinates ``coords`` (T, J, D)
+    and covariates ``x`` (J, k): the covariate moments and the model."""
+    x_bar = x.mean(axis=0)
+    centered = x - x_bar
+    cov = centered.T @ centered / len(x)
+    eigvals = np.linalg.eigvalsh(cov)
+    singular = float(eigvals.min()) <= 1e-12 * max(float(eigvals.max()), 1.0)
+    if singular and not allow_pseudo_inverse:
+        raise SolverError("covariate covariance is singular and pseudo-inverse is disabled")
+    precision = np.linalg.pinv(cov, hermitian=True) if singular else np.linalg.inv(cov)
+    return FrechetRegressionModel(
+        space=space,
+        covariates=x,
+        covariate_mean=x_bar,
+        covariance=cov,
+        precision=precision,
+        outcome_coords=coords,
+        used_pseudo_inverse=bool(singular),
+    )
+
+
+def _covariate_matrix(covariates: np.ndarray, n_units: int) -> np.ndarray:
+    """Covariates as an (n_units, k) float matrix; a vector is one column."""
+    x = np.asarray(covariates, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.shape[0] != n_units:
+        raise SpaceError(f"expected {n_units} covariate rows, got {x.shape[0]}")
+    return x
 
 
 def fit_global_frechet_regression(
@@ -596,34 +629,13 @@ def fit_global_frechet_regression(
     space = outcomes[0][0].space
     if space.kind not in FLAT_KINDS:
         raise SpaceError("global Frechet regression requires a flat-chart space")
-    x = np.asarray(covariates, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
     n_units = len(outcomes[0])
-    if x.shape[0] != n_units:
-        raise SpaceError(f"expected {n_units} covariate rows, got {x.shape[0]}")
-    charts = []
+    x = _covariate_matrix(covariates, n_units)
     for t, row in enumerate(outcomes):
         if len(row) != n_units:
             raise SpaceError(f"period {t} has {len(row)} outcomes, expected {n_units}")
-        charts.append(np.stack([flat_embed(p) for p in row]))
-    x_bar = x.mean(axis=0)
-    centered = x - x_bar
-    cov = centered.T @ centered / n_units
-    eigvals = np.linalg.eigvalsh(cov)
-    singular = float(eigvals.min()) <= 1e-12 * max(float(eigvals.max()), 1.0)
-    if singular and not allow_pseudo_inverse:
-        raise SolverError("covariate covariance is singular and pseudo-inverse is disabled")
-    precision = np.linalg.pinv(cov, hermitian=True) if singular else np.linalg.inv(cov)
-    return FrechetRegressionModel(
-        space=space,
-        covariates=x,
-        covariate_mean=x_bar,
-        covariance=cov,
-        precision=precision,
-        outcome_charts=tuple(charts),
-        used_pseudo_inverse=bool(singular),
-    )
+    data = np.array([[p.data for p in row] for row in outcomes])
+    return _fit_regression(space, metric_embed_stack(space, data), x, allow_pseudo_inverse)
 
 
 def predict_frechet_regression(
@@ -636,8 +648,8 @@ def predict_frechet_regression(
     """Predicted object outcome at covariate ``x`` for period index ``t``."""
     if not 0 <= t < model.n_periods:
         raise SpaceError(f"period index {t} outside 0..{model.n_periods - 1}")
-    vec = model.weights(x) @ model.outcome_charts[t]
-    return flat_restore(vec, model.space, repair=repair, log=log)
+    vec = model.weights(x) @ model.outcome_coords[t]
+    return ObjectPoint(model.space, metric_restore_stack(model.space, vec, repair=repair, log=log))
 
 
 def estimate_augmented_gsc(
@@ -652,9 +664,12 @@ def estimate_augmented_gsc(
     Runs GSC, then corrects each post-period synthetic outcome by the
     transport that moves the weighted mean of the regression predictions at
     the control covariates onto the prediction at the treated covariates.
-    In the chart this adds the correction
+    In the panel's coordinates this adds the correction
     ``pred(x_treated) - sum_j w_j pred(x_j)`` to the synthetic coordinates,
     removing the first-order bias left by an imperfect covariate match.
+    Both are combinations of the controls' coordinates, so the augmented
+    synthetic outcome is the ``(w + a)``-combination with correction
+    weights ``a = s(x_treated)/J - sum_j w_j s(x_j)/J``.
 
     Restricted to flat-chart outcome spaces because the regression weights
     can be negative, which only defines a combination in a linear chart.
@@ -669,39 +684,19 @@ def estimate_augmented_gsc(
     cfg = cfg or SolverConfig()
     if panel.space.kind not in FLAT_KINDS:
         raise SpaceError("augmented GSC requires a flat-chart outcome space")
-    x = np.asarray(covariates, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.shape[0] != panel.n_units:
-        raise SpaceError(f"expected {panel.n_units} covariate rows, got {x.shape[0]}")
+    x = _covariate_matrix(covariates, panel.n_units)
 
     base = estimate_gsc(panel, cfg, repair)
     w = base.weights.values
-    model = fit_global_frechet_regression(
-        [[panel.outcomes[j][t] for j in range(1, panel.n_units)]
-         for t in range(panel.n_periods)],
-        x[1:],
-        allow_pseudo_inverse=allow_pseudo_inverse,
-    )
-    pred_weights_treated = model.weights(x[0])
-    pred_weights_controls = np.stack([model.weights(x[j]) for j in range(1, panel.n_units)])
+    controls = panel.coords[1:]
+    model = _fit_regression(panel.space, controls.swapaxes(0, 1), x[1:], allow_pseudo_inverse)
+    a = model.weights(x[0]) - w @ np.stack([model.weights(xj) for xj in x[1:]])
 
     log = RepairLog()
     log.events.extend(base.repair_flags)
-    post = list(panel.post_periods())
-    metric_scale = metric_weight_sqrt(panel.space)
-    corrected = []
-    correction_lengths = []
-    for t in post:
-        charts = model.outcome_charts[t]
-        correction = pred_weights_treated @ charts - (w @ pred_weights_controls) @ charts
-        corrected.append(w @ charts + correction)
-        if metric_scale is not None:  # chart to isometric coordinates
-            correction = metric_scale * correction
-        correction_lengths.append(float(np.linalg.norm(correction)))
-    post_synthetic, effects = _synthetic_effects(
-        panel, _chart_backward(panel.space, corrected, repair, log), post
-    )
+    post = controls[:, panel.T0 :].swapaxes(0, 1)
+    data = _restore(panel.space, (w + a) @ post, repair, log)
+    post_synthetic, effects = _synthetic_effects(panel, data, panel.post_periods())
     return GscResult(
         weights=base.weights,
         synthetic=base.synthetic[: panel.T0] + post_synthetic,
@@ -709,7 +704,7 @@ def estimate_augmented_gsc(
         pre_fit_rmse=base.pre_fit_rmse,
         repair_flags=tuple(log.events),
         augmentation={
-            "correction_lengths": correction_lengths,
+            "correction_lengths": np.linalg.norm(a @ post, axis=-1).tolist(),
             "used_pseudo_inverse": model.used_pseudo_inverse,
         },
     )
@@ -731,6 +726,8 @@ def _grid_mean(
     time_weights: np.ndarray,
     periods: slice,
     rows: slice,
+    repair: bool,
+    log: RepairLog | None,
 ) -> ObjectPoint:
     """Frechet mean over a (unit, period) grid with product weights; flat
     kinds contract them one axis at a time on a view of the coordinates."""
@@ -740,7 +737,7 @@ def _grid_mean(
         mean = _sphere_mean_stack(x.reshape(1, -1, x.shape[-1]), weights / weights.sum())[0]
     else:
         mean = unit_weights @ (time_weights @ x) / (unit_weights.sum() * time_weights.sum())
-    return ObjectPoint(panel.space, _restore(panel.space, mean, True, None))
+    return ObjectPoint(panel.space, _restore(panel.space, mean, repair, log))
 
 
 def _did_transport(
@@ -760,11 +757,12 @@ def _did_transport(
     ``controls_post``) and the transported, synthetic point.
     """
     pre, controls = slice(0, panel.T0), slice(1, None)
-    means = {
-        "treated_pre": _grid_mean(panel, np.ones(1), time_weights, pre, slice(0, 1)),
-        "controls_pre": _grid_mean(panel, unit_weights, time_weights, pre, controls),
-        "controls_post": _grid_mean(panel, unit_weights, period_weights, periods, controls),
+    grids = {
+        "treated_pre": (np.ones(1), time_weights, pre, slice(0, 1)),
+        "controls_pre": (unit_weights, time_weights, pre, controls),
+        "controls_post": (unit_weights, period_weights, periods, controls),
     }
+    means = {name: _grid_mean(panel, *grid, repair, log) for name, grid in grids.items()}
     synthetic = transport(
         means["controls_pre"], means["controls_post"], means["treated_pre"],
         repair=repair, log=log,
@@ -780,9 +778,9 @@ def _gsdid_core(
     repair: bool = True,
 ) -> GsdidResult:
     """GSDID from fitted weights and the coordinates of the treated post mean."""
-    observed_post_mean = ObjectPoint(panel.space, _restore(panel.space, post_mean, True, None))
-    n_post = panel.n_periods - panel.T0
     log = RepairLog()
+    observed_post_mean = ObjectPoint(panel.space, _restore(panel.space, post_mean, repair, log))
+    n_post = panel.n_periods - panel.T0
     means, synthetic = _did_transport(
         panel, unit_weights.values, time_weights.values, slice(panel.T0, None),
         np.full(n_post, 1.0 / n_post), repair, log,

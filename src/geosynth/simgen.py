@@ -27,6 +27,7 @@ from .spaces import (
     SpaceError,
     _eig_apply,
     _logm_spd,
+    _sphere_geodesic,
     geodesic_eval,
     laplacian_space,
     scalar_space,
@@ -327,25 +328,14 @@ def gen_sphere_panel(cfg: SimConfig) -> SimOutput:
         [ObjectPoint(space, u_controls[j]) for j in range(cfg.J)], w_star
     ).data
 
-    def image(mu: np.ndarray, level: np.ndarray, a_t: float) -> np.ndarray:
-        cos = float(np.clip(mu @ level, -1.0, 1.0))
-        theta = math.acos(cos)
-        if theta < 1e-15:
-            return mu.copy()
-        tangent = level - cos * mu
-        tangent = theta * tangent / np.linalg.norm(tangent)
-        arc = a_t * theta
-        out = math.cos(arc) * mu + math.sin(arc) * tangent / theta
-        return out / np.linalg.norm(out)
-
+    levels = np.vstack([u_controls, u_treated])
     mus = []
     rows_by_time = []
     for i in range(cfg.T):
         for _ in range(1000):
             mu = _orthant_unit(rng, center, 0.15)
-            pts = [image(mu, u_controls[j], a[i]) for j in range(cfg.J)]
-            pts.append(image(mu, u_treated, a[i]))
-            if min(p.min() for p in pts) > 0.0:
+            pts = _sphere_geodesic(mu, levels, a[i])
+            if pts.min() > 0.0:
                 mus.append(mu)
                 rows_by_time.append(pts)
                 break
@@ -375,6 +365,22 @@ def _scalar_point(space: SpaceDescriptor, value: float) -> ObjectPoint:
     return ObjectPoint(space, np.full(space.dim, float(value)))
 
 
+def _assemble_scalar(
+    values: np.ndarray,
+    treated_values: np.ndarray,
+    rng: np.random.Generator,
+    cfg: SimConfig,
+    truth: dict,
+) -> SimOutput:
+    """Pack a scalar panel: control ``values`` (J, T), the treated row, and
+    an effect target drawn last from ``rng``."""
+    space = scalar_space()
+    control_rows = [[_scalar_point(space, v) for v in row] for row in values]
+    treated = [_scalar_point(space, v) for v in treated_values]
+    target = _scalar_point(space, 8.0 + rng.normal(0.0, 0.5))
+    return _assemble(space, control_rows, treated, target, cfg, truth)
+
+
 def gen_scalar_panel(cfg: SimConfig) -> SimOutput:
     """Noisy scalar panel with a perfect-fit treated combination.
 
@@ -385,7 +391,6 @@ def gen_scalar_panel(cfg: SimConfig) -> SimOutput:
     if cfg.scenario != "scalar":
         raise SpaceError(f"expected scenario 'scalar', got {cfg.scenario!r}")
     rng = np.random.default_rng(cfg.seed)
-    space = scalar_space()
     t_frac = np.arange(1, cfg.T + 1, dtype=float) / cfg.T
     intercepts = rng.uniform(0.0, 2.0, size=cfg.J)
     slopes = rng.uniform(-1.0, 1.0, size=cfg.J)
@@ -393,12 +398,6 @@ def gen_scalar_panel(cfg: SimConfig) -> SimOutput:
     values = intercepts[:, None] + slopes[:, None] * t_frac[None, :] + noise
     w_star = rng.dirichlet(np.ones(cfg.J))
     treated_values = w_star @ values
-
-    control_rows = [
-        [_scalar_point(space, values[j, i]) for i in range(cfg.T)] for j in range(cfg.J)
-    ]
-    treated = [_scalar_point(space, treated_values[i]) for i in range(cfg.T)]
-    target = _scalar_point(space, 8.0 + rng.normal(0.0, 0.5))
     truth = {
         "w_star": w_star,
         "intercepts": intercepts,
@@ -406,7 +405,7 @@ def gen_scalar_panel(cfg: SimConfig) -> SimOutput:
         "noise_sd": 0.05,
         "values": values,
     }
-    return _assemble(space, control_rows, treated, target, cfg, truth)
+    return _assemble_scalar(values, treated_values, rng, cfg, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +431,6 @@ def gen_robustness_panel(cfg: SimConfig) -> SimOutput:
     if cfg.scenario not in ("robustness_s2", "robustness_s3"):
         raise SpaceError(f"expected a robustness scenario, got {cfg.scenario!r}")
     rng = np.random.default_rng(cfg.seed)
-    space = scalar_space()
     t_grid = np.arange(1, cfg.T + 1, dtype=float)
 
     if cfg.scenario == "robustness_s2":
@@ -469,9 +467,4 @@ def gen_robustness_panel(cfg: SimConfig) -> SimOutput:
             "time_effects": v,
         }
 
-    control_rows = [
-        [_scalar_point(space, values[j, i]) for i in range(cfg.T)] for j in range(cfg.J)
-    ]
-    treated = [_scalar_point(space, treated_values[i]) for i in range(cfg.T)]
-    target = _scalar_point(space, 8.0 + rng.normal(0.0, 0.5))
-    return _assemble(space, control_rows, treated, target, cfg, truth)
+    return _assemble_scalar(values, treated_values, rng, cfg, truth)

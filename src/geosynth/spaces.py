@@ -33,7 +33,9 @@ and its inverse (``metric_restore_stack``) work on stacks of points, so
 that a panel is checked and embedded, and a fit's synthetic points are
 restored, in one call each; ``validate_point``, ``metric_embed`` and
 ``metric_restore`` are their one-point cases. The sphere's Frechet means
-are likewise one batched routine (``_sphere_mean_stack``).
+are likewise one batched routine (``_sphere_mean_stack``), and the sphere
+has one logarithm map (``_sphere_log_stack``) and one exponential map
+(``_sphere_exp_raw``), from which its geodesics and mean steps are built.
 """
 
 from __future__ import annotations
@@ -151,6 +153,8 @@ class SpaceDescriptor:
             raise SpaceError(f"grid is only valid for {sorted(GRID_KINDS)}, not {self.kind}")
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, SpaceDescriptor):
             return NotImplemented
         if self.kind != other.kind or self.dim != other.dim:
@@ -499,15 +503,6 @@ def _isotonize(
 # flat charts
 
 
-_TRI_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _strict_lower_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _TRI_CACHE:
-        _TRI_CACHE[n] = np.tril_indices(n, k=-1)
-    return _TRI_CACHE[n]
-
-
 def chart_dim(space: SpaceDescriptor) -> int:
     """Length of the flat chart coordinate vector for ``space``."""
     if space.kind == "sphere":
@@ -549,7 +544,7 @@ def _chart_forward(space: SpaceDescriptor, x: np.ndarray) -> np.ndarray:
         return _powm_spd(x, space.power_p).reshape(lead + (n * n,))
     if kind == "spd_log_cholesky":
         chol = np.linalg.cholesky(_sym(x))
-        rows, cols = _strict_lower_indices(n)
+        rows, cols = np.tril_indices(n, k=-1)
         diag = np.diagonal(chol, axis1=-2, axis2=-1)
         return np.concatenate([chol[..., rows, cols], np.log(diag)], axis=-1)
     if kind in GRID_KINDS:
@@ -582,7 +577,7 @@ def _chart_backward(
     if kind == "spd_log_euclidean":
         out = _eig_apply(vecs.reshape(-1, n, n), np.exp)
     elif kind == "spd_log_cholesky":
-        rows, cols = _strict_lower_indices(n)
+        rows, cols = np.tril_indices(n, k=-1)
         chol = np.zeros((len(vecs), n, n))
         chol[:, rows, cols] = vecs[:, : rows.size]
         chol[:, range(n), range(n)] = np.exp(vecs[:, rows.size :])
@@ -773,16 +768,11 @@ def geodesic_eval(a: ObjectPoint, b: ObjectPoint, t: float) -> ObjectPoint:
 
 
 def _sphere_geodesic(z1: np.ndarray, z2: np.ndarray, t: float) -> np.ndarray:
-    cos = float(np.clip(z1 @ z2, -1.0, 1.0))
-    theta = float(_sphere_angle(z1, z2))
-    if theta <= TOL_DEGENERATE:
-        return z1.copy()
-    if np.pi - theta <= TOL_DEGENERATE:
+    """``Exp_{z1}(t Log_{z1}(z2))``, the point at parameter ``t`` from ``z1`` to
+    ``z2``, along the last axis, broadcasting."""
+    if np.any(np.pi - _sphere_angle(z1, z2) <= TOL_DEGENERATE):
         raise SpaceError("sphere geodesic is not unique for antipodal points")
-    u = z2 - cos * z1
-    u = u / np.linalg.norm(u)
-    out = np.cos(t * theta) * z1 + np.sin(t * theta) * u
-    return out / np.linalg.norm(out)
+    return _sphere_exp_raw(z1, t * _sphere_log_stack(z1, z2))
 
 
 # ---------------------------------------------------------------------------
@@ -837,7 +827,8 @@ def _sphere_mean_stack(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Frechet means of a batch of sphere configurations, shape (B, J, d) -> (B, d).
 
     Starts at the normalized extrinsic averages and takes unit Riemannian
-    gradient steps until every row's gradient is below ``TOL_MEAN``. No
+    gradient steps, ``nu <- Exp_nu(sum_j w_j Log_nu(z_j))``, until every
+    row's gradient is below ``TOL_MEAN``. No
     step needs a decrease check: the Riemannian Hessian of
     ``1/2 sum_j w_j d(nu, z_j)^2`` has eigenvalue 1 along each
     ``Log_nu(z_j)`` and ``theta_j cot theta_j <= 1`` across it, so it is
@@ -850,32 +841,11 @@ def _sphere_mean_stack(z: np.ndarray, w: np.ndarray) -> np.ndarray:
         raise SpaceError("sphere mean is undefined: extrinsic average is at the origin")
     nu = nu / norms
     for _ in range(MAX_MEAN_ITER):
-        dots = np.clip(np.einsum("bjd,bd->bj", z, nu), -1.0, 1.0)
-        theta = _sphere_angle(z, nu[:, None, :])
-        u = z - dots[..., None] * nu[:, None, :]
-        unorm = np.linalg.norm(u, axis=2)
-        factor = np.where(unorm > TOL_DEGENERATE, theta / np.maximum(unorm, TOL_DEGENERATE), 0.0)
-        grad = np.einsum("j,bjd->bd", w, factor[..., None] * u)
-        gnorm = np.linalg.norm(grad, axis=1)
-        if gnorm.max() <= TOL_MEAN:
-            return nu / np.linalg.norm(nu, axis=1, keepdims=True)
-        gn = np.maximum(gnorm, 1e-300)[:, None]
-        nu = np.cos(gnorm)[:, None] * nu + np.sin(gnorm)[:, None] * (grad / gn)
-        nu = nu / np.linalg.norm(nu, axis=1, keepdims=True)
+        grad = np.einsum("j,bjd->bd", w, _sphere_log_stack(nu[:, None, :], z))
+        if np.linalg.norm(grad, axis=1).max() <= TOL_MEAN:
+            return nu
+        nu = _sphere_exp_raw(nu, grad)
     raise SpaceError(f"sphere mean did not converge within {MAX_MEAN_ITER} iterations")
-
-
-def _sphere_log_stack(base: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Logarithm maps ``Log_base(z)`` along the last axis, broadcasting.
-
-    The tangent direction is taken from ``z - base``, which keeps full
-    relative accuracy when ``z`` is close to ``base``.
-    """
-    diff = z - base
-    u = diff - np.sum(diff * base, axis=-1, keepdims=True) * base
-    unorm = np.linalg.norm(u, axis=-1)
-    theta = _sphere_angle(base, z)
-    return (theta / np.where(unorm > 0.0, unorm, 1.0))[..., None] * u
 
 
 def _sphere_mean_jacobian(z: np.ndarray, w: np.ndarray, nu: np.ndarray) -> np.ndarray:
@@ -904,12 +874,24 @@ def _sphere_mean_jacobian(z: np.ndarray, w: np.ndarray, nu: np.ndarray) -> np.nd
 # sphere exponential and logarithm maps
 
 
+def _sphere_log_stack(base: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Logarithm maps ``Log_base(z)`` along the last axis, broadcasting.
+
+    The tangent direction is taken from ``z - base``, which keeps full
+    relative accuracy when ``z`` is close to ``base``.
+    """
+    diff = z - base
+    u = diff - np.sum(diff * base, axis=-1, keepdims=True) * base
+    unorm = np.linalg.norm(u, axis=-1)
+    theta = _sphere_angle(base, z)
+    return (theta / np.where(unorm > 0.0, unorm, 1.0))[..., None] * u
+
+
 def _sphere_exp_raw(base: np.ndarray, v: np.ndarray) -> np.ndarray:
-    theta = float(np.linalg.norm(v))
-    if theta <= 1e-300:
-        return base.copy()
-    out = np.cos(theta) * base + np.sin(theta) * (v / theta)
-    return out / np.linalg.norm(out)
+    """Exponential maps ``Exp_base(v)`` along the last axis, broadcasting."""
+    theta = np.linalg.norm(v, axis=-1, keepdims=True)
+    out = np.cos(theta) * base + np.sin(theta) * (v / np.where(theta > 0.0, theta, 1.0))
+    return out / np.linalg.norm(out, axis=-1, keepdims=True)
 
 
 def sphere_exp(base: ObjectPoint, tangent: TangentVector) -> ObjectPoint:
@@ -934,15 +916,9 @@ def sphere_log(base: ObjectPoint, target: ObjectPoint) -> TangentVector:
         raise SpaceError("sphere_log requires sphere points")
     require_valid(base)
     require_valid(target)
-    cos = float(np.clip(base.data @ target.data, -1.0, 1.0))
-    theta = float(_sphere_angle(base.data, target.data))
-    if theta <= TOL_DEGENERATE:
-        return TangentVector(base, np.zeros_like(base.data))
-    if np.pi - theta <= TOL_DEGENERATE:
+    if np.pi - float(_sphere_angle(base.data, target.data)) <= TOL_DEGENERATE:
         raise SpaceError("logarithm map is undefined for antipodal points")
-    u = target.data - cos * base.data
-    u = u - (base.data @ u) * base.data
-    return TangentVector(base, theta * u / np.linalg.norm(u))
+    return TangentVector(base, _sphere_log_stack(base.data, target.data))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import geosynth as g
-from geosynth import estimators
+from geosynth import estimators, spaces
 from geosynth.estimators import (
     _fit_weights,
     _sphere_linearization,
@@ -94,6 +94,16 @@ def test_panel_coords_are_embedded_once_and_permuted_by_placebo_refits(space, mo
     assert not swapped.coords.flags.writeable
 
 
+def test_panel_of_one_grid_descriptor_compares_no_grids(monkeypatch):
+    space = g.wasserstein_space(11)
+    data = np.sort(np.random.default_rng(4).normal(size=(3, 4, 11)), axis=-1)
+    calls = []
+    array_equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda *a, **k: calls.append(a) or array_equal(*a, **k))
+    panel_from_arrays(space, data, T0=2)
+    assert calls == []
+
+
 def assert_close_to_scale(actual, expected, rel):
     actual, expected = np.asarray(actual), np.asarray(expected)
     assert actual.shape == expected.shape
@@ -150,7 +160,7 @@ def test_separable_grid_mean_equals_the_product_weighted_mean(space):
     panel = make_flat_panel(np.random.default_rng(9), space, J=4, T=6, T0=3)
     rng = np.random.default_rng(4)
     unit_w, time_w = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(3))
-    mean = estimators._grid_mean(panel, unit_w, time_w, slice(0, 3), slice(1, None))
+    mean = estimators._grid_mean(panel, unit_w, time_w, slice(0, 3), slice(1, None), True, None)
     points = [p for row in panel.controls for p in row[:3]]
     flat = g.weighted_frechet_mean(points, np.outer(unit_w, time_w).ravel())
     assert_close_to_scale(mean.data, flat.data, 1e-13)
@@ -659,6 +669,65 @@ def test_agsc_correction_lengths_are_metric_shifts(space):
         assert length == pytest.approx(g.distance(agsc.synthetic[t], gsc.synthetic[t]), abs=1e-12)
 
 
+def near_panel(space, rng, J=5, T=8, T0=5, step=0.02):
+    """Panel of points a short geodesic step from one interior point, so that
+    the augmented combinations, whose weights can be negative, stay inside
+    the cone of every flat kind."""
+    if space.kind == "laplacian":
+        base = g.ObjectPoint(space, space.dim * np.eye(space.dim) - 1.0)
+    elif space.kind == "wasserstein1d":
+        base = g.ObjectPoint(space, np.linspace(-2.0, 2.0, space.dim))
+    else:
+        base = random_point(space, rng)
+    data = np.array([
+        [g.geodesic_eval(base, random_point(space, rng), step).data for _ in range(T)]
+        for _ in range(J + 1)
+    ])
+    return panel_from_arrays(space, data, T0)
+
+
+@pytest.mark.parametrize("space", flat_spaces(3), ids=lambda s: s.kind)
+def test_agsc_matches_the_chart_regression_reference(space):
+    """Synthetic points, effect lengths and correction lengths of augmented
+    GSC against global Frechet regression evaluated point by point in the
+    chart: ``w @ Y_t + (s(x_0) - sum_j w_j s(x_j)) @ Y_t`` restored."""
+    rng = np.random.default_rng(21)
+    panel = near_panel(space, rng)
+    x = rng.normal(size=(panel.n_units, 2))
+    res = g.estimate_augmented_gsc(panel, x)
+    w, xc, J = res.weights.values, x[1:], panel.n_controls
+    centered = xc - xc.mean(axis=0)
+    precision = np.linalg.inv(centered.T @ centered / J)
+
+    def s(v):
+        return (1.0 + centered @ (precision @ (v - xc.mean(axis=0)))) / J
+
+    correction = s(x[0]) - sum(w_j * s(x_j) for w_j, x_j in zip(w, xc))
+    grid = space.kind in ("wasserstein1d", "l2function")
+    root = np.sqrt(g.quadrature_weights(space)) if grid else 1.0
+    lengths = res.augmentation["correction_lengths"]
+    for k, t in enumerate(panel.post_periods()):
+        charts = np.stack([g.flat_embed(row[t]) for row in panel.controls])
+        reference = g.flat_restore(w @ charts + correction @ charts, space)
+        assert_close_to_scale(res.synthetic[t].data, reference.data, 1e-12)
+        expected = g.distance(reference, panel.outcomes[0][t])
+        assert res.effects[k].length == pytest.approx(expected, rel=1e-12)
+        assert lengths[k] == pytest.approx(np.linalg.norm(root * (correction @ charts)), rel=1e-12)
+
+
+def test_agsc_embeds_only_the_panel_and_its_restored_points(monkeypatch):
+    rng = np.random.default_rng(22)
+    panel = near_panel(g.spd_space(3, "log_euclidean"), rng, J=4, T=7, T0=5)
+    shapes = []
+    forward = spaces._chart_forward
+    monkeypatch.setattr(
+        spaces, "_chart_forward", lambda space, x: shapes.append(x.shape) or forward(space, x)
+    )
+    g.estimate_augmented_gsc(panel, rng.normal(size=(panel.n_units, 2)))
+    # panel.coords, GSC's synthetic stack, and the augmented post-period stack
+    assert shapes == [(5, 7, 3, 3), (7, 3, 3), (2, 3, 3)]
+
+
 def test_covariate_panel_names_the_invalid_covariate():
     quantiles = g.wasserstein_space(3, grid=[0.25, 0.5, 0.75])
     good = g.ObjectPoint(quantiles, np.array([0.0, 1.0, 2.0]))
@@ -686,6 +755,23 @@ def test_agsc_rejects_sphere_panels():
 
 # ---------------------------------------------------------------------------
 # geodesic synthetic difference-in-differences
+
+
+def test_gsdid_means_honour_repair():
+    """Quantile points that dip by less than the validation tolerance are
+    valid, but so does every mean of them, which leaves the cone of
+    nondecreasing quantiles: GSDID records the repair of each of its four
+    means, and raises with repair off."""
+    space = g.wasserstein_space(5)
+    dip = np.array([0.0, 1.0, 1.0 - 5e-9, 2.0, 3.0])
+    data = dip + np.random.default_rng(3).normal(size=(4, 6, 1))
+    panel = panel_from_arrays(space, data, T0=4)
+    note = "wasserstein1d: isotonic projection moved values by up to 5.000e-09"
+    for fit in (g.estimate_gsdid, g.estimate_gdid):
+        assert fit(panel).repair_flags == (note,) * 4
+    for fit in (g.estimate_gsdid, g.estimate_gdid, g.estimate_gsdid_per_time):
+        with pytest.raises(g.SpaceError, match="not nondecreasing and repair is off"):
+            fit(panel, repair=False)
 
 
 def test_gsdid_scalar_closed_formula():
