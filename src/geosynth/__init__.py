@@ -62,11 +62,11 @@ from .simplex_opt import (
     SimplexWeights,
     SolverConfig,
     SolverError,
-    build_unit_weight_qp,
     kkt_residual,
     project_simplex,
     solve_simplex_derivative_free,
     solve_simplex_qp,
+    stack_weight_qp,
 )
 from .estimators import (
     CovariatePanel,
@@ -127,7 +127,6 @@ __all__ = [
     "SpaceDescriptor",
     "SpaceError",
     "TangentVector",
-    "build_unit_weight_qp",
     "canonical_json",
     "default_quantile_grid",
     "distance",
@@ -171,6 +170,7 @@ __all__ = [
     "sphere_exp",
     "sphere_log",
     "sphere_space",
+    "stack_weight_qp",
     "transport",
     "validate_point",
     "wasserstein_space",

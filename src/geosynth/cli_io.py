@@ -121,8 +121,11 @@ def canonical_json(obj: Any, indent: int = 0) -> str:
 
 
 def _write_document(doc: dict, path: str) -> None:
+    """Format ``doc`` first, so a document that cannot be written leaves an
+    existing file at ``path`` untouched."""
+    text = canonical_json(doc)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(doc))
+        fh.write(text)
         fh.write("\n")
 
 
@@ -141,7 +144,7 @@ def _read_document(path: str) -> dict:
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be an object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise FileFormatError(
             f"{path}: unsupported format_version {version!r}, expected {FORMAT_VERSION}"
         )
@@ -173,11 +176,6 @@ def space_from_doc(doc: Any, where: str) -> SpaceDescriptor:
         )
     except (SpaceError, TypeError) as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
-
-
-def encode_point(point: ObjectPoint) -> np.ndarray:
-    """The point's read-only data, written as nested row-major lists."""
-    return point.data
 
 
 def decode_point(space: SpaceDescriptor, entry: Any, where: str) -> ObjectPoint:
@@ -213,7 +211,7 @@ def panel_to_doc(panel: Panel) -> dict:
         "T0": panel.T0,
         "unit_labels": list(panel.unit_labels),
         "time_labels": list(panel.time_labels),
-        "outcomes": [[encode_point(p) for p in row] for row in panel.outcomes],
+        "outcomes": [[p.data for p in row] for row in panel.outcomes],
     }
 
 
@@ -244,7 +242,7 @@ def panel_from_doc(doc: dict, origin: str) -> Panel:
                 for t, entry in enumerate(row)
             ))
     t0 = doc.get("T0")
-    if not isinstance(t0, int):
+    if type(t0) is not int:
         raise FileFormatError(f"{origin}: T0 must be an integer")
     labels = {}
     for key in ("unit_labels", "time_labels"):
@@ -283,7 +281,7 @@ def covariates_to_doc(covs: CovariatePanel | np.ndarray) -> dict:
             "type": "covariates_panel",
             "spaces": [space_to_doc(s) for s in covs.spaces],
             "covariates": [
-                [[encode_point(p) for p in cell] for cell in row] for row in covs.covariates
+                [[p.data for p in cell] for cell in row] for row in covs.covariates
             ],
         }
     arr = np.asarray(covs, dtype=float)
@@ -369,8 +367,8 @@ def _effect_to_doc(effect: GeodesicEffect, time_label: str) -> dict:
     return {
         "time_label": time_label,
         "length": effect.length,
-        "start": encode_point(effect.start),
-        "end": encode_point(effect.end),
+        "start": effect.start.data,
+        "end": effect.end.data,
     }
 
 
@@ -409,7 +407,7 @@ def result_document(
     post_labels = [panel.time_labels[t] for t in panel.post_periods()]
     if isinstance(result, GscResult):
         doc["weights"] = result.weights.values.tolist()
-        doc["synthetic"] = [encode_point(p) for p in result.synthetic]
+        doc["synthetic"] = [p.data for p in result.synthetic]
         doc["effects"] = [
             _effect_to_doc(e, lab) for e, lab in zip(result.effects, post_labels)
         ]
@@ -420,11 +418,11 @@ def result_document(
     elif isinstance(result, GsdidResult):
         doc["weights"] = result.unit_weights.values.tolist()
         doc["time_weights"] = result.time_weights.values.tolist()
-        doc["synthetic"] = encode_point(result.synthetic)
-        doc["observed_post_mean"] = encode_point(result.observed_post_mean)
+        doc["synthetic"] = result.synthetic.data
+        doc["observed_post_mean"] = result.observed_post_mean.data
         doc["effects"] = [_effect_to_doc(result.effect, "post_mean")]
         doc["intermediates"] = {
-            key: encode_point(p) for key, p in result.intermediates.items()
+            key: p.data for key, p in result.intermediates.items()
         }
         doc["repair_flags"] = list(result.repair_flags)
     elif isinstance(result, list) and all(isinstance(e, GeodesicEffect) for e in result):
@@ -522,11 +520,24 @@ def _repair_flag(value: str) -> bool:
     return value == "on"
 
 
+def _positive(cast):
+    """An argparse type: a finite number parsed by ``cast`` that exceeds 0."""
+
+    def parse(value: str):
+        number = cast(value)
+        if not (math.isfinite(number) and number > 0):
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {value!r}")
+        return number
+
+    parse.__name__ = cast.__name__  # argparse's "invalid float value" message names it
+    return parse
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-10,
+    common.add_argument("--tol", type=_positive(float), default=1e-10,
                         help="KKT tolerance for the weight solvers")
-    common.add_argument("--max-iter", type=int, default=10000,
+    common.add_argument("--max-iter", type=_positive(int), default=10000,
                         help="iteration budget per solver run")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for simulation, recorded in result files")
@@ -679,7 +690,7 @@ def _cmd_frechet_mean(args: argparse.Namespace) -> int:
         "space": space_to_doc(panel.space),
         "time_labels": list(panel.time_labels),
         "weights": weights.tolist(),
-        "means": [encode_point(p) for p in means],
+        "means": [p.data for p in means],
     }
     if args.out is None:
         print(canonical_json(doc))

@@ -8,9 +8,12 @@ controls in flat spaces, or as the intrinsic weighted mean on the sphere.
 The mixing weights are recorded in ``truth`` together with the generating
 parameters.
 
-A nonzero ``effect_size`` displaces the observed treated outcome after
-treatment along the geodesic toward a fixed random target by that
-fraction; the stored counterfactual keeps the untreated trajectory.
+Each generator computes its untreated outcomes as one array of shape
+(J+1, T, *data_shape), treated unit first, from whole arrays. Only
+:func:`_assemble` wraps points: a nonzero ``effect_size`` displaces the
+observed treated outcome after treatment along the geodesic toward a fixed
+random target by that fraction; the stored counterfactual keeps the
+untreated trajectory.
 """
 
 from __future__ import annotations
@@ -104,27 +107,21 @@ def generate(cfg: SimConfig) -> SimOutput:
 
 def _assemble(
     space: SpaceDescriptor,
-    control_rows: list[list[ObjectPoint]],
-    treated_natural: list[ObjectPoint],
-    target: ObjectPoint,
+    data: np.ndarray,
+    target: np.ndarray,
     cfg: SimConfig,
     truth: dict,
 ) -> SimOutput:
-    """Apply the treatment displacement and pack panel + oracle + truth."""
-    treated_observed = list(treated_natural[: cfg.T0])
-    counterfactual = []
-    for t in range(cfg.T0, cfg.T):
-        natural = treated_natural[t]
-        counterfactual.append(natural)
-        treated_observed.append(geodesic_eval(natural, target, cfg.effect_size))
-    panel = Panel(
-        space=space,
-        outcomes=tuple([tuple(treated_observed)] + [tuple(row) for row in control_rows]),
-        T0=cfg.T0,
-    )
-    truth = dict(truth)
-    truth["effect_target"] = target.data
-    return SimOutput(panel=panel, counterfactual=tuple(counterfactual), truth=truth)
+    """Pack panel + oracle + truth from the untreated outcome tensor ``data``,
+    shape (J+1, T, *data_shape) with the treated unit first, displacing the
+    treated post outcomes toward ``target`` by the effect fraction."""
+    rows = [[ObjectPoint(space, point) for point in row] for row in data]
+    counterfactual = tuple(rows[0][cfg.T0 :])
+    goal = ObjectPoint(space, target)
+    rows[0][cfg.T0 :] = [geodesic_eval(p, goal, cfg.effect_size) for p in counterfactual]
+    panel = Panel(space=space, outcomes=tuple(tuple(row) for row in rows), T0=cfg.T0)
+    truth = {**truth, "effect_target": goal.data}
+    return SimOutput(panel=panel, counterfactual=counterfactual, truth=truth)
 
 
 # ---------------------------------------------------------------------------
@@ -183,32 +180,25 @@ def gen_network_panel(cfg: SimConfig) -> SimOutput:
     u = (0.1 * (np.arange(cfg.J) + 2) - 0.5) ** 2
     w_star = rng.dirichlet(np.ones(cfg.J))
 
-    control_rows = []
-    for j in range(cfg.J):
-        row = [
-            ObjectPoint(space, ((1.0 - a[i]) * s[i] + a[i] * u[j]) * laps[j])
-            for i in range(cfg.T)
-        ]
-        control_rows.append(row)
-
+    edge_weights = (1.0 - a) * s + a * u[:, None]
+    controls = edge_weights[:, :, None, None] * laps[:, None]
     mix = np.einsum("j,jkl->kl", w_star, laps)
     u_treated = np.einsum("j,jkl->kl", w_star * u, laps)
-    treated = [
-        ObjectPoint(space, (1.0 - a[i]) * (s[i] * mix) + a[i] * u_treated)
-        for i in range(cfg.T)
-    ]
-    target = ObjectPoint(space, _laplacian_of(_sbm_adjacency(rng, n_nodes)))
+    a3, s3 = a[:, None, None], s[:, None, None]
+    treated = (1.0 - a3) * (s3 * mix) + a3 * u_treated
+    data = np.concatenate([treated[None], controls])
+    target = _laplacian_of(_sbm_adjacency(rng, n_nodes))
     truth = {
         "w_star": w_star,
         "alpha": a,
         "trend": s,
-        "mu_treated": np.stack([s[i] * mix for i in range(cfg.T)]),
+        "mu_treated": s3 * mix,
         "u_treated": u_treated,
         "u_controls": np.einsum("j,jkl->jkl", u, laps),
         "unit_levels": u,
         "adjacency_laplacians": laps,
     }
-    return _assemble(space, control_rows, treated, target, cfg, truth)
+    return _assemble(space, data, target, cfg, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -264,27 +254,22 @@ def gen_spd_panel(cfg: SimConfig) -> SimOutput:
     w_star = rng.dirichlet(np.ones(cfg.J))
     log_u_treated = np.einsum("j,jkl->kl", w_star, log_u_controls)
 
-    def point_at(log_level: np.ndarray, i: int) -> ObjectPoint:
-        log_trend = math.log(0.1 * t_grid[i]) * eye + log_mu
-        chart = (1.0 - alpha[i]) * log_trend + alpha[i] * log_level
-        return ObjectPoint(space, _eig_apply(chart, np.exp))
-
-    control_rows = [
-        [point_at(log_u_controls[j], i) for i in range(cfg.T)] for j in range(cfg.J)
-    ]
-    treated = [point_at(log_u_treated, i) for i in range(cfg.T)]
-    target = ObjectPoint(space, _wishart(rng, n))
+    log_levels = np.concatenate([log_u_treated[None], log_u_controls])
+    log_trend = np.array([math.log(0.1 * t) for t in t_grid])[:, None, None] * eye + log_mu
+    a4 = alpha[:, None, None]
+    data = _eig_apply((1.0 - a4) * log_trend + a4 * log_levels[:, None], np.exp)
+    u_levels = _eig_apply(log_levels, np.exp)
     truth = {
         "w_star": w_star,
         "alpha": alpha,
         "alpha_clamped": clamped,
         "mu": mu,
         "u_base": u_base,
-        "u_controls": np.stack([_eig_apply(c, np.exp) for c in log_u_controls]),
-        "u_treated": _eig_apply(log_u_treated, np.exp),
+        "u_controls": u_levels[1:],
+        "u_treated": u_levels[0],
         "unit_scales": scales,
     }
-    return _assemble(space, control_rows, treated, target, cfg, truth)
+    return _assemble(space, data, _wishart(rng, n), cfg, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +313,7 @@ def gen_sphere_panel(cfg: SimConfig) -> SimOutput:
         [ObjectPoint(space, u_controls[j]) for j in range(cfg.J)], w_star
     ).data
 
-    levels = np.vstack([u_controls, u_treated])
+    levels = np.vstack([u_treated, u_controls])
     mus = []
     rows_by_time = []
     for i in range(cfg.T):
@@ -342,11 +327,7 @@ def gen_sphere_panel(cfg: SimConfig) -> SimOutput:
         else:
             raise SpaceError("failed to keep sphere outcomes inside the positive orthant")
 
-    control_rows = [
-        [ObjectPoint(space, rows_by_time[i][j]) for i in range(cfg.T)] for j in range(cfg.J)
-    ]
-    treated = [ObjectPoint(space, rows_by_time[i][cfg.J]) for i in range(cfg.T)]
-    target = ObjectPoint(space, _orthant_unit(rng, center, 0.15))
+    target = _orthant_unit(rng, center, 0.15)
     truth = {
         "w_star": w_star,
         "alpha": a,
@@ -354,15 +335,11 @@ def gen_sphere_panel(cfg: SimConfig) -> SimOutput:
         "u_controls": u_controls,
         "u_treated": u_treated,
     }
-    return _assemble(space, control_rows, treated, target, cfg, truth)
+    return _assemble(space, np.stack(rows_by_time, axis=1), target, cfg, truth)
 
 
 # ---------------------------------------------------------------------------
 # scalar scenario
-
-
-def _scalar_point(space: SpaceDescriptor, value: float) -> ObjectPoint:
-    return ObjectPoint(space, np.full(space.dim, float(value)))
 
 
 def _assemble_scalar(
@@ -373,12 +350,13 @@ def _assemble_scalar(
     truth: dict,
 ) -> SimOutput:
     """Pack a scalar panel: control ``values`` (J, T), the treated row, and
-    an effect target drawn last from ``rng``."""
+    an effect target drawn last from ``rng``, each value repeated over the
+    scalar space's grid."""
     space = scalar_space()
-    control_rows = [[_scalar_point(space, v) for v in row] for row in values]
-    treated = [_scalar_point(space, v) for v in treated_values]
-    target = _scalar_point(space, 8.0 + rng.normal(0.0, 0.5))
-    return _assemble(space, control_rows, treated, target, cfg, truth)
+    rows = np.concatenate([treated_values[None], values])
+    data = np.repeat(rows[..., None], space.dim, axis=-1)
+    target = np.full(space.dim, 8.0 + rng.normal(0.0, 0.5))
+    return _assemble(space, data, target, cfg, truth)
 
 
 def gen_scalar_panel(cfg: SimConfig) -> SimOutput:

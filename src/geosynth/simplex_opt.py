@@ -12,10 +12,11 @@ There is one weight problem, in two roles: match the weighted combination
 of n points to a target in each of B blocks. Unit weights match the
 controls to the treated unit in each pre-treatment period; time weights
 match each control's pre-treatment periods to its post-treatment target.
-:func:`stack_weight_qp` assembles that problem for either role from a
-(B, n, D) stack of chart coordinates, taking its Gram matrix (the one part
-that costs more than a pass over the stack) from the panel's cached Gram
-blocks when it can.
+:func:`stack_weight_qp`, the one builder, assembles that problem for
+either role from a (B, n, D) stack of chart coordinates, taking its Gram
+matrix (the one part that costs more than a pass over the stack) from the
+panel's cached Gram blocks when it can. Gauss-Newton builds its
+subproblems through it too, from a stack of Jacobians.
 
 The quadratic objective convention is ``q(w) = w' G w - 2 l' w + c``.
 Problems keep the stack, a view of the panel's coordinates, and evaluate
@@ -26,7 +27,7 @@ the catastrophic cancellation the expanded form suffers near a perfect fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -167,38 +168,6 @@ def stack_weight_qp(
         gram = scale * (flat @ flat.T)
     linear = scale * np.einsum("bnd,bd->n", z, y)
     return SimplexQp(gram, linear, scale * float(np.vdot(y, y)), z, y, scale)
-
-
-def build_unit_weight_qp(
-    pre_periods: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> SimplexQp:
-    """:func:`stack_weight_qp` from a list of blocks.
-
-    ``pre_periods`` holds one ``(y_t, C_t)`` per block ``t``: the target's
-    chart coordinates (length D_t) and a D_t x n matrix whose columns are
-    the n weighted points. For unit weights a block is a pre-treatment
-    period, ``y_t`` the treated unit and the columns the controls; for time
-    weights a block is a control, ``y_t`` its post target and the columns
-    its pre-treatment periods. Blocks of different lengths are zero-padded
-    into one stack, which leaves the objective
-    ``(1/T) sum_t || y_t - C_t w ||^2`` unchanged.
-    """
-    if not pre_periods:
-        raise SolverError("at least one pre-treatment period is required")
-    blocks = [(np.asarray(y, dtype=float).ravel(), np.asarray(c, dtype=float))
-              for y, c in pre_periods]
-    for y, c in blocks:
-        if c.ndim != 2 or c.shape[0] != y.size:
-            raise SolverError(
-                f"coordinate block shapes are inconsistent: target {y.shape}, matrix {c.shape}"
-            )
-        if c.shape[1] != blocks[0][1].shape[1]:
-            raise SolverError("all blocks must share the same number of columns")
-    stacks = np.zeros((len(blocks), blocks[0][1].shape[1], max(y.size for y, _ in blocks)))
-    targets = np.zeros((len(blocks), stacks.shape[2]))
-    for b, (y, c) in enumerate(blocks):
-        stacks[b, :, : y.size], targets[b, : y.size] = c.T, y
-    return stack_weight_qp(stacks, targets)
 
 
 # ---------------------------------------------------------------------------

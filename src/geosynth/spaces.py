@@ -125,7 +125,7 @@ class SpaceDescriptor:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise SpaceError(f"unknown space kind {self.kind!r}")
-        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
+        if self.dim is True or not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
             raise SpaceError(f"dim must be a positive integer, got {self.dim!r}")
         object.__setattr__(self, "dim", int(self.dim))
         if self.kind == "spd_power":

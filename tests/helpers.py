@@ -81,13 +81,13 @@ def panel_from_arrays(space: g.SpaceDescriptor, arrays: np.ndarray, T0: int) -> 
     return g.Panel(space=space, outcomes=outcomes, T0=T0)
 
 
-def pre_qp_blocks(panel: g.Panel) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pre-period (treated vector, control column matrix) pairs for the QP."""
-    blocks = []
-    for t in panel.pre_periods():
-        y = g.metric_embed(panel.outcomes[0][t])
-        c = np.stack(
-            [g.metric_embed(panel.outcomes[j][t]) for j in range(1, panel.n_units)]
-        ).T
-        blocks.append((y, c))
-    return blocks
+def unit_weight_qp(panel: g.Panel) -> g.SimplexQp:
+    """The unit-weight QP from coordinates embedded point by point: a
+    (T0, J, D) stack of the controls in each pre period, the treated unit
+    as each period's target."""
+    pre = panel.pre_periods()
+    y = np.stack([g.metric_embed(panel.outcomes[0][t]) for t in pre])
+    z = np.stack(
+        [[g.metric_embed(panel.outcomes[j][t]) for j in range(1, panel.n_units)] for t in pre]
+    )
+    return g.stack_weight_qp(z, y)

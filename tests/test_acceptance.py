@@ -11,7 +11,7 @@ from geosynth.spaces import _sphere_angle
 from helpers import (
     all_spaces,
     flat_spaces,
-    pre_qp_blocks,
+    unit_weight_qp,
     random_point,
     record_criterion,
     scalar_panel,
@@ -67,7 +67,7 @@ def test_criterion_04_euclidean_reductions():
     for _ in range(20):
         values = rng.normal(size=(4, 8))
         panel = scalar_panel(values, T0=6)
-        qp = g.build_unit_weight_qp(pre_qp_blocks(panel))
+        qp = unit_weight_qp(panel)
         res = g.estimate_gsc(panel)
         worst_gap = max(worst_gap, qp.objective(res.weights.values) - lattice_minimum(qp))
         did = g.estimate_gsdid(panel)

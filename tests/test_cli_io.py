@@ -202,6 +202,27 @@ def test_load_panel_rejects_bad_cutoff_and_version(tmp_path):
         load_panel(str(path))
 
 
+@pytest.mark.parametrize(
+    "field, value", [("T0", True), ("format_version", True), ("format_version", 1.0), ("dim", True)]
+)
+def test_file_integers_must_be_json_integers(tmp_path, capsys, field, value):
+    # with 1 x 1 matrices, each of these values would read as the integer 1
+    doc = {
+        "format_version": 1,
+        "type": "panel",
+        "space": {"kind": "spd_frobenius", "dim": 1},
+        "T0": 1,
+        "outcomes": [[[[1.0]], [[2.0]]], [[[1.0]], [[3.0]]]],
+    }
+    (doc["space"] if field == "dim" else doc)[field] = value
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FileFormatError, match=field):
+        load_panel(str(path))
+    code, _, err = run(capsys, "validate", "--panel", str(path))
+    assert code == EXIT_VALIDATION and field in err
+
+
 def test_load_panel_reports_json_position(tmp_path):
     path = tmp_path / "syntax.json"
     path.write_text('{\n  "format_version": 1,\n  "oops"\n}\n')
@@ -509,6 +530,31 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run(capsys, "validate", "--panel", str(bad))
     assert code == EXIT_VALIDATION and "line 1" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"), ("--max-iter", "0")],
+)
+def test_cli_bad_solver_flags_are_usage_errors(tmp_path, capsys, flag, value):
+    # the flags are checked before any file is read or written
+    out = tmp_path / "res.json"
+    out.write_text("kept\n")
+    code, _, err = run(capsys, "gsc", "--panel", str(tmp_path / "absent.json"),
+                       "--out", str(out), flag, value)
+    assert code == EXIT_USAGE and flag in err
+    assert out.read_text() == "kept\n"
+
+
+def test_failed_save_leaves_existing_file_intact(tmp_path):
+    panel = scalar_panel(np.random.default_rng(4).normal(size=(3, 5)), T0=4)
+    result = g.estimate_gsc(panel)
+    path = tmp_path / "res.json"
+    save_result(result, str(path), panel, g.SolverConfig(), "gsc")
+    before = path.read_bytes()
+    with pytest.raises(FileFormatError, match="non-finite"):
+        save_result(result, str(path), panel, g.SolverConfig(tol_kkt=math.inf), "gsc")
+    assert path.read_bytes() == before
 
 
 def test_cli_solver_failure_exit_code(tmp_path, capsys):

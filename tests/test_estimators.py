@@ -17,7 +17,7 @@ from helpers import (
     all_spaces,
     flat_spaces,
     panel_from_arrays,
-    pre_qp_blocks,
+    unit_weight_qp,
     random_point,
     scalar_panel,
 )
@@ -113,7 +113,7 @@ def assert_close_to_scale(actual, expected, rel):
 @pytest.mark.parametrize("space", flat_spaces(3), ids=lambda s: s.kind)
 def test_weight_qps_from_the_panel_grams_match_per_block_assembly(space, monkeypatch):
     """The unit and time QPs that GSDID solves, assembled from the panel's
-    cached Gram blocks, against ``build_unit_weight_qp`` on blocks embedded
+    cached Gram blocks, against ``stack_weight_qp`` on stacks embedded
     point by point."""
     panel = make_flat_panel(np.random.default_rng(11), space, J=5, T=7, T0=4)
     qps = []
@@ -125,11 +125,8 @@ def test_weight_qps_from_the_panel_grams_match_per_block_assembly(space, monkeyp
     assert len(qps) == 2
 
     embedded = np.array([[g.metric_embed(p) for p in row] for row in panel.outcomes])
-    time_blocks = [
-        (embedded[j, panel.T0 :].mean(axis=0), embedded[j, : panel.T0].T)
-        for j in range(1, panel.n_units)
-    ]
-    expected = [g.build_unit_weight_qp(pre_qp_blocks(panel)), g.build_unit_weight_qp(time_blocks)]
+    time_qp = g.stack_weight_qp(embedded[1:, : panel.T0], embedded[1:, panel.T0 :].mean(axis=1))
+    expected = [unit_weight_qp(panel), time_qp]
     rng = np.random.default_rng(3)
     for qp, ref in zip(qps, expected):
         assert_close_to_scale(qp.gram, ref.gram, 1e-12)
@@ -268,13 +265,12 @@ def test_invalid_synthetic_point_names_its_period(monkeypatch):
 
 def test_gsc_scalar_reduction_matches_lattice():
     from test_simplex_opt import lattice_minimum
-    from helpers import pre_qp_blocks
 
     rng = np.random.default_rng(2)
     values = rng.normal(size=(4, 8))
     panel = scalar_panel(values, T0=6)
     res = g.estimate_gsc(panel)
-    qp = g.build_unit_weight_qp(pre_qp_blocks(panel))
+    qp = unit_weight_qp(panel)
     assert qp.objective(res.weights.values) <= lattice_minimum(qp) + 1e-6
 
 
@@ -330,7 +326,7 @@ def test_sphere_gsc_weights_are_certified_and_deterministic():
         res = g.estimate_gsc(panel, cfg)
         w = res.weights.values
         resid, jac = unit_linearization(panel)(w)
-        model = g.build_unit_weight_qp([(d @ w - r, d) for r, d in zip(resid, jac)])
+        model = g.stack_weight_qp(jac.swapaxes(1, 2), jac @ w - resid)
         grad = model.gradient(w)
         assert kkt_residual(model, w) <= cfg.tol_kkt * (1.0 + np.linalg.norm(grad)), seed
         assert res.pre_fit_rmse == pytest.approx(np.sqrt(model.objective(w)), rel=1e-6)
@@ -341,7 +337,7 @@ def test_sphere_gsc_weights_are_certified_and_deterministic():
 def is_certified(linearize, w, cfg):
     """The Gauss-Newton certificate of ``w``: KKT residual of the linear model."""
     resid, jac = linearize(w)
-    model = g.build_unit_weight_qp([(d @ w - r, d) for r, d in zip(resid, jac)])
+    model = g.stack_weight_qp(jac.swapaxes(1, 2), jac @ w - resid)
     return kkt_residual(model, w) <= cfg.tol_kkt * (1.0 + np.linalg.norm(model.gradient(w)))
 
 
@@ -826,8 +822,8 @@ def test_gsdid_per_time_scalar_formula():
     assert len(effects) == 2
     y = values
     for k, t in enumerate((2, 3)):
-        # time weights: one block per control, its pre periods as columns
-        lam_qp = g.build_unit_weight_qp([(y[j, t : t + 1], y[j, None, :2]) for j in (1, 2)])
+        # time weights: one block per control, its pre periods as the points
+        lam_qp = g.stack_weight_qp(y[1:, :2, None], y[1:, t, None])
         lam, _ = g.solve_simplex_qp(lam_qp)
         w = g.estimate_gsc(panel).weights.values
         synth = lam.values @ y[0, :2] + (w @ y[1:, t] - w @ (y[1:, :2] @ lam.values))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import geosynth as g
+from geosynth import simgen, spaces
 from geosynth.simgen import network_edge_weight
 
 
@@ -145,6 +146,43 @@ def test_network_treated_is_exact_weight_combination():
     assert max_pre_fit_gap(out) <= 1e-10
 
 
+def assert_panel_matches_reference(out, cfg, controls, natural):
+    """Bit-identity of a generated panel with reference outcomes written
+    out per point: ``controls[j][i]`` and the treated ``natural[i]``, the
+    post periods displaced toward the effect target by the effect size."""
+    space = out.panel.space
+    for j in range(cfg.J):
+        for i in range(cfg.T):
+            assert np.array_equal(out.panel.outcomes[j + 1][i].data, controls[j][i])
+    target = g.ObjectPoint(space, out.truth["effect_target"])
+    for i in range(cfg.T):
+        if i < cfg.T0:
+            expected = natural[i]
+        else:
+            assert np.array_equal(out.counterfactual[i - cfg.T0].data, natural[i])
+            point = g.ObjectPoint(space, natural[i])
+            expected = g.geodesic_eval(point, target, cfg.effect_size).data
+        assert np.array_equal(out.panel.outcomes[0][i].data, expected)
+
+
+def test_network_panel_matches_reference_formulas():
+    # the docstring's edge weights, written out per point: the panel must
+    # be bit-identical to these formulas applied to its truth
+    cfg = g.SimConfig(scenario="network", T=7, T0=5, J=6, seed=13, effect_size=0.5)
+    out = g.generate(cfg)
+    truth = out.truth
+    laps, u, a, s = (truth[k] for k in ("adjacency_laplacians", "unit_levels", "alpha", "trend"))
+    controls = [
+        [((1.0 - a[i]) * s[i] + a[i] * u[j]) * laps[j] for i in range(cfg.T)]
+        for j in range(cfg.J)
+    ]
+    mix = np.einsum("j,jkl->kl", truth["w_star"], laps)
+    u_treated = np.einsum("j,jkl->kl", truth["w_star"] * u, laps)
+    assert np.array_equal(truth["u_treated"], u_treated)
+    natural = [(1.0 - a[i]) * (s[i] * mix) + a[i] * u_treated for i in range(cfg.T)]
+    assert_panel_matches_reference(out, cfg, controls, natural)
+
+
 # ---------------------------------------------------------------------------
 # SPD scenario
 
@@ -207,6 +245,22 @@ def test_spd_panel_matches_reference_eigen_formulas():
     assert np.array_equal(truth["u_treated"], expm(log_treated))
 
 
+def test_spd_generate_applies_eigen_functions_in_batches(monkeypatch):
+    # the panel's (J+1) x T charts go through one batched exponential, so a
+    # default-size panel makes a handful of calls rather than one per point
+    calls = []
+    apply = spaces._eig_apply
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(simgen, "_eig_apply", counted)
+    monkeypatch.setattr(spaces, "_eig_apply", counted)
+    g.generate(g.SimConfig(scenario="spd", J=20, T=20, effect_size=0.5))
+    assert 0 < len(calls) <= 10
+
+
 # ---------------------------------------------------------------------------
 # sphere scenario
 
@@ -243,6 +297,18 @@ def test_scalar_treated_is_exact_weight_combination():
     assert vals.shape == (5, 10)
     for j in range(5):
         assert out.panel.outcomes[j + 1][3].data[0] == vals[j, 3]
+
+
+def test_scalar_panel_matches_reference_formulas():
+    # each value repeated over the scalar grid, the treated value the
+    # w*-combination of the controls, written out per point
+    cfg = g.SimConfig(scenario="scalar", T=7, T0=5, J=6, seed=13, effect_size=0.5)
+    out = g.generate(cfg)
+    values, w_star = out.truth["values"], out.truth["w_star"]
+    dim = out.panel.space.dim
+    controls = [[np.full(dim, float(v)) for v in row] for row in values]
+    natural = [np.full(dim, float(v)) for v in w_star @ values]
+    assert_panel_matches_reference(out, cfg, controls, natural)
 
 
 def test_robustness_s2_breaks_parallel_trends_only():

@@ -16,7 +16,7 @@ from geosynth.simplex_opt import (
     project_simplex,
     solve_simplex_gauss_newton,
 )
-from helpers import flat_spaces, pre_qp_blocks, random_point, scalar_panel
+from helpers import flat_spaces, random_point, scalar_panel, unit_weight_qp
 
 
 def lattice_minimum(qp: SimplexQp, step: float = 0.01) -> float:
@@ -71,17 +71,14 @@ def test_project_simplex():
 
 def test_unit_qp_perfect_fit_control():
     rng = np.random.default_rng(1)
-    blocks = []
-    for _ in range(4):
-        c = rng.normal(size=(5, 3))
-        blocks.append((c[:, 1].copy(), c))
-    qp = g.build_unit_weight_qp(blocks)
+    z = rng.normal(size=(4, 5, 3)).swapaxes(1, 2)
+    qp = g.stack_weight_qp(z, z[:, 1])
     assert qp.objective(np.array([0.0, 1.0, 0.0])) <= 1e-16
 
 
 def test_unit_qp_scalar_interpolation():
     # controls at 0 and 1, treated at 0.3: w = (0.7, 0.3) fits exactly
-    qp = g.build_unit_weight_qp([(np.array([0.3]), np.array([[0.0, 1.0]]))])
+    qp = g.stack_weight_qp(np.array([[[0.0], [1.0]]]), np.array([[0.3]]))
     assert qp.objective(np.array([0.7, 0.3])) <= 1e-16
     w, val = g.solve_simplex_qp(qp)
     assert w.values == pytest.approx([0.7, 0.3], abs=1e-9)
@@ -99,7 +96,7 @@ def test_unit_qp_objective_matches_distances():
             outcomes=tuple(tuple(row) for row in points),
             T0=2,
         )
-        qp = g.build_unit_weight_qp(pre_qp_blocks(panel))
+        qp = unit_weight_qp(panel)
         for _ in range(50):
             w = rng.dirichlet(np.ones(4))
             direct = 0.0
@@ -110,24 +107,18 @@ def test_unit_qp_objective_matches_distances():
             assert qp.objective(w) == pytest.approx(direct, rel=1e-10, abs=1e-12), space.kind
 
 
-def time_weight_qp(rows, post):
-    """The unit-weight QP in the time role: one block per control, with
-    its (T0, D) pre-period coordinates ``rows[j]`` as columns and its
-    post target ``post[j]``."""
-    return g.build_unit_weight_qp([(y, r.T) for r, y in zip(rows, post)])
-
-
 def test_time_qp_stationary_controls_constant_objective():
     rng = np.random.default_rng(3)
-    rows = [np.tile(rng.normal(size=4), (3, 1)) for _ in range(2)]
-    post = [row[0] for row in rows]
-    qp = time_weight_qp(rows, post)
+    # the weight QP in the time role: one block per control, its (T0, D)
+    # pre-period coordinates as the points and its post outcome as target
+    rows = np.stack([np.tile(rng.normal(size=4), (3, 1)) for _ in range(2)])
+    qp = g.stack_weight_qp(rows, rows[:, 0])
     vals = [qp.objective(rng.dirichlet(np.ones(3))) for _ in range(10)]
     assert np.ptp(vals) <= 1e-14
 
 
 def test_time_qp_scalar_midpoint():
-    qp = time_weight_qp([np.array([[0.0], [2.0]])], [np.array([1.0])])
+    qp = g.stack_weight_qp(np.array([[[0.0], [2.0]]]), np.array([[1.0]]))
     lam, val = g.solve_simplex_qp(qp)
     assert lam.values == pytest.approx([0.5, 0.5], abs=1e-9)
     assert val <= 1e-16
@@ -135,13 +126,54 @@ def test_time_qp_scalar_midpoint():
 
 def test_time_qp_vertex_evaluation():
     rng = np.random.default_rng(4)
-    rows = [rng.normal(size=(3, 4)) for _ in range(5)]
-    post = [rng.normal(size=4) for _ in range(5)]
-    qp = time_weight_qp(rows, post)
+    rows = np.stack([rng.normal(size=(3, 4)) for _ in range(5)])
+    post = np.stack([rng.normal(size=4) for _ in range(5)])
+    qp = g.stack_weight_qp(rows, post)
     for s in range(3):
         e = np.eye(3)[s]
         direct = np.mean([np.sum((post[j] - rows[j][s]) ** 2) for j in range(5)])
         assert qp.objective(e) == pytest.approx(direct, rel=1e-12)
+
+
+def stack_roles(role: str, coords: np.ndarray, T0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Strided views of a (J+1, T, D) coordinate tensor in one weight role:
+    unit weights match the controls to the treated unit in each pre period,
+    time weights match each control's pre periods to its post mean."""
+    if role == "unit":
+        return coords[1:, :T0].swapaxes(0, 1), coords[0, :T0]
+    return coords[1:, :T0], coords[1:, T0:].mean(axis=1)
+
+
+@pytest.mark.parametrize("role", ["unit", "time"])
+def test_stack_qp_objective_is_the_mean_squared_residual(role):
+    rng = np.random.default_rng(12)
+    coords = rng.normal(size=(6, 7, 3))
+    z, y = stack_roles(role, coords, T0=4)
+    assert not z.flags.c_contiguous
+    qp = g.stack_weight_qp(z, y)
+    assert np.shares_memory(qp.factor, coords)
+    for w in rng.dirichlet(np.ones(z.shape[1]), size=10):
+        direct = np.mean([np.sum((y[b] - w @ z[b]) ** 2) for b in range(len(z))])
+        assert qp.objective(w) == pytest.approx(direct, rel=1e-12)
+        expanded = w @ qp.gram @ w - 2.0 * qp.linear @ w + qp.constant
+        assert expanded == pytest.approx(direct, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("role", ["unit", "time"])
+def test_stack_qp_takes_a_precomputed_gram(role):
+    rng = np.random.default_rng(13)
+    coords = rng.normal(size=(6, 7, 3))
+    z, y = stack_roles(role, coords, T0=4)
+    computed = g.stack_weight_qp(z, y)
+    gram = np.einsum("bnd,bmd->nm", z, z) / len(z)
+    given = g.stack_weight_qp(z, y, gram=gram)
+    assert np.allclose(given.gram, computed.gram, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(given.linear, computed.linear)
+    assert given.constant == computed.constant
+    assert np.shares_memory(given.factor, coords)
+    w = rng.dirichlet(np.ones(z.shape[1]))
+    assert given.objective(w) == computed.objective(w)
+    assert np.allclose(given.gradient(w), computed.gradient(w), rtol=1e-12, atol=1e-14)
 
 
 def test_qp_requires_symmetry():
@@ -215,8 +247,7 @@ def test_qp_rank_deficient_exactness():
     rng = np.random.default_rng(6)
     direction = rng.normal(size=7)
     levels = np.array([0.0, 1.0, 3.0, 6.0])
-    blocks = [(2.0 * direction, np.outer(direction, levels))]
-    qp = g.build_unit_weight_qp(blocks)
+    qp = g.stack_weight_qp(np.outer(levels, direction)[None], 2.0 * direction[None])
     w, val = g.solve_simplex_qp(qp)
     assert val <= 1e-14
     assert float(w.values @ levels) == pytest.approx(2.0, abs=1e-7)
@@ -229,14 +260,12 @@ def sphere_tangent_qp(seed: int) -> SimplexQp:
     finish of the QP solver has to cope with a singular face system.
     """
     panel = g.generate(g.SimConfig(scenario="sphere", seed=seed)).panel
-    blocks = []
-    for t in panel.pre_periods():
-        y = panel.outcomes[0][t]
-        c = np.stack(
-            [g.sphere_log(y, panel.outcomes[j][t]).vector for j in range(1, panel.n_units)]
-        ).T
-        blocks.append((np.zeros(c.shape[0]), c))
-    return g.build_unit_weight_qp(blocks)
+    logs = np.stack([
+        [g.sphere_log(panel.outcomes[0][t], panel.outcomes[j][t]).vector
+         for j in range(1, panel.n_units)]
+        for t in panel.pre_periods()
+    ])
+    return g.stack_weight_qp(logs, np.zeros((logs.shape[0], logs.shape[2])))
 
 
 def test_qp_certified_on_rank_deficient_sphere_tangent_qp():
@@ -281,7 +310,7 @@ def test_qp_stress_certified_and_no_worse_than_nnls(seed, kind):
     for n in (3, 20, 100, 300):
         for _ in range(2):
             a, b = stress_problem(kind, n, rng)
-            qp = g.build_unit_weight_qp([(b, a)])
+            qp = g.stack_weight_qp(a.T[None], b[None])
             w, val = g.solve_simplex_qp(qp)
             grad = qp.gradient(w.values)
             assert kkt_residual(qp, w.values) <= 1e-10 * (1.0 + np.linalg.norm(grad)), (kind, n)
@@ -296,7 +325,7 @@ def test_qp_budget_exhausted_raises():
     # vertex takes two releases; one active-set iteration must fail loudly
     rng = np.random.default_rng(8)
     a = rng.normal(size=(6, 3))
-    qp = g.build_unit_weight_qp([(a @ np.array([0.5, 0.3, 0.2]), a)])
+    qp = g.stack_weight_qp(a.T[None], (a @ np.array([0.5, 0.3, 0.2]))[None])
     with pytest.raises(SolverError):
         g.solve_simplex_qp(qp, g.SolverConfig(max_iter=1))
     w, val = g.solve_simplex_qp(qp)
@@ -328,7 +357,7 @@ def test_gauss_newton_affine_residuals_match_qp():
         return np.einsum("tdn,n->td", factors, w) - targets, factors
 
     w, val = solve_simplex_gauss_newton(linearize, 5)
-    qp = g.build_unit_weight_qp(list(zip(targets, factors)))
+    qp = g.stack_weight_qp(factors.swapaxes(1, 2), targets)
     w_qp, val_qp = g.solve_simplex_qp(qp)
     assert val == pytest.approx(qp.objective(w.values), rel=1e-12)
     assert val <= val_qp + 1e-12
@@ -451,6 +480,6 @@ def test_scm_reduction_matches_lattice():
     for _ in range(5):
         values = rng.normal(size=(4, 6))
         panel = scalar_panel(values, T0=4)
-        qp = g.build_unit_weight_qp(pre_qp_blocks(panel))
+        qp = unit_weight_qp(panel)
         w, val = g.solve_simplex_qp(qp)
         assert val <= lattice_minimum(qp) + 1e-6
