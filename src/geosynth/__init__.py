@@ -36,8 +36,6 @@ from .spaces import (
     default_quantile_grid,
     distance,
     fisher_rao_distance,
-    flat_embed,
-    flat_restore,
     geodesic_eval,
     l2function_space,
     laplacian_space,
@@ -139,8 +137,6 @@ __all__ = [
     "estimate_gsdid_per_time",
     "fisher_rao_distance",
     "fit_global_frechet_regression",
-    "flat_embed",
-    "flat_restore",
     "generate",
     "geodesic_effect",
     "geodesic_eval",

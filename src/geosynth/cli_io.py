@@ -533,13 +533,24 @@ def _positive(cast):
     return parse
 
 
+def _seed(value: str) -> int:
+    """An argparse type: a nonnegative integer."""
+    seed = int(value)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value!r}")
+    return seed
+
+
+_seed.__name__ = "int"  # argparse's "invalid int value" message names it
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=_positive(float), default=1e-10,
                         help="KKT tolerance for the weight solvers")
     common.add_argument("--max-iter", type=_positive(int), default=10000,
                         help="iteration budget per solver run")
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=_seed, default=0,
                         help="seed for simulation, recorded in result files")
     common.add_argument("--repair", type=_repair_flag, default=True, metavar="on|off",
                         help="allow numerical repairs within budget (default on)")

@@ -56,6 +56,13 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise SpaceError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
+        for name in ("T", "T0", "J", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise SpaceError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.seed < 0:
+            raise SpaceError(f"seed must be nonnegative, got {self.seed}")
         if not (1 <= self.T0 < self.T):
             raise SpaceError(f"need 1 <= T0 < T, got T0={self.T0}, T={self.T}")
         if self.J < 2:

@@ -134,9 +134,10 @@ class SimplexQp:
 class SolverConfig:
     """Tolerances and budgets shared by the simplex solvers.
 
-    ``tol_kkt`` bounds the projected-gradient certificate of the QP and
-    Gauss-Newton solvers, and ``max_iter`` caps iterations per run
-    (active-set iterations for the QP, steps for Gauss-Newton). ``restarts``
+    ``tol_kkt``, positive and finite, bounds the projected-gradient
+    certificate of the QP and Gauss-Newton solvers, and ``max_iter``, a
+    positive integer, caps iterations per run (active-set iterations for
+    the QP, steps for Gauss-Newton). ``restarts``
     (the number of Nelder-Mead runs) and ``seed`` (its random starts) feed
     only the derivative-free solver, which no estimator uses; they are kept
     because configurations set them and result files record them.
@@ -148,8 +149,14 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.tol_kkt > 0 and self.max_iter > 0 and self.restarts > 0):
-            raise SolverError("tolerances and iteration budgets must be positive")
+        counts = all(  # numpy integers count, bools do not
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+            for v in (self.max_iter, self.restarts)
+        )
+        if not (0 < self.tol_kkt < np.inf and counts):
+            raise SolverError(
+                "tol_kkt must be positive and finite, and max_iter and restarts positive integers"
+            )
 
 
 def stack_weight_qp(
@@ -221,12 +228,14 @@ def kkt_residual(problem: SimplexQp, w: np.ndarray) -> float:
     return float(np.linalg.norm(d))
 
 
-def _active_set_finish(
-    problem: SimplexQp,
-    w: np.ndarray,
-    certified: Callable[[np.ndarray], bool],
-    max_iter: int,
-) -> np.ndarray:
+def _certified(problem: SimplexQp, w: np.ndarray, tol: float) -> bool:
+    """The certificate every weight fit carries: ``kkt_residual`` at most
+    ``tol * (1 + |gradient|)``."""
+    bound = tol * (1.0 + float(np.linalg.norm(problem.gradient(w))))
+    return kkt_residual(problem, w) <= bound
+
+
+def _active_set_finish(problem: SimplexQp, w: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     """Primal active-set method started from the feasible point ``w``.
 
     The working set is the zero coordinates of ``w``. Each iteration takes
@@ -238,9 +247,9 @@ def _active_set_finish(
     solve), the step instead follows that direction to the boundary,
     provided an exact line search along it would not stop first. At the
     face minimizer the zero coordinate with the most
-    negative reduced gradient is released. Stops once ``certified`` holds
-    or no release would lower the objective. See Nocedal & Wright,
-    Numerical Optimization, ch. 16.
+    negative reduced gradient is released. Stops once :func:`_certified`
+    holds at ``tol`` or no release would lower the objective. See Nocedal &
+    Wright, Numerical Optimization, ch. 16.
     """
     w = np.array(w, dtype=float)
     free = w > 0.0
@@ -280,7 +289,7 @@ def _active_set_finish(
         w = trial / trial.sum()
         if alpha < cap:
             continue
-        if certified(w):
+        if _certified(problem, w, tol):
             break
         g = problem.gradient(w)
         reduced = np.where(free, np.inf, g - float(g[support].mean()))
@@ -320,20 +329,14 @@ def solve_simplex_qp(
     if n == 1:
         w = np.array([1.0])
         return SimplexWeights(w), problem.objective(w)
-
-    def certified(w: np.ndarray) -> bool:
-        g = problem.gradient(w)
-        res = kkt_residual(problem, w)
-        return res <= cfg.tol_kkt * (1.0 + float(np.linalg.norm(g)))
-
     best = np.full(n, 1.0 / n)
     vertex = np.zeros(n)
     vertex[int(np.argmin(np.diag(problem.gram) - 2.0 * problem.linear))] = 1.0
-    finish = _active_set_finish(problem, vertex, certified, cfg.max_iter)
+    finish = _active_set_finish(problem, vertex, cfg.tol_kkt, cfg.max_iter)
     f_best, f_finish = problem.objective(best), problem.objective(finish)
-    if f_finish < f_best or (f_finish == f_best and not certified(best)):
+    if f_finish < f_best or (f_finish == f_best and not _certified(problem, best, cfg.tol_kkt)):
         best = finish
-    if not certified(best):
+    if not _certified(problem, best, cfg.tol_kkt):
         raise SolverError(
             f"simplex QP failed to reach KKT residual {cfg.tol_kkt:.1e} "
             f"within {cfg.max_iter} iterations"
@@ -390,12 +393,11 @@ def solve_simplex_gauss_newton(
         return SimplexWeights(w), fval
     for _ in range(cfg.max_iter):
         model = stack_weight_qp(jac.swapaxes(1, 2), jac @ w - resid)
-        grad = model.gradient(w)
-        if kkt_residual(model, w) <= cfg.tol_kkt * (1.0 + float(np.linalg.norm(grad))):
+        if _certified(model, w, cfg.tol_kkt):
             return SimplexWeights(w), fval
         target, _ = solve_simplex_qp(model, cfg)
         step = target.values - w
-        slope = float(grad @ step)
+        slope = float(model.gradient(w) @ step)
         # A few ulps of F of slack: near the optimum the predicted decrease
         # can fall below F's rounding, and a strict test would then reject
         # every step that still moves w.

@@ -23,10 +23,10 @@ Registered space kinds
     Real functions sampled on a fixed domain grid under the L2 metric with
     trapezoidal quadrature.
 
-Except for the sphere, every kind is "flat": there is a bijective chart
-(``flat_embed`` / ``flat_restore``) into a vector space in which distances
-are Euclidean, possibly after a fixed diagonal rescaling (``metric_embed``).
-Chart coordinates are plain read-only vectors.
+Except for the sphere, every kind is "flat": it has one bijective chart
+(``metric_embed`` / ``metric_restore``) onto a vector space in which
+distances are Euclidean; the grid kinds scale their values by square-root
+quadrature weights to get there.
 
 Validation (``validate_stack``), the chart map (``metric_embed_stack``)
 and its inverse (``metric_restore_stack``) work on stacks of points, so
@@ -484,7 +484,12 @@ def _isotonize(
     q: np.ndarray, grid_weights: np.ndarray, repair: bool, log: RepairLog | None
 ) -> np.ndarray:
     """Project quantile vectors, shape (..., G), onto the nondecreasing cone
-    (weighted PAV), in place and in stack order."""
+    (weighted PAV), in place and in stack order.
+
+    Unlike the Laplacian and SPD repairs, this projection has no
+    ``REPAIR_BUDGET``: a decreasing run of any size is projected and noted.
+    Reporting its distance is ROADMAP open item 3.
+    """
     rows = q.reshape(-1, q.shape[-1])
     drops = np.diff(rows, axis=-1).min(axis=-1, initial=0.0)
     for i in np.flatnonzero(drops < 0.0):
@@ -527,123 +532,33 @@ def quadrature_weights(space: SpaceDescriptor) -> np.ndarray:
     return space._quadrature[0]
 
 
-def _chart_forward(space: SpaceDescriptor, x: np.ndarray) -> np.ndarray:
-    """Chart coordinates of a stack of points, shape (..., *data_shape) -> (..., D).
+def metric_embed_stack(space: SpaceDescriptor, data: np.ndarray) -> np.ndarray:
+    """Isometric coordinates of a stack of points, shape (..., *data_shape) -> (..., D).
 
-    One point is the stack with no leading axes; ``eigh`` and ``cholesky``
-    broadcast over the leading axes of larger stacks.
+    Euclidean distances between coordinate vectors equal space distances:
+    the matrix itself, its logarithm, its power, or (strict lower triangle,
+    log-diagonal) of its Cholesky factor, by kind; the grid kinds' values
+    times square-root quadrature weights. The sphere has no flat chart.
     """
     kind = space.kind
     n = space.dim
-    lead = x.shape[: x.ndim - len(space.data_shape)]
+    lead = data.shape[: data.ndim - len(space.data_shape)]
     if kind in ("laplacian", "spd_frobenius"):
-        return x.reshape(lead + (n * n,)).copy()
+        return data.reshape(lead + (n * n,)).copy()
     if kind == "spd_log_euclidean":
-        return _logm_spd(x).reshape(lead + (n * n,))
+        return _logm_spd(data).reshape(lead + (n * n,))
     if kind == "spd_power":
-        return _powm_spd(x, space.power_p).reshape(lead + (n * n,))
+        return _powm_spd(data, space.power_p).reshape(lead + (n * n,))
     if kind == "spd_log_cholesky":
-        chol = np.linalg.cholesky(_sym(x))
+        chol = np.linalg.cholesky(_sym(data))
         rows, cols = np.tril_indices(n, k=-1)
         diag = np.diagonal(chol, axis1=-2, axis2=-1)
         return np.concatenate([chol[..., rows, cols], np.log(diag)], axis=-1)
     if kind in GRID_KINDS:
-        return np.array(x, dtype=float)
+        vec = np.array(data, dtype=float)
+        vec *= space._quadrature[1]
+        return vec
     raise SpaceError(f"{kind} has no flat chart")
-
-
-def _chart_backward(
-    space: SpaceDescriptor, vecs: np.ndarray, repair: bool, log: RepairLog | None
-) -> np.ndarray:
-    """Points' data from chart coordinates, shape (..., D) -> (..., *data_shape).
-
-    ``eigh`` and ``exp`` broadcast over the stack. For the kinds that can
-    repair, one vectorized test picks out the points outside the feasible
-    set, and only those are repaired, in stack order, so repair notes and
-    errors come in the order of the points.
-    """
-    vecs = np.asarray(vecs, dtype=float)
-    if vecs.shape[-1:] != (chart_dim(space),):
-        raise SpaceError(
-            f"{space.kind} chart coordinates must have length {chart_dim(space)}, "
-            f"got shape {vecs.shape}"
-        )
-    if not np.all(np.isfinite(vecs)):
-        raise SpaceError("flat coordinates must be finite")
-    kind = space.kind
-    n = space.dim
-    lead = vecs.shape[:-1]
-    vecs = vecs.reshape(-1, vecs.shape[-1])
-    if kind == "spd_log_euclidean":
-        out = _eig_apply(vecs.reshape(-1, n, n), np.exp)
-    elif kind == "spd_log_cholesky":
-        rows, cols = np.tril_indices(n, k=-1)
-        chol = np.zeros((len(vecs), n, n))
-        chol[:, rows, cols] = vecs[:, : rows.size]
-        chol[:, range(n), range(n)] = np.exp(vecs[:, rows.size :])
-        out = chol @ np.swapaxes(chol, -1, -2)
-    elif kind in GRID_KINDS:
-        out = vecs.copy()
-        if kind == "wasserstein1d":
-            out = _isotonize(out, quadrature_weights(space), repair, log)
-    elif kind == "laplacian":
-        out = _repair_laplacian(_sym(vecs.reshape(-1, n, n)), repair, log)
-    else:
-        out = _clip_to_cone(_sym(vecs.reshape(-1, n, n)), space, repair, log)
-        if kind == "spd_power":
-            out = _powm_spd(out, 1.0 / space.power_p)
-    return out.reshape(lead + space.data_shape)
-
-
-def flat_embed(point: ObjectPoint) -> np.ndarray:
-    """Map a point of a flat space to its read-only chart coordinate vector.
-
-    The chart is the identity vectorization for ``laplacian``,
-    ``spd_frobenius``, and the grid kinds, the matrix logarithm for
-    ``spd_log_euclidean``, the matrix power for ``spd_power``, and the
-    pair (strict lower triangle, log-diagonal) of the Cholesky factor for
-    ``spd_log_cholesky``. The sphere has no flat chart.
-    """
-    vec = _chart_forward(point.space, point.data)
-    vec.setflags(write=False)
-    return vec
-
-
-def flat_restore(
-    coords: np.ndarray,
-    space: SpaceDescriptor,
-    repair: bool = True,
-    log: RepairLog | None = None,
-) -> ObjectPoint:
-    """Invert :func:`flat_embed`.
-
-    When the coordinates fall outside the feasible set (a positive
-    off-diagonal for Laplacians, a negative eigenvalue for SPD kinds, a
-    decreasing quantile run), the result is projected back while the
-    change stays within the repair budget; with ``repair=False`` such
-    coordinates raise instead.
-    """
-    return ObjectPoint(space, _chart_backward(space, coords, repair, log))
-
-
-def metric_weight_sqrt(space: SpaceDescriptor) -> np.ndarray | None:
-    """Diagonal rescaling that turns chart coordinates into isometric ones."""
-    return None if space._quadrature is None else space._quadrature[1]
-
-
-def metric_embed_stack(space: SpaceDescriptor, data: np.ndarray) -> np.ndarray:
-    """Isometric coordinates of a stack of points, shape (..., *data_shape) -> (..., D).
-
-    Euclidean distances between coordinate vectors equal space distances.
-    For matrix kinds this is the plain chart; for the grid kinds the chart
-    is rescaled by square-root quadrature weights so that the 2-norm of a
-    coordinate difference equals the trapezoidal L2 distance.
-    """
-    vec = _chart_forward(space, data)
-    scale = metric_weight_sqrt(space)
-    if scale is not None:
-        vec *= scale
-    return vec
 
 
 def metric_embed(point: ObjectPoint) -> np.ndarray:
@@ -658,13 +573,49 @@ def metric_restore_stack(
     log: RepairLog | None = None,
 ) -> np.ndarray:
     """Invert :func:`metric_embed_stack`: points' data, shape (..., D) ->
-    (..., *data_shape), repaired or rejected point by point in stack order
-    as :func:`flat_restore` does."""
+    (..., *data_shape).
+
+    When coordinates fall outside the feasible set (a positive
+    off-diagonal for Laplacians, a negative eigenvalue for SPD kinds, a
+    decreasing quantile run), the point is projected back while the change
+    stays within the repair budget (the isotonic projection has none); with
+    ``repair=False`` it raises instead. One vectorized test picks out the
+    infeasible points, and only those are repaired, in stack order, so
+    repair notes and errors come in the order of the points.
+    """
     vecs = np.asarray(vecs, dtype=float)
-    scale = metric_weight_sqrt(space)
-    if scale is not None and vecs.shape[-1:] == scale.shape:  # else the length check raises
-        vecs = vecs / scale
-    return _chart_backward(space, vecs, repair, log)
+    if vecs.shape[-1:] != (chart_dim(space),):
+        raise SpaceError(
+            f"{space.kind} chart coordinates must have length {chart_dim(space)}, "
+            f"got shape {vecs.shape}"
+        )
+    kind = space.kind
+    if kind in GRID_KINDS:  # before the finiteness check: the division can overflow
+        vecs = vecs / space._quadrature[1]
+    if not np.all(np.isfinite(vecs)):
+        raise SpaceError("flat coordinates must be finite")
+    n = space.dim
+    lead = vecs.shape[:-1]
+    vecs = vecs.reshape(-1, vecs.shape[-1])
+    if kind == "spd_log_euclidean":
+        out = _eig_apply(vecs.reshape(-1, n, n), np.exp)
+    elif kind == "spd_log_cholesky":
+        rows, cols = np.tril_indices(n, k=-1)
+        chol = np.zeros((len(vecs), n, n))
+        chol[:, rows, cols] = vecs[:, : rows.size]
+        chol[:, range(n), range(n)] = np.exp(vecs[:, rows.size :])
+        out = chol @ np.swapaxes(chol, -1, -2)
+    elif kind == "wasserstein1d":
+        out = _isotonize(vecs, quadrature_weights(space), repair, log)
+    elif kind == "l2function":
+        out = vecs
+    elif kind == "laplacian":
+        out = _repair_laplacian(_sym(vecs.reshape(-1, n, n)), repair, log)
+    else:
+        out = _clip_to_cone(_sym(vecs.reshape(-1, n, n)), space, repair, log)
+        if kind == "spd_power":
+            out = _powm_spd(out, 1.0 / space.power_p)
+    return out.reshape(lead + space.data_shape)
 
 
 def metric_restore(

@@ -1,5 +1,6 @@
 """Unit and end-to-end tests for the file formats and the command line."""
 
+import dataclasses
 import json
 import math
 import os
@@ -534,7 +535,10 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"), ("--max-iter", "0")],
+    [
+        ("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"), ("--max-iter", "0"),
+        ("--seed", "-1"),
+    ],
 )
 def test_cli_bad_solver_flags_are_usage_errors(tmp_path, capsys, flag, value):
     # the flags are checked before any file is read or written
@@ -546,14 +550,22 @@ def test_cli_bad_solver_flags_are_usage_errors(tmp_path, capsys, flag, value):
     assert out.read_text() == "kept\n"
 
 
+def test_cli_negative_seed_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    code, _, err = run(capsys, "simulate", "--scenario", "scalar", "--out", str(out), "--seed", "-1")
+    assert code == EXIT_USAGE and "--seed" in err
+    assert not out.exists()
+
+
 def test_failed_save_leaves_existing_file_intact(tmp_path):
     panel = scalar_panel(np.random.default_rng(4).normal(size=(3, 5)), T0=4)
     result = g.estimate_gsc(panel)
     path = tmp_path / "res.json"
     save_result(result, str(path), panel, g.SolverConfig(), "gsc")
     before = path.read_bytes()
+    unwritable = dataclasses.replace(result, pre_fit_rmse=math.inf)
     with pytest.raises(FileFormatError, match="non-finite"):
-        save_result(result, str(path), panel, g.SolverConfig(tol_kkt=math.inf), "gsc")
+        save_result(unwritable, str(path), panel, g.SolverConfig(), "gsc")
     assert path.read_bytes() == before
 
 

@@ -699,26 +699,28 @@ def test_agsc_matches_the_chart_regression_reference(space):
         return (1.0 + centered @ (precision @ (v - xc.mean(axis=0)))) / J
 
     correction = s(x[0]) - sum(w_j * s(x_j) for w_j, x_j in zip(w, xc))
-    grid = space.kind in ("wasserstein1d", "l2function")
-    root = np.sqrt(g.quadrature_weights(space)) if grid else 1.0
     lengths = res.augmentation["correction_lengths"]
     for k, t in enumerate(panel.post_periods()):
-        charts = np.stack([g.flat_embed(row[t]) for row in panel.controls])
-        reference = g.flat_restore(w @ charts + correction @ charts, space)
+        charts = np.stack([g.metric_embed(row[t]) for row in panel.controls])
+        reference = g.metric_restore(w @ charts + correction @ charts, space)
         assert_close_to_scale(res.synthetic[t].data, reference.data, 1e-12)
         expected = g.distance(reference, panel.outcomes[0][t])
         assert res.effects[k].length == pytest.approx(expected, rel=1e-12)
-        assert lengths[k] == pytest.approx(np.linalg.norm(root * (correction @ charts)), rel=1e-12)
+        assert lengths[k] == pytest.approx(np.linalg.norm(correction @ charts), rel=1e-12)
 
 
 def test_agsc_embeds_only_the_panel_and_its_restored_points(monkeypatch):
     rng = np.random.default_rng(22)
     panel = near_panel(g.spd_space(3, "log_euclidean"), rng, J=4, T=7, T0=5)
     shapes = []
-    forward = spaces._chart_forward
-    monkeypatch.setattr(
-        spaces, "_chart_forward", lambda space, x: shapes.append(x.shape) or forward(space, x)
-    )
+    embed = spaces.metric_embed_stack
+
+    def counted(space, data):
+        shapes.append(data.shape)
+        return embed(space, data)
+
+    monkeypatch.setattr(spaces, "metric_embed_stack", counted)
+    monkeypatch.setattr(estimators, "metric_embed_stack", counted)
     g.estimate_augmented_gsc(panel, rng.normal(size=(panel.n_units, 2)))
     # panel.coords, GSC's synthetic stack, and the augmented post-period stack
     assert shapes == [(5, 7, 3, 3), (7, 3, 3), (2, 3, 3)]

@@ -48,6 +48,23 @@ def test_config_validation():
         g.SimConfig(scenario="scalar", effect_size=-0.1)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [dict(T=5.5, T0=3), dict(T=6, T0=3.0), dict(J=3.0), dict(J=True), dict(seed=1.5)],
+    ids=["T", "T0", "J", "J-bool", "seed"],
+)
+def test_config_requires_integer_sizes_and_seed(fields):
+    with pytest.raises(g.SpaceError, match="must be an integer"):
+        g.SimConfig(scenario="scalar", **fields)
+
+
+def test_config_requires_nonnegative_seed():
+    with pytest.raises(g.SpaceError, match="seed must be nonnegative"):
+        g.SimConfig(scenario="scalar", seed=-1)
+    cfg = g.SimConfig(scenario="scalar", T=np.int64(4), T0=np.int64(3), J=np.int64(3))
+    assert type(cfg.T) is type(cfg.T0) is type(cfg.J) is int
+
+
 def test_generate_is_reproducible():
     cfg = g.SimConfig(scenario="scalar", T=8, T0=6, J=5, seed=42, effect_size=0.3)
     out1 = g.generate(cfg)

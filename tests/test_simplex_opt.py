@@ -220,7 +220,7 @@ def test_qp_two_unit_problems_within_rounding_of_the_uniform_point(sign):
     # rounding of the minimizer meets the absolute 1e-10 bound there
     qp = SimplexQp(gram=1e4**2 * mixing, linear=linear, constant=0.0)
     vertex = np.eye(2)[int(np.argmin(np.diag(qp.gram) - 2.0 * qp.linear))]
-    finish = _active_set_finish(qp, vertex, lambda w: False, 100)
+    finish = _active_set_finish(qp, vertex, -1.0, 100)  # a negative tol never certifies
     assert np.all(finish >= 0.0) and finish.sum() == 1.0
     with pytest.raises(SolverError, match="KKT residual"):
         g.solve_simplex_qp(qp)
@@ -318,6 +318,27 @@ def test_qp_stress_certified_and_no_worse_than_nnls(seed, kind):
                           maxiter=50 * n)
             ref_val = qp.objective(ref / ref.sum())
             assert val <= ref_val * (1.0 + 1e-9) + 1e-14 * qp.constant, (kind, n)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tol_kkt", float("inf")),
+        ("max_iter", 2.5),
+        ("max_iter", True),
+        ("max_iter", np.float64(3.0)),
+        ("restarts", 2.5),
+        ("restarts", True),
+    ],
+)
+def test_solver_config_rejects_values_it_cannot_run(field, value):
+    with pytest.raises(SolverError, match="tol_kkt must be positive and finite"):
+        g.SolverConfig(**{field: value})
+
+
+def test_solver_config_takes_numpy_integers():
+    cfg = g.SolverConfig(max_iter=np.int64(50), restarts=np.int32(2))
+    assert (cfg.max_iter, cfg.restarts) == (50, 2)
 
 
 def test_qp_budget_exhausted_raises():

@@ -10,8 +10,8 @@ import geosynth as g
 from geosynth.spaces import (
     RepairLog,
     metric_restore,
+    metric_embed_stack,
     metric_restore_stack,
-    metric_weight_sqrt,
     validate_stack,
 )
 from helpers import all_spaces, flat_spaces, random_point
@@ -201,38 +201,46 @@ def test_fisher_rao_distance():
 
 def test_log_euclidean_chart_of_identity_is_zero():
     space = g.spd_space(3, "log_euclidean")
-    coords = g.flat_embed(g.ObjectPoint(space, np.eye(3)))
+    coords = g.metric_embed(g.ObjectPoint(space, np.eye(3)))
     assert np.allclose(coords, 0.0, atol=1e-15)
 
 
 def test_log_cholesky_chart_example():
     space = g.spd_space(2, "log_cholesky")
-    coords = g.flat_embed(g.ObjectPoint(space, np.diag([4.0, 9.0])))
+    coords = g.metric_embed(g.ObjectPoint(space, np.diag([4.0, 9.0])))
     assert coords == pytest.approx([0.0, math.log(2.0), math.log(3.0)], abs=1e-12)
 
 
 def test_chart_roundtrip_all_flat_spaces():
     rng = np.random.default_rng(7)
     for space in flat_spaces():
-        for _ in range(100):
-            p = random_point(space, rng)
-            back = g.flat_restore(g.flat_embed(p), space)
+        points = [random_point(space, rng) for _ in range(100)]
+        for p in points:
+            back = metric_restore(g.metric_embed(p), space)
             assert g.distance(p, back) <= 1e-9 * (1.0 + g.distance(p, p) + np.abs(p.data).max())
+        if space.kind in ("wasserstein1d", "l2function"):
+            # the grid kinds' chart is the values times square-root quadrature weights
+            x = np.stack([p.data for p in points])
+            vecs = metric_embed_stack(space, x)
+            assert vecs.tobytes() == (x * np.sqrt(g.quadrature_weights(space))).tobytes()
+            assert np.allclose(metric_restore_stack(space, vecs), x, rtol=1e-15, atol=1e-15)
         p = random_point(space, rng)
         back = metric_restore(g.metric_embed(p), space)
         assert g.distance(p, back) <= 1e-9
 
 
-def test_flat_restore_rejects_bad_coords():
+def test_metric_restore_rejects_bad_coords():
     space = g.spd_space(3)
     with pytest.raises(g.SpaceError):
-        g.flat_restore(np.zeros(5), space)
+        metric_restore(np.zeros(5), space)
     with pytest.raises(g.SpaceError):
-        g.flat_restore(np.full(9, np.nan), space)
+        metric_restore(np.full(9, np.nan), space)
     with pytest.raises(g.SpaceError, match="must have length 5"):
         metric_restore(np.zeros(4), g.wasserstein_space(5))
+    with np.errstate(over="ignore"), pytest.raises(g.SpaceError, match="finite"):
+        metric_restore(np.full(5, 1.7e308), g.l2function_space(np.linspace(0.0, 1.0, 5)))
     with pytest.raises(g.SpaceError):
-        g.flat_embed(g.ObjectPoint(g.sphere_space(3), np.array([1.0, 0.0, 0.0])))
+        g.metric_embed(g.ObjectPoint(g.sphere_space(3), np.array([1.0, 0.0, 0.0])))
 
 
 REPAIRABLE = ("laplacian", "spd_frobenius", "spd_power", "wasserstein1d")
@@ -243,9 +251,10 @@ def _outside(space, vec, eps):
     if space.kind not in REPAIRABLE:
         return vec
     if space.kind == "wasserstein1d":
-        q = vec / metric_weight_sqrt(space)
+        root = np.sqrt(g.quadrature_weights(space))
+        q = vec / root
         q[5] = q[6] + eps
-        return q * metric_weight_sqrt(space)
+        return q * root
     n = space.dim
     a = vec.reshape(n, n).copy()
     if space.kind == "laplacian":
@@ -626,12 +635,13 @@ def test_spd_power_below_one_restores_valid_points_or_raises():
 
 def test_isotonic_repair_flags():
     space = g.wasserstein_space(5, grid=[0.1, 0.3, 0.5, 0.7, 0.9])
+    vec = np.array([0.0, 1.0, 0.5, 2.0, 3.0]) * np.sqrt(g.quadrature_weights(space))
     log = RepairLog()
-    out = g.flat_restore(np.array([0.0, 1.0, 0.5, 2.0, 3.0]), space, log=log)
+    out = metric_restore(vec, space, log=log)
     assert g.validate_point(out) is None
     assert log.flagged and "isotonic" in log.events[0]
     with pytest.raises(g.SpaceError):
-        g.flat_restore(np.array([0.0, 1.0, 0.5, 2.0, 3.0]), space, repair=False)
+        metric_restore(vec, space, repair=False)
 
 
 # ---------------------------------------------------------------------------
