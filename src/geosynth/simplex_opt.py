@@ -15,11 +15,11 @@ match each control's pre-treatment periods to its post-treatment target.
 :func:`stack_weight_qp`, the one builder, assembles that problem for
 either role from a (B, n, D) stack of chart coordinates, taking its Gram
 matrix (the one part that costs more than a pass over the stack) from the
-panel's cached Gram blocks when it can. Gauss-Newton builds its
-subproblems through it too, from a stack of Jacobians.
+panel's cached Gram blocks, uncopied, when it can. Gauss-Newton builds
+its subproblems through it too, from a stack of Jacobians.
 
-The quadratic objective convention is ``q(w) = w' G w - 2 l' w + c``.
-Problems keep the stack, a view of the panel's coordinates, and evaluate
+A problem keeps the stack, a view of the panel's coordinates, and its
+targets; ``q(w) = w' G w - 2 l' w + c`` is its expanded form. It evaluates
 the objective in residual form, ``mean_b |y_b - w @ z_b|^2``, which avoids
 the catastrophic cancellation the expanded form suffers near a perfect fit.
 """
@@ -74,57 +74,25 @@ def _normalized(w: np.ndarray) -> SimplexWeights:
 
 @dataclass(frozen=True)
 class SimplexQp:
-    """Convex quadratic objective ``q(w) = w' gram w - 2 linear' w + constant``.
-
-    When built from least squares over a coordinate stack, the stack
-    ``factor`` (B, n, D), uncopied, its targets ``target`` (B, D) and
-    ``scale`` are retained with
-    ``q(w) = scale * sum_b || target_b - w @ factor_b ||^2`` and evaluation
-    uses this residual form.
+    """Least squares ``q(w) = (1/B) sum_b || target_b - w @ factor_b ||^2``
+    over a (B, n, D) stack and its (B, D) targets, as :func:`stack_weight_qp`
+    builds and checks it; the record keeps what it is given, uncopied. Its
+    expanded form ``w' gram w - 2 linear' w + constant`` gives the gradient.
     """
 
+    factor: np.ndarray
+    target: np.ndarray
     gram: np.ndarray
     linear: np.ndarray
     constant: float
-    factor: np.ndarray | None = None
-    target: np.ndarray | None = None
-    scale: float | None = None
-
-    def __post_init__(self) -> None:
-        gram = np.array(self.gram, dtype=float)
-        linear = np.array(self.linear, dtype=float).ravel()
-        n = linear.size
-        if gram.shape != (n, n):
-            raise SolverError(f"gram must be {n}x{n}, got {gram.shape}")
-        if np.max(np.abs(gram - gram.T)) > 1e-10 * (1.0 + np.max(np.abs(gram))):
-            raise SolverError("gram matrix must be symmetric")
-        gram = (gram + gram.T) / 2.0
-        gram.setflags(write=False)
-        linear.setflags(write=False)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "constant", float(self.constant))
-        if self.factor is not None:
-            factor = np.asarray(self.factor, dtype=float).view()
-            target = np.asarray(self.target, dtype=float).view()
-            if target.ndim != 2 or factor.shape != (len(target), n, target.shape[1]):
-                raise SolverError("factor/target dimensions are inconsistent")
-            factor.setflags(write=False)
-            target.setflags(write=False)
-            object.__setattr__(self, "factor", factor)
-            object.__setattr__(self, "target", target)
-            object.__setattr__(self, "scale", float(self.scale))
 
     @property
     def n(self) -> int:
         return int(self.linear.size)
 
     def objective(self, w: np.ndarray) -> float:
-        w = np.asarray(w, dtype=float)
-        if self.factor is not None:
-            resid = self.target - w @ self.factor
-            return self.scale * float(np.vdot(resid, resid))
-        return float(w @ self.gram @ w - 2.0 * self.linear @ w + self.constant)
+        resid = self.target - np.asarray(w, dtype=float) @ self.factor
+        return (1.0 / len(self.target)) * float(np.vdot(resid, resid))
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
         return 2.0 * (self.gram @ np.asarray(w, dtype=float) - self.linear)
@@ -137,8 +105,8 @@ class SolverConfig:
     ``tol_kkt``, positive and finite, bounds the projected-gradient
     certificate of the QP and Gauss-Newton solvers, and ``max_iter``, a
     positive integer, caps iterations per run (active-set iterations for
-    the QP, steps for Gauss-Newton). ``restarts``
-    (the number of Nelder-Mead runs) and ``seed`` (its random starts) feed
+    the QP, steps for Gauss-Newton). ``restarts`` (the number of
+    Nelder-Mead runs) and ``seed`` (its random starts, nonnegative) feed
     only the derivative-free solver, which no estimator uses; they are kept
     because configurations set them and result files record them.
     """
@@ -150,12 +118,13 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         counts = all(  # numpy integers count, bools do not
-            isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
-            for v in (self.max_iter, self.restarts)
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
+            for v, least in ((self.max_iter, 1), (self.restarts, 1), (self.seed, 0))
         )
         if not (0 < self.tol_kkt < np.inf and counts):
             raise SolverError(
-                "tol_kkt must be positive and finite, and max_iter and restarts positive integers"
+                "tol_kkt must be positive and finite, max_iter and restarts positive "
+                "integers, and seed a nonnegative integer"
             )
 
 
@@ -166,15 +135,23 @@ def stack_weight_qp(
     ``z`` of chart coordinates (any strided view, not copied) and its (B, D)
     targets ``y``: the average squared distance between each target and its
     w-weighted combination. ``gram``, ``(1/B) sum_b z_b z_b'``, is computed
-    here unless the caller has it.
+    here unless the caller has it; a given one is used as it is, uncopied.
     """
     z, y = np.asarray(stacks, dtype=float), np.asarray(targets, dtype=float)
-    scale = 1.0 / z.shape[0]
+    if z.ndim != 3 or y.shape != (z.shape[0], z.shape[2]):
+        raise SolverError("factor/target dimensions are inconsistent")
+    n, scale = z.shape[1], 1.0 / z.shape[0]
     if gram is None:
-        flat = z.swapaxes(0, 1).reshape(z.shape[1], -1)
+        flat = z.swapaxes(0, 1).reshape(n, -1)
         gram = scale * (flat @ flat.T)
+    else:
+        gram = np.asarray(gram, dtype=float)
+        if gram.shape != (n, n):
+            raise SolverError(f"gram must be {n}x{n}, got {gram.shape}")
+        if np.max(np.abs(gram - gram.T)) > 1e-10 * (1.0 + np.max(np.abs(gram))):
+            raise SolverError("gram matrix must be symmetric")
     linear = scale * np.einsum("bnd,bd->n", z, y)
-    return SimplexQp(gram, linear, scale * float(np.vdot(y, y)), z, y, scale)
+    return SimplexQp(z, y, gram, linear, scale * float(np.vdot(y, y)))
 
 
 # ---------------------------------------------------------------------------

@@ -591,7 +591,8 @@ def metric_restore_stack(
         )
     kind = space.kind
     if kind in GRID_KINDS:  # before the finiteness check: the division can overflow
-        vecs = vecs / space._quadrature[1]
+        with np.errstate(over="ignore"):
+            vecs = vecs / space._quadrature[1]
     if not np.all(np.isfinite(vecs)):
         raise SpaceError("flat coordinates must be finite")
     n = space.dim

@@ -137,6 +137,27 @@ def test_weight_qps_from_the_panel_grams_match_per_block_assembly(space, monkeyp
             assert abs(qp.objective(w) - f) <= 1e-12 * (1.0 + f)
 
 
+def test_unit_qps_take_the_panel_gram_uncopied(monkeypatch):
+    panel = make_flat_panel(np.random.default_rng(5), g.spd_space(3), J=4, T=6, T0=3)
+    qps, pseudos = [], []
+    solve = estimators.solve_simplex_qp
+    monkeypatch.setattr(
+        estimators, "solve_simplex_qp", lambda qp, cfg=None: qps.append(qp) or solve(qp, cfg)
+    )
+    g.estimate_gsc(panel)
+    assert len(qps) == 1 and np.shares_memory(qps[0].gram, panel.grams[0])
+    with_treated_unit = estimators.Panel.with_treated_unit
+    monkeypatch.setattr(
+        estimators.Panel, "with_treated_unit",
+        lambda self, j: pseudos.append(with_treated_unit(self, j)) or pseudos[-1],
+    )
+    qps.clear()
+    g.placebo_test(panel, "gsc")
+    assert len(qps) == len(pseudos) == panel.n_units
+    for qp, pseudo in zip(qps, pseudos):
+        assert np.shares_memory(qp.gram, pseudo.grams[0])
+
+
 @pytest.mark.parametrize("space", flat_spaces(3), ids=lambda s: s.kind)
 def test_placebo_refits_carry_the_permuted_grams(space):
     panel = make_flat_panel(np.random.default_rng(7), space, J=4, T=6, T0=3)

@@ -171,6 +171,7 @@ def test_stack_qp_takes_a_precomputed_gram(role):
     assert np.array_equal(given.linear, computed.linear)
     assert given.constant == computed.constant
     assert np.shares_memory(given.factor, coords)
+    assert given.gram is gram  # a given Gram is used as it is, uncopied
     w = rng.dirichlet(np.ones(z.shape[1]))
     assert given.objective(w) == computed.objective(w)
     assert np.allclose(given.gradient(w), computed.gradient(w), rtol=1e-12, atol=1e-14)
@@ -178,7 +179,24 @@ def test_stack_qp_takes_a_precomputed_gram(role):
 
 def test_qp_requires_symmetry():
     with pytest.raises(SolverError):
-        SimplexQp(gram=np.array([[1.0, 0.5], [0.0, 1.0]]), linear=np.zeros(2), constant=0.0)
+        g.stack_weight_qp(
+            np.zeros((1, 2, 1)), np.zeros((1, 1)), gram=np.array([[1.0, 0.5], [0.0, 1.0]])
+        )
+
+
+@pytest.mark.parametrize(
+    "stacks, targets, gram, message",
+    [
+        (np.zeros((2, 3, 4)), np.zeros((2, 5)), None, "inconsistent"),
+        (np.zeros((3, 4)), np.zeros((1, 4)), None, "inconsistent"),
+        (np.zeros((1, 3, 2)), np.zeros((1, 2)), np.eye(2), "gram must be 3x3"),
+        (np.zeros((1, 2, 1)), np.zeros((1, 1)), np.array([[1.0, 1.0], [-1.0, 1.0]]), "symmetric"),
+    ],
+    ids=["mismatched_targets", "two_dimensional_stack", "wrong_shape_gram", "asymmetric_gram"],
+)
+def test_stack_qp_rejects_inconsistent_shapes(stacks, targets, gram, message):
+    with pytest.raises(SolverError, match=message):
+        g.stack_weight_qp(stacks, targets, gram)
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +204,14 @@ def test_qp_requires_symmetry():
 
 
 def test_qp_vertex_solution():
-    qp = SimplexQp(gram=np.eye(3), linear=np.eye(3)[0], constant=1.0)
+    qp = g.stack_weight_qp(np.eye(3)[None], np.eye(3)[:1])
     w, val = g.solve_simplex_qp(qp)
     assert w.values == pytest.approx([1.0, 0.0, 0.0], abs=1e-10)
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
 def test_qp_constant_objective_returns_uniform():
-    qp = SimplexQp(gram=np.zeros((4, 4)), linear=np.zeros(4), constant=2.0)
+    qp = g.stack_weight_qp(np.zeros((1, 4, 2)), np.ones((1, 2)))
     w, val = g.solve_simplex_qp(qp)
     assert np.array_equal(w.values, np.full(4, 0.25))
     assert val == 2.0
@@ -201,14 +219,16 @@ def test_qp_constant_objective_returns_uniform():
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_qp_two_unit_problems_within_rounding_of_the_uniform_point(sign):
-    # gram a^2 [[1, -1], [-1, 1]] and linear +-1e-10 [1, -1] put the minimizer
-    # 1e-10 / a^2 from the uniform point, whose own gradient fails the bound
-    mixing = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    # points +-a against a target 1e-10 / a: gram a^2 [[1, -1], [-1, 1]] and
+    # linear +-1e-10 [1, -1] put the minimizer 1e-10 / a^2 from the uniform
+    # point, whose own gradient fails the bound
     linear = sign * np.array([1e-10, -1e-10])
     uniform = np.full(2, 0.5)
-    # a = 100 with a constant the weights cannot change: the certified
-    # active-set point ties the uncertified uniform point and wins the tie
-    qp = SimplexQp(gram=100.0**2 * mixing, linear=linear, constant=1.0)
+    # a = 100 with a second coordinate the weights cannot change (objective
+    # 1.0): the certified active-set point ties the uncertified uniform point
+    # and wins the tie
+    a = 100.0
+    qp = g.stack_weight_qp(np.array([[[a, 0.0], [-a, 0.0]]]), np.array([[linear[0] / a, 1.0]]))
     assert kkt_residual(qp, uniform) > 1e-10 * (1.0 + np.linalg.norm(qp.gradient(uniform)))
     w, val = g.solve_simplex_qp(qp)
     assert kkt_residual(qp, w.values) <= 1e-10 * (1.0 + np.linalg.norm(qp.gradient(w.values)))
@@ -218,7 +238,8 @@ def test_qp_two_unit_problems_within_rounding_of_the_uniform_point(sign):
     # loop stops at its feasible point instead of normalizing a zero vector,
     # and the solve fails the certificate cleanly, because no double within
     # rounding of the minimizer meets the absolute 1e-10 bound there
-    qp = SimplexQp(gram=1e4**2 * mixing, linear=linear, constant=0.0)
+    a = 1e4
+    qp = g.stack_weight_qp(np.array([[[a], [-a]]]), np.array([[linear[0] / a]]))
     vertex = np.eye(2)[int(np.argmin(np.diag(qp.gram) - 2.0 * qp.linear))]
     finish = _active_set_finish(qp, vertex, -1.0, 100)  # a negative tol never certifies
     assert np.all(finish >= 0.0) and finish.sum() == 1.0
@@ -231,9 +252,7 @@ def test_qp_matches_lattice_on_random_problems():
     for n in (2, 3):
         for _ in range(20):
             a = rng.normal(size=(n + 2, n))
-            gram = a.T @ a
-            linear = rng.normal(size=n)
-            qp = SimplexQp(gram=gram, linear=linear, constant=0.0)
+            qp = g.stack_weight_qp(a.T[None], rng.normal(size=(1, n + 2)))
             w, val = g.solve_simplex_qp(qp)
             assert val <= lattice_minimum(qp) + 1e-8
             assert kkt_residual(qp, w.values) <= 1e-10 * (
@@ -329,6 +348,10 @@ def test_qp_stress_certified_and_no_worse_than_nnls(seed, kind):
         ("max_iter", np.float64(3.0)),
         ("restarts", 2.5),
         ("restarts", True),
+        ("seed", -1),
+        ("seed", float("inf")),
+        ("seed", 1.5),
+        ("seed", True),
     ],
 )
 def test_solver_config_rejects_values_it_cannot_run(field, value):
@@ -337,8 +360,8 @@ def test_solver_config_rejects_values_it_cannot_run(field, value):
 
 
 def test_solver_config_takes_numpy_integers():
-    cfg = g.SolverConfig(max_iter=np.int64(50), restarts=np.int32(2))
-    assert (cfg.max_iter, cfg.restarts) == (50, 2)
+    cfg = g.SolverConfig(max_iter=np.int64(50), restarts=np.int32(2), seed=np.uint8(0))
+    assert (cfg.max_iter, cfg.restarts, cfg.seed) == (50, 2, 0)
 
 
 def test_qp_budget_exhausted_raises():
@@ -357,7 +380,7 @@ def test_qp_budget_exhausted_raises():
 def test_qp_determinism():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(5, 4))
-    qp = SimplexQp(gram=a.T @ a, linear=rng.normal(size=4), constant=1.0)
+    qp = g.stack_weight_qp(a.T[None], rng.normal(size=(1, 5)))
     w1, v1 = g.solve_simplex_qp(qp)
     w2, v2 = g.solve_simplex_qp(qp)
     assert np.array_equal(w1.values, w2.values) and v1 == v2
