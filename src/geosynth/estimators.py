@@ -12,6 +12,11 @@ placebo refit reads: the isometric coordinates on the flat kinds, so the
 augmented estimator's regression and its correction are combinations of
 that tensor too. All estimators are pure functions of (panel, config)
 and never mutate their inputs.
+
+A placebo test fits the treated unit with one estimator call. On the
+flat kinds the controls' weight QPs, over the panel's own coordinates and
+Gram blocks, are then solved as one stack, and their GSC statistics are
+computed as one stack too; the sphere refits each control on its own.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ from .simplex_opt import (
     SimplexWeights,
     SolverConfig,
     SolverError,
+    _solve_qp_stack,
+    _weight_qp,
     solve_simplex_derivative_free,  # noqa: F401  (looked up here by geobench's tracer)
     solve_simplex_gauss_newton,
     solve_simplex_qp,
@@ -73,7 +80,8 @@ class Panel:
     Construction validates all outcomes in one batched call. Estimators
     read slices of :attr:`coords`, the panel embedded once, and on the flat
     kinds assemble every weight QP from :attr:`grams`, computed once;
-    placebo refits permute the rows of both without validating again.
+    :meth:`with_treated_unit` permutes the rows of :attr:`coords` without
+    validating again.
     """
 
     space: SpaceDescriptor
@@ -194,11 +202,8 @@ class Panel:
         object.__setattr__(panel, "outcomes", tuple(self.outcomes[i] for i in order))
         object.__setattr__(panel, "unit_labels", tuple(self.unit_labels[i] for i in order))
         object.__setattr__(panel, "_coords", self.coords[order])
-        if self.space.kind != "sphere":
-            unit, time = self.grams
-            object.__setattr__(panel, "_grams", (unit[np.ix_(order, order)], time[order]))
-        for array in (panel._coords,) + (panel._grams or ()):
-            array.setflags(write=False)
+        object.__setattr__(panel, "_grams", None)
+        panel._coords.setflags(write=False)
         return panel
 
 
@@ -418,23 +423,34 @@ def _restore(
     return metric_restore_stack(space, coords, repair=repair, log=log)
 
 
-def _synthetic_effects(
-    panel: Panel, data: np.ndarray, periods: Sequence[int]
-) -> tuple[tuple[ObjectPoint, ...], tuple[GeodesicEffect, ...]]:
-    """The synthetic outcomes ``data`` of ``periods``, validated in one call,
-    and their effects: the distances to the treated unit, measured on the
-    stacks as :func:`distance` measures them point by point."""
+def _synthetic_lengths(
+    panel: Panel, means: np.ndarray, units: int | list[int], periods: Sequence[int],
+    repair: bool, log: RepairLog | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The data of synthetic outcomes of ``units`` (a unit or a list) in
+    ``periods`` from their (..., periods, D) coordinates ``means``, restored
+    and validated in one call each, and their distances to those units'
+    outcomes, measured as :func:`distance` measures them point by point."""
     space = panel.space
-    report = validate_stack(space, data)
+    data = _restore(space, means, repair, log)
+    report = validate_stack(space, data.reshape((-1,) + space.data_shape))
     if report is not None:
-        raise SpaceError(f"synthetic outcome (time {periods[report[0]]}) is invalid: {report[1]}")
-    treated = panel.coords[0, periods]
+        t = periods[report[0] % len(periods)]
+        raise SpaceError(f"synthetic outcome (time {t}) is invalid: {report[1]}")
+    coords = panel.coords[units][..., periods, :]
     if space.kind == "sphere":
-        lengths = _sphere_angle(treated, data)
-    else:
-        diff = metric_embed_stack(space, data) - treated
-        lengths = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
-    synthetic = tuple(ObjectPoint(space, x) for x in data)
+        return data, _sphere_angle(coords, data)
+    diff = metric_embed_stack(space, data) - coords
+    return data, np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+
+
+def _synthetic_effects(
+    panel: Panel, means: np.ndarray, periods: Sequence[int], repair: bool, log: RepairLog
+) -> tuple[tuple[ObjectPoint, ...], tuple[GeodesicEffect, ...]]:
+    """The treated unit's synthetic outcomes in ``periods`` from their
+    (periods, D) coordinates ``means``, and their effects."""
+    data, lengths = _synthetic_lengths(panel, means, 0, periods, repair, log)
+    synthetic = tuple(ObjectPoint(panel.space, x) for x in data)
     return synthetic, tuple(
         GeodesicEffect(start, panel.outcomes[0][t], length)
         for start, t, length in zip(synthetic, periods, lengths)
@@ -446,8 +462,7 @@ def _gsc_result(panel: Panel, weights: SimplexWeights, repair: bool) -> GscResul
     Frechet mean in every period, with their effects and pre-period fit."""
     log = RepairLog()
     means = _means(panel.space, panel.coords[1:].swapaxes(0, 1), weights.values)
-    data = _restore(panel.space, means, repair, log)
-    synthetic, effects = _synthetic_effects(panel, data, range(panel.n_periods))
+    synthetic, effects = _synthetic_effects(panel, means, range(panel.n_periods), repair, log)
     sq = [e.length**2 for e in effects[: panel.T0]]
     return GscResult(
         weights=weights,
@@ -695,8 +710,9 @@ def estimate_augmented_gsc(
     log = RepairLog()
     log.events.extend(base.repair_flags)
     post = controls[:, panel.T0 :].swapaxes(0, 1)
-    data = _restore(panel.space, (w + a) @ post, repair, log)
-    post_synthetic, effects = _synthetic_effects(panel, data, panel.post_periods())
+    post_synthetic, effects = _synthetic_effects(
+        panel, (w + a) @ post, panel.post_periods(), repair, log
+    )
     return GscResult(
         weights=base.weights,
         synthetic=base.synthetic[: panel.T0] + post_synthetic,
@@ -855,6 +871,63 @@ def estimate_gsdid_per_time(
 # placebo permutation tests
 
 
+def _named(panel: Panel, j: int, fit: Callable[[], list[float]]) -> list[float]:
+    """``fit()``, the statistics of unit ``j`` in the treated role; a
+    failure is re-raised as a :class:`SolverError` that names the unit."""
+    try:
+        return fit()
+    except (SolverError, SpaceError) as exc:
+        raise SolverError(f"placebo fit failed for unit {panel.unit_labels[j]!r}: {exc}") from exc
+
+
+def _donor_statistics(
+    panel: Panel, method: Method, cfg: SolverConfig, repair: bool
+) -> list[list[float]]:
+    """Every control's placebo statistics on a flat-kind panel, those of
+    ``estimate_*(panel.with_treated_unit(j))`` up to rounding, with all
+    the weight QPs solved as one stack.
+
+    Control ``j``'s unit QP is the panel's over all J+1 units, with its
+    weight held at zero, on ``Panel.grams[0]`` uncopied. A GSDID time QP
+    reads the other units' blocks, in cyclic order from ``j + 1`` one
+    window of the doubled pre-period coordinates. GSC's synthetic outcomes
+    are restored, validated and measured as one stack, GSDID's through
+    :func:`_gsdid_core` on each permuted panel. Failures come in panel order.
+    """
+    J, T0, T = panel.n_controls, panel.T0, panel.n_periods
+    pre, donors = panel.coords[:, :T0], range(1, J + 1)
+    problems = [_weight_qp(pre.swapaxes(0, 1), pre[j], panel.grams[0]) for j in donors]
+    allowed = [np.arange(J + 1) != j for j in donors]
+    if method == "gsdid":
+        post = _post_means(panel)
+        pre2, post2, grams2 = (np.concatenate([a, a]) for a in (pre, post, panel.grams[1]))
+        windows = [slice(j + 1, j + 1 + J) for j in donors]
+        problems += [_weight_qp(pre2[s], post2[s], grams2[s].mean(axis=0)) for s in windows]
+    fits = _solve_qp_stack(problems, cfg, allowed + [None] * (len(problems) - J))
+
+    def weights(fit: int) -> SimplexWeights:
+        if isinstance(fits[fit], SolverError):
+            raise fits[fit]
+        return fits[fit][0]
+
+    def gsdid(j: int) -> list[float]:
+        unit = SimplexWeights(np.delete(weights(j - 1).values, j))
+        pseudo = panel.with_treated_unit(j)
+        return [_gsdid_core(pseudo, unit, weights(J + j - 1), post[j], repair).effect.length]
+
+    def gsc(units: list[int]) -> list[list[float]]:
+        w = np.array([weights(j - 1).values for j in units])
+        means = (w @ panel.coords.reshape(J + 1, -1)).reshape(len(units), T, -1)
+        return _synthetic_lengths(panel, means, units, range(T), repair, None)[1][:, T0:].tolist()
+
+    if method == "gsdid":
+        return [_named(panel, j, lambda: gsdid(j)) for j in donors]
+    try:
+        return gsc(list(donors))
+    except (SolverError, SpaceError):  # one by one, so that the first failure is raised
+        return [_named(panel, j, lambda: gsc([j])[0]) for j in donors]
+
+
 def placebo_test(
     panel: Panel,
     method: Method = "gsc",
@@ -870,6 +943,11 @@ def placebo_test(
     all statistics divided by the number of units, so it is invariant
     under relabeling of the controls and never smaller than 1/(J+1).
 
+    The treated unit's statistics come from one ``estimate_*`` call on the
+    panel. On the flat kinds the controls' weight fits are solved together
+    as one stack of QPs (:func:`_donor_statistics`); on the sphere each
+    control is refitted on its own permuted panel.
+
     Returns one report per post period for ``method="gsc"`` (whose
     statistic is per-period) and a single report for ``method="gsdid"``
     (whose statistic pools the post window through the post mean).
@@ -878,18 +956,17 @@ def placebo_test(
     if method not in ("gsc", "gsdid"):
         raise SolverError(f"unknown placebo method {method!r}")
     n = panel.n_units
-    per_unit: list[list[float]] = []
-    for j in range(n):
-        pseudo = panel.with_treated_unit(j)
-        try:
-            if method == "gsc":
-                per_unit.append([e.length for e in estimate_gsc(pseudo, cfg, repair).effects])
-            else:
-                per_unit.append([estimate_gsdid(pseudo, cfg, repair).effect.length])
-        except (SolverError, SpaceError) as exc:
-            raise SolverError(
-                f"placebo fit failed for unit {panel.unit_labels[j]!r}: {exc}"
-            ) from exc
+
+    def refit(pseudo: Panel) -> list[float]:
+        if method == "gsc":
+            return [e.length for e in estimate_gsc(pseudo, cfg, repair).effects]
+        return [estimate_gsdid(pseudo, cfg, repair).effect.length]
+
+    if panel.space.kind == "sphere":
+        per_unit = [_named(panel, j, lambda: refit(panel.with_treated_unit(j))) for j in range(n)]
+    else:
+        per_unit = [_named(panel, 0, lambda: refit(panel))]
+        per_unit += _donor_statistics(panel, method, cfg, repair)
     reports = []
     for stats in np.array(per_unit).T:
         rank = int(np.sum(stats >= stats[0]))  # max-rank of the treated unit, row 0

@@ -22,6 +22,12 @@ A problem keeps the stack, a view of the panel's coordinates, and its
 targets; ``q(w) = w' G w - 2 l' w + c`` is its expanded form. It evaluates
 the objective in residual form, ``mean_b |y_b - w @ z_b|^2``, which avoids
 the catastrophic cancellation the expanded form suffers near a perfect fit.
+
+The QP solver runs a stack of problems in one active-set loop: a placebo
+test's donor fits are one stack, and a single fit is a stack of one. Each
+member keeps its own support, step and certificate, and each iteration
+solves the members' face systems with one stacked LU call per face size,
+so a member's weights never depend on the rest of its stack.
 """
 
 from __future__ import annotations
@@ -140,16 +146,23 @@ def stack_weight_qp(
     z, y = np.asarray(stacks, dtype=float), np.asarray(targets, dtype=float)
     if z.ndim != 3 or y.shape != (z.shape[0], z.shape[2]):
         raise SolverError("factor/target dimensions are inconsistent")
-    n, scale = z.shape[1], 1.0 / z.shape[0]
+    n = z.shape[1]
     if gram is None:
         flat = z.swapaxes(0, 1).reshape(n, -1)
-        gram = scale * (flat @ flat.T)
+        gram = (1.0 / z.shape[0]) * (flat @ flat.T)
     else:
         gram = np.asarray(gram, dtype=float)
         if gram.shape != (n, n):
             raise SolverError(f"gram must be {n}x{n}, got {gram.shape}")
         if np.max(np.abs(gram - gram.T)) > 1e-10 * (1.0 + np.max(np.abs(gram))):
             raise SolverError("gram matrix must be symmetric")
+    return _weight_qp(z, y, gram)
+
+
+def _weight_qp(z: np.ndarray, y: np.ndarray, gram: np.ndarray) -> SimplexQp:
+    """The QP of :func:`stack_weight_qp` from a stack, targets and Gram it
+    has checked (or that come checked, like a panel's Gram blocks)."""
+    scale = 1.0 / z.shape[0]
     linear = scale * np.einsum("bnd,bd->n", z, y)
     return SimplexQp(z, y, gram, linear, scale * float(np.vdot(y, y)))
 
@@ -177,15 +190,14 @@ def _tangent_cone_projection(v: np.ndarray, zero_mask: np.ndarray) -> np.ndarray
     one-dimensional piecewise-linear equation for the multiplier of the
     sum constraint, exactly, by scanning the sorted breakpoints.
     """
-    free = ~zero_mask
-    n_free = int(free.sum())
-    if n_free == 0:
+    free = v[~zero_mask]
+    if free.size == 0:
         raise SolverError("tangent cone projection requires at least one free coordinate")
-    total = float(v[free].sum())
-    count = n_free
-    bp = np.sort(v[zero_mask])[::-1]
+    total, count = float(free.sum()), free.size
     mu = total / count
-    if bp.size and mu < bp[0]:
+    bp = v[zero_mask]
+    if bp.size and mu < bp.max():
+        bp = np.sort(bp)[::-1]
         for i in range(bp.size):
             total += float(bp[i])
             count += 1
@@ -198,83 +210,178 @@ def _tangent_cone_projection(v: np.ndarray, zero_mask: np.ndarray) -> np.ndarray
     return d
 
 
-def kkt_residual(problem: SimplexQp, w: np.ndarray) -> float:
-    """Norm of the negative gradient projected onto the simplex tangent cone."""
-    g = problem.gradient(w)
+def kkt_residual(problem: SimplexQp, w: np.ndarray, gradient: np.ndarray | None = None) -> float:
+    """Norm of the negative gradient (computed here unless given) projected
+    onto the simplex tangent cone at ``w``."""
+    g = problem.gradient(w) if gradient is None else gradient
     d = _tangent_cone_projection(-g, np.asarray(w) <= 0.0)
-    return float(np.linalg.norm(d))
+    return float(np.sqrt(d @ d))
 
 
-def _certified(problem: SimplexQp, w: np.ndarray, tol: float) -> bool:
+def _certified(problem: SimplexQp, w: np.ndarray, tol: float, g=None, allowed=None) -> bool:
     """The certificate every weight fit carries: ``kkt_residual`` at most
-    ``tol * (1 + |gradient|)``."""
-    bound = tol * (1.0 + float(np.linalg.norm(problem.gradient(w))))
-    return kkt_residual(problem, w) <= bound
+    ``tol * (1 + |gradient|)``, over the coordinates ``allowed`` (all by
+    default), from the gradient ``g`` at ``w`` when the caller has it."""
+    g = problem.gradient(w) if g is None else g
+    if allowed is not None:
+        w, g = w[allowed], g[allowed]
+    return kkt_residual(problem, w, g) <= tol * (1.0 + float(np.sqrt(g @ g)))
 
 
-def _active_set_finish(problem: SimplexQp, w: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Primal active-set method started from the feasible point ``w``.
+def _face_solves(kkt: np.ndarray, rhs: np.ndarray, lu: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions of the face KKT systems ``kkt[r] x = rhs[r]`` and which
+    came from LU. LAPACK factors each matrix of a stack on its own, so no
+    solution depends on the others. Where LU fails (a singular system or a
+    non-finite solution), or everywhere unless ``lu``, the minimum-norm
+    least-squares solution stands in."""
+    try:
+        sol = np.linalg.solve(kkt, rhs[..., None])[..., 0] if lu else np.full(rhs.shape, np.nan)
+    except np.linalg.LinAlgError:  # a singular system: solve each on its own
+        sol = np.full(rhs.shape, np.nan)
+        for r in range(len(kkt)):
+            try:
+                sol[r] = np.linalg.solve(kkt[r : r + 1], rhs[r : r + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+    exact = np.isfinite(sol).all(axis=1)
+    if not exact.all():
+        for r in np.flatnonzero(~exact):
+            sol[r] = np.linalg.lstsq(kkt[r], rhs[r], rcond=None)[0]
+    return sol, exact
 
-    The working set is the zero coordinates of ``w``. Each iteration takes
-    the exact minimizing step on the current face (a minimum-norm solve of
-    the face KKT system, so rank-deficient gram matrices are handled), cut
-    short by a ratio test at the first coordinate that would turn negative;
-    that coordinate joins the working set. When the face is flat to
-    working precision along a descent direction (the residual of that
-    solve), the step instead follows that direction to the boundary,
-    provided an exact line search along it would not stop first. At the
-    face minimizer the zero coordinate with the most
-    negative reduced gradient is released. Stops once :func:`_certified`
-    holds at ``tol`` or no release would lower the objective. See Nocedal &
-    Wright, Numerical Optimization, ch. 16.
+
+def _active_set(
+    problems: list[SimplexQp], starts: list[np.ndarray], allowed: list,
+    tol: float, max_iter: int, lu: bool = True,
+) -> list[np.ndarray]:
+    """Primal active-set method on a stack of problems, each started from
+    its feasible point ``starts[i]`` and kept to the coordinates of the
+    boolean mask ``allowed[i]`` (``None``: all); see Nocedal & Wright,
+    Numerical Optimization, ch. 16.
+
+    Each member keeps its own working set (its zero coordinates), ratio
+    test, certificate and release rule; members with faces of one size
+    share a face solve (:func:`_face_solves`) and a vectorized ratio test,
+    computed row by row as alone. A step goes to the face minimizer, cut
+    short where a coordinate would turn negative, which joins the working
+    set. On a face solved by least squares and flat to working precision
+    along a descent direction (the solve's residual), the step follows that
+    direction to the boundary unless an exact line search would stop first.
+    At the face minimizer the allowed zero coordinate with the most
+    negative reduced gradient is released. A member stops once
+    :func:`_certified` holds at ``tol``, no release would lower its
+    objective, or, on LU faces, it is back at a face minimizer it has left,
+    which exact steps never do (an LU step on a face singular to rounding).
     """
-    w = np.array(w, dtype=float)
-    free = w > 0.0
+    ws = [np.array(w, dtype=float) for w in starts]
+    free = [w > 0.0 for w in ws]
+    grads = [p.gradient(w) for p, w in zip(problems, ws)]
+    seen: list[set] = [set() for _ in problems]
+    live = list(range(len(problems)))
     for _ in range(max_iter):
-        support = np.flatnonzero(free)
-        k = support.size
-        g = problem.gradient(w)
-        face = 2.0 * problem.gram[np.ix_(support, support)]
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = face
-        kkt[:k, k] = 1.0
-        kkt[k, :k] = 1.0
-        rhs = np.append(-g[support], 0.0)
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        if not np.all(np.isfinite(sol)):
+        supports = {i: free[i].nonzero()[0] for i in live}
+        sizes: dict[int, list[int]] = {}
+        for i in live:
+            sizes.setdefault(supports[i].size, []).append(i)
+        going, settled = [], []
+        for k, members in sizes.items():
+            S = [supports[i] for i in members]
+            kkt = np.zeros((len(members), k + 1, k + 1))
+            kkt[:, :k, :k] = [2.0 * problems[i].gram[s[:, None], s] for i, s in zip(members, S)]
+            kkt[:, :k, k] = kkt[:, k, :k] = 1.0
+            rhs = np.zeros((len(members), k + 1))
+            rhs[:, :k] = [-grads[i][s] for i, s in zip(members, S)]
+            w_s = np.array([ws[i][s] for i, s in zip(members, S)])
+            sol, exact = _face_solves(kkt, rhs, lu)
+            ok, step, cap = exact, sol[:, :k], np.ones(len(members))
+            if not exact.all():  # least-squares faces
+                ok = np.isfinite(sol).all(axis=1)
+                step = np.where(ok[:, None], step, 0.0)
+            for r in np.flatnonzero(ok & ~exact):
+                ray = (rhs[r] - kkt[r] @ sol[r])[:k]
+                ray -= ray.mean()  # keep the step on the plane sum(w) = 1
+                slope, down = float(rhs[r, :k] @ ray), ray < 0.0  # rhs: the negative gradient
+                if slope > 0.0 and down.any():
+                    reach = float(np.min(-w_s[r][down] / ray[down]))
+                    if reach > 0.0 and slope > float(ray @ kkt[r, :k, :k] @ ray) * reach:
+                        step[r], cap[r] = ray, np.inf
+            shrinking = step < 0.0
+            ratios = np.where(shrinking, w_s, np.inf) / np.where(shrinking, -step, 1.0)
+            alpha, blocking = np.minimum(cap, ratios.min(axis=1)), ratios.argmin(axis=1)
+            blocked = alpha < cap
+            trial = w_s + alpha[:, None] * step
+            trial[blocked, blocking[blocked]] = 0.0
+            trial = np.maximum(trial, 0.0)
+            total = trial.sum(axis=1)
+            moved = ok & (total > 0.0)  # else the solve lost every coordinate to rounding
+            trial /= np.where(moved, total, 1.0)[:, None]
+            for r in np.flatnonzero(moved):
+                i, s = members[r], S[r]
+                ws[i][s] = trial[r]
+                grads[i] = problems[i].gradient(ws[i])
+                if blocked[r]:
+                    free[i][s[blocking[r]]] = False
+                (going if blocked[r] else settled).append(i)
+        for i in settled:
+            g, face = grads[i], free[i].tobytes()
+            if _certified(problems[i], ws[i], tol, g, allowed[i]) or (lu and face in seen[i]):
+                continue  # certified, or back at a face minimizer: LU faces lost to rounding
+            seen[i].add(face)
+            g_s = g[supports[i]]
+            closed = free[i] if allowed[i] is None else free[i] | ~allowed[i]
+            reduced = np.where(closed, np.inf, g - float(g_s.sum()) / g_s.size)
+            j = int(np.argmin(reduced))
+            if reduced[j] < 0.0:
+                free[i][j] = True
+                going.append(i)
+        live = going
+        if not live:
             break
-        step, cap = sol[:k], 1.0
-        ray = (rhs - kkt @ sol)[:k]
-        ray -= ray.mean()  # keep the step on the plane sum(w) = 1
-        slope = float(g[support] @ ray)
-        if slope < 0.0 and np.any(ray < 0.0):
-            reach = float(np.min(-w[support[ray < 0.0]] / ray[ray < 0.0]))
-            if reach > 0.0 and -slope > float(ray @ face @ ray) * reach:
-                step, cap = ray, np.inf
-        shrinking = step < 0.0
-        ratios = -w[support[shrinking]] / step[shrinking]
-        alpha = min(cap, float(ratios.min())) if ratios.size else cap
-        trial = w.copy()
-        trial[support] += alpha * step
-        if alpha < cap:
-            blocking = support[shrinking][int(np.argmin(ratios))]
-            trial[blocking] = 0.0
-            free[blocking] = False
-        trial = np.maximum(trial, 0.0)
-        if not trial.sum() > 0.0:
-            break  # the face solve lost every coordinate to rounding: keep w
-        w = trial / trial.sum()
-        if alpha < cap:
-            continue
-        if _certified(problem, w, tol):
+    return ws
+
+
+def _solve_qp_stack(
+    problems: list[SimplexQp], cfg: SolverConfig | None = None, allowed: list | None = None
+) -> list:
+    """:func:`solve_simplex_qp` on a stack of problems at once: each one's
+    ``(weights, objective)``, or in its place the :class:`SolverError` it
+    fails with. ``allowed[i]``, a boolean mask or ``None`` (every
+    coordinate), holds problem ``i``'s other weights at zero; its weights
+    keep the full length, and its certificate covers the mask."""
+    cfg = cfg or SolverConfig()
+    allowed = list(allowed or [None] * len(problems))
+    results: list = [None] * len(problems)
+    starts, uniforms = {}, {}
+    for i, (problem, mask) in enumerate(zip(problems, allowed)):
+        mask = np.ones(problem.n, dtype=bool) if mask is None else mask
+        vertex = np.argmin(np.where(mask, np.diag(problem.gram) - 2.0 * problem.linear, np.inf))
+        starts[i], uniforms[i] = (np.arange(problem.n) == vertex) * 1.0, mask / mask.sum()
+    pending = list(starts)
+    for lu in (True, False):  # a member uncertified on LU faces retries on minimum-norm ones
+        finishes = _active_set(
+            [problems[i] for i in pending], [starts[i] for i in pending],
+            [allowed[i] for i in pending], cfg.tol_kkt, cfg.max_iter, lu,
+        )
+        for i, finish in zip(pending, finishes):
+            problem, mask, best = problems[i], allowed[i], uniforms[i]
+            f_best, f_finish = problem.objective(best), problem.objective(finish)
+            if f_finish < f_best or (
+                f_finish == f_best and not _certified(problem, best, cfg.tol_kkt, allowed=mask)
+            ):
+                best, f_best = finish, f_finish
+            if _certified(problem, best, cfg.tol_kkt, allowed=mask):
+                weights = _normalized(best)
+                same = np.array_equal(weights.values, best)
+                results[i] = weights, f_best if same else problem.objective(weights.values)
+            else:
+                results[i] = SolverError(
+                    f"simplex QP failed to reach KKT residual {cfg.tol_kkt:.1e} "
+                    f"within {cfg.max_iter} iterations"
+                )
+        pending = [i for i in pending if isinstance(results[i], SolverError)]
+        if not pending:
             break
-        g = problem.gradient(w)
-        reduced = np.where(free, np.inf, g - float(g[support].mean()))
-        j = int(np.argmin(reduced))
-        if reduced[j] >= 0.0:
-            break
-        free[j] = True
-    return w
+    return results
 
 
 def solve_simplex_qp(
@@ -282,10 +389,10 @@ def solve_simplex_qp(
 ) -> tuple[SimplexWeights, float]:
     """Minimize a convex quadratic over the probability simplex.
 
-    Runs the primal active-set method of :func:`_active_set_finish` from
-    the best vertex, ``argmin_i (G_ii - 2 l_i)``. Each release adds one
-    coordinate to the support, as in Lawson and Hanson's NNLS, so a fit
-    costs about one small face KKT solve per support coordinate. The
+    Runs the primal active-set method of :func:`_active_set`, as a stack of
+    one, from the best vertex, ``argmin_i (G_ii - 2 l_i)``. Each release
+    adds one coordinate to the support, as in Lawson and Hanson's NNLS, so
+    a fit costs about one small face KKT solve per support coordinate. The
     returned point carries a stationarity certificate: the norm of the
     negative gradient projected onto the simplex tangent cone is at most
     ``tol_kkt * (1 + |gradient|)``.
@@ -301,25 +408,10 @@ def solve_simplex_qp(
         If the point reached is not certified within ``max_iter``
         active-set iterations.
     """
-    cfg = cfg or SolverConfig()
-    n = problem.n
-    if n == 1:
-        w = np.array([1.0])
-        return SimplexWeights(w), problem.objective(w)
-    best = np.full(n, 1.0 / n)
-    vertex = np.zeros(n)
-    vertex[int(np.argmin(np.diag(problem.gram) - 2.0 * problem.linear))] = 1.0
-    finish = _active_set_finish(problem, vertex, cfg.tol_kkt, cfg.max_iter)
-    f_best, f_finish = problem.objective(best), problem.objective(finish)
-    if f_finish < f_best or (f_finish == f_best and not _certified(problem, best, cfg.tol_kkt)):
-        best = finish
-    if not _certified(problem, best, cfg.tol_kkt):
-        raise SolverError(
-            f"simplex QP failed to reach KKT residual {cfg.tol_kkt:.1e} "
-            f"within {cfg.max_iter} iterations"
-        )
-    weights = _normalized(best)
-    return weights, problem.objective(weights.values)
+    [result] = _solve_qp_stack([problem], cfg)
+    if isinstance(result, SolverError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ placebo permutation test."""
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import geosynth as g
-from geosynth import estimators, spaces
+from geosynth import estimators, simplex_opt, spaces
 from geosynth.estimators import (
     _fit_weights,
     _sphere_linearization,
@@ -139,10 +140,15 @@ def test_weight_qps_from_the_panel_grams_match_per_block_assembly(space, monkeyp
 
 def test_unit_qps_take_the_panel_gram_uncopied(monkeypatch):
     panel = make_flat_panel(np.random.default_rng(5), g.spd_space(3), J=4, T=6, T0=3)
-    qps, pseudos = [], []
-    solve = estimators.solve_simplex_qp
+    qps, stacks, pseudos = [], [], []
+    solve, solve_stack = estimators.solve_simplex_qp, estimators._solve_qp_stack
     monkeypatch.setattr(
         estimators, "solve_simplex_qp", lambda qp, cfg=None: qps.append(qp) or solve(qp, cfg)
+    )
+    monkeypatch.setattr(
+        estimators, "_solve_qp_stack",
+        lambda problems, cfg=None, allowed=None: stacks.append(problems)
+        or solve_stack(problems, cfg, allowed),
     )
     g.estimate_gsc(panel)
     assert len(qps) == 1 and np.shares_memory(qps[0].gram, panel.grams[0])
@@ -153,9 +159,13 @@ def test_unit_qps_take_the_panel_gram_uncopied(monkeypatch):
     )
     qps.clear()
     g.placebo_test(panel, "gsc")
-    assert len(qps) == len(pseudos) == panel.n_units
-    for qp, pseudo in zip(qps, pseudos):
-        assert np.shares_memory(qp.gram, pseudo.grams[0])
+    # the treated row is one estimate on the panel itself; the controls'
+    # unit QPs are one stack, each on the panel's whole Gram, and no
+    # panel is permuted
+    assert len(qps) == 1 and np.shares_memory(qps[0].gram, panel.grams[0])
+    assert len(stacks) == 1 and len(stacks[0]) == panel.n_controls
+    assert all(qp.gram is panel.grams[0] for qp in stacks[0])
+    assert pseudos == []
 
 
 @pytest.mark.parametrize("space", flat_spaces(3), ids=lambda s: s.kind)
@@ -913,6 +923,107 @@ def test_placebo_invariant_to_control_relabeling():
     p_after = [r.p_value for r in g.placebo_test(panel_perm, "gsc")]
     assert p_before == p_after
     assert p_before[0] == pytest.approx(1.0 / 6.0)
+
+
+SCENARIOS = ["network", "spd", "sphere", "scalar", "robustness_s2", "robustness_s3"]
+
+
+def rel_gap(a, b) -> float:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.max(np.abs(a - b) / (1.0 + np.abs(a))))
+
+
+@pytest.mark.parametrize("size", [dict(J=8, T=8, T0=6), {}], ids=["small", "default"])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_placebo_matches_per_refit_fits(scenario, size, monkeypatch):
+    """Stacked donor fits against ``estimate_*(panel.with_treated_unit(j))``:
+    the same ranks and p-values, statistics within the README's bound,
+    donor weights within 1e-10 and the treated row bit for bit."""
+    stacks = []
+    solve_stack = estimators._solve_qp_stack
+    monkeypatch.setattr(
+        estimators, "_solve_qp_stack",
+        lambda problems, cfg=None, allowed=None: stacks.append(
+            solve_stack(problems, cfg, allowed)) or stacks[-1],
+    )
+    for seed in range(3):
+        panel = g.generate(g.SimConfig(scenario=scenario, seed=seed, effect_size=0.5, **size)).panel
+        J = panel.n_controls
+        for method in ("gsc", "gsdid"):
+            if scenario == "network" and method == "gsdid":
+                continue  # raises SpaceError at control_1 (ROADMAP item 3)
+            stacks.clear()
+            reports = g.placebo_test(panel, method)
+            reports = reports if method == "gsc" else [reports]
+            refits = [
+                (g.estimate_gsc if method == "gsc" else g.estimate_gsdid)(panel.with_treated_unit(j))
+                for j in range(panel.n_units)
+            ]
+            if method == "gsc":
+                ref = np.array([[e.length for e in r.effects] for r in refits])
+                unit = [r.weights.values for r in refits]
+            else:
+                ref = np.array([[r.effect.length] for r in refits])
+                unit = [r.unit_weights.values for r in refits]
+            stats = np.array([r.statistics for r in reports]).T
+            assert np.array_equal(stats[0], ref[0])
+            assert rel_gap(ref, stats) <= 1e-11, (seed, method)
+            ranks = [int(np.sum(col >= col[0])) for col in ref.T]
+            assert [r.rank_of_treated for r in reports] == ranks, (seed, method)
+            assert [r.p_value for r in reports] == [rank / panel.n_units for rank in ranks]
+            if scenario == "sphere":
+                assert stacks == []
+                continue
+            [fits] = stacks
+            for j in range(1, J + 1):
+                stacked = fits[j - 1][0].values
+                assert stacked[j] == 0.0
+                assert np.max(np.abs(np.delete(stacked, j) - unit[j])) <= 1e-10
+                if method == "gsdid":
+                    time = fits[J + j - 1][0].values
+                    assert np.max(np.abs(time - refits[j].time_weights.values)) <= 1e-10
+
+
+def test_placebo_on_location_scale_quantiles_takes_few_active_set_iterations(monkeypatch):
+    """Every unit of a location-scale quantile panel is an exact mixture of
+    the others, so the donor QPs meet faces whose KKT systems are singular
+    only to rounding. LU steps on such faces once cycled until max_iter
+    (10,011 iterations on seeds 0 and 9 at J=50); a member back at a face
+    minimizer now drops to minimum-norm faces."""
+    solves = []
+    face_solves = simplex_opt._face_solves
+    monkeypatch.setattr(
+        simplex_opt, "_face_solves", lambda *a: solves.append(1) or face_solves(*a)
+    )
+    for seed in (0, 9):
+        rng = np.random.default_rng(seed)
+        space = g.wasserstein_space(21)
+        m, s = 70.0 + np.cumsum(rng.normal(0.2, 0.4, size=8)), rng.uniform(0.9, 1.1, size=8)
+        mu, sigma = rng.normal(0.0, 3.0, size=51), rng.uniform(8.0, 14.0, size=51)
+        data = m[:, None] + s[:, None] * (mu[:, None, None] + sigma[:, None, None] * ndtri(space.grid))
+        solves.clear()
+        reports = g.placebo_test(panel_from_arrays(space, data, 6), "gsc")
+        assert len(solves) < 100 and len(reports) == 2
+
+
+def test_placebo_donor_failure_names_the_first_failing_unit(monkeypatch):
+    panel = g.generate(g.SimConfig(scenario="scalar", seed=0, J=8, T=8, T0=6)).panel
+    poisoned = [
+        np.array([p.data for p in g.estimate_gsc(panel.with_treated_unit(j)).synthetic])
+        for j in (5, 3)
+    ]
+    restore = estimators._restore
+
+    def failing(space, coords, repair, log):
+        data = restore(space, coords, repair, log)
+        rows = data.reshape((-1,) + poisoned[0].shape)
+        if any(np.allclose(row, bad, rtol=0.0, atol=1e-9) for row in rows for bad in poisoned):
+            raise g.SpaceError("restore refused")
+        return data
+
+    monkeypatch.setattr(estimators, "_restore", failing)
+    with pytest.raises(SolverError, match="unit 'control_3': restore refused"):
+        g.placebo_test(panel, "gsc")
 
 
 def test_placebo_failure_names_unit():

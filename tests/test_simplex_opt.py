@@ -11,7 +11,8 @@ from geosynth.simplex_opt import (
     SimplexQp,
     SimplexWeights,
     SolverError,
-    _active_set_finish,
+    _active_set,
+    _solve_qp_stack,
     kkt_residual,
     project_simplex,
     solve_simplex_gauss_newton,
@@ -241,7 +242,7 @@ def test_qp_two_unit_problems_within_rounding_of_the_uniform_point(sign):
     a = 1e4
     qp = g.stack_weight_qp(np.array([[[a], [-a]]]), np.array([[linear[0] / a]]))
     vertex = np.eye(2)[int(np.argmin(np.diag(qp.gram) - 2.0 * qp.linear))]
-    finish = _active_set_finish(qp, vertex, -1.0, 100)  # a negative tol never certifies
+    [finish] = _active_set([qp], [vertex], [None], -1.0, 100)  # a negative tol never certifies
     assert np.all(finish >= 0.0) and finish.sum() == 1.0
     with pytest.raises(SolverError, match="KKT residual"):
         g.solve_simplex_qp(qp)
@@ -337,6 +338,62 @@ def test_qp_stress_certified_and_no_worse_than_nnls(seed, kind):
                           maxiter=50 * n)
             ref_val = qp.objective(ref / ref.sum())
             assert val <= ref_val * (1.0 + 1e-9) + 1e-14 * qp.constant, (kind, n)
+
+
+STRESS_KINDS = ["rank_deficient", "duplicated", "near_rank_one", "constant", "off_hull"]
+
+
+@pytest.mark.parametrize("n", [3, 20, 100])
+def test_qp_stack_members_are_certified_and_equal_their_solo_solves(n):
+    rng = np.random.default_rng(n)
+    problems = []
+    for kind in STRESS_KINDS * 2:
+        a, b = stress_problem(kind, n, rng)
+        problems.append(g.stack_weight_qp(a.T[None], b[None]))
+    for qp, (w, val) in zip(problems, _solve_qp_stack(problems)):
+        grad = qp.gradient(w.values)
+        assert kkt_residual(qp, w.values) <= 1e-10 * (1.0 + np.linalg.norm(grad))
+        solo, solo_val = g.solve_simplex_qp(qp)
+        assert np.array_equal(w.values, solo.values) and val == solo_val
+
+
+def test_qp_stack_with_a_duplicated_donor_reaches_the_minimum_norm_fallback(monkeypatch):
+    # integer data keep the Gram exact, so the face of two identical donors
+    # is exactly singular and its LU fails; started on that face, the
+    # member takes the minimum-norm solve while the rest of the stack does
+    # not notice
+    rng = np.random.default_rng(3)
+    a = rng.integers(-5, 6, size=(8, 5)).astype(float)
+    a[:, 1] = a[:, 0]
+    dup = g.stack_weight_qp(a.T[None], (a @ np.array([0.0, 0.0, 0.5, 0.25, 0.25]))[None])
+    others = [g.stack_weight_qp(x.T[None], y[None]) for x, y in
+              (stress_problem(kind, 5, rng) for kind in STRESS_KINDS)]
+    problems = [dup] + others
+    starts = [np.array([0.5, 0.5, 0.0, 0.0, 0.0])] + [np.eye(5)[0]] * len(others)
+    fallbacks = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(
+        np.linalg, "lstsq", lambda *a, **k: fallbacks.append(a[0].shape) or lstsq(*a, **k)
+    )
+    finishes = _active_set(problems, starts, [None] * len(problems), 1e-10, 100)
+    assert (3, 3) in fallbacks
+    for qp, start, finish in zip(problems, starts, finishes):
+        assert kkt_residual(qp, finish) <= 1e-10 * (1.0 + np.linalg.norm(qp.gradient(finish)))
+        assert np.array_equal(finish, _active_set([qp], [start], [None], 1e-10, 100)[0])
+
+
+def test_qp_stack_holds_disallowed_weights_at_zero():
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(6, 4))
+    qp = g.stack_weight_qp(a.T[None], (a @ np.array([0.5, 0.3, 0.0, 0.2]))[None])
+    allowed = np.arange(4) != 2
+    [(w, val)] = _solve_qp_stack([qp], allowed=[allowed])
+    ref, ref_val = g.solve_simplex_qp(g.stack_weight_qp(a[:, allowed].T[None], qp.target))
+    assert len(w) == 4 and w.values[2] == 0.0
+    assert np.max(np.abs(w.values[allowed] - ref.values)) <= 1e-12
+    assert val <= 1e-20 and ref_val <= 1e-20
+    [failed] = _solve_qp_stack([qp], g.SolverConfig(max_iter=1), allowed=[allowed])
+    assert isinstance(failed, SolverError)
 
 
 @pytest.mark.parametrize(
