@@ -81,7 +81,6 @@ from .estimators import (
     estimate_gsdid,
     estimate_gsdid_per_time,
     fit_global_frechet_regression,
-    geodesic_effect,
     placebo_test,
     predict_frechet_regression,
 )
@@ -138,7 +137,6 @@ __all__ = [
     "fisher_rao_distance",
     "fit_global_frechet_regression",
     "generate",
-    "geodesic_effect",
     "geodesic_eval",
     "kkt_residual",
     "l2function_space",

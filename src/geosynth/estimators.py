@@ -13,10 +13,11 @@ augmented estimator's regression and its correction are combinations of
 that tensor too. All estimators are pure functions of (panel, config)
 and never mutate their inputs.
 
-A placebo test fits the treated unit with one estimator call. On the
-flat kinds the controls' weight QPs, over the panel's own coordinates and
-Gram blocks, are then solved as one stack, and their GSC statistics are
-computed as one stack too; the sphere refits each control on its own.
+GSDID is one routine over a stack of pseudo-treated rows, which the
+estimate, the per-period effects and the placebo donors share. A placebo
+test fits the treated unit with one estimator call. On the flat kinds the
+controls' weight QPs and then their statistics are one stack each, on the
+panel's own coordinates; only the sphere refits each control on its own.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ from .spaces import (
     _sphere_log_stack,
     _sphere_mean_jacobian,
     _sphere_mean_stack,
-    distance,
+    _transport_stack,
+    distance,  # noqa: F401  (looked up here by geobench's tracer)
     metric_embed,  # noqa: F401  (looked up here by geobench's tracer)
     metric_embed_stack,
     metric_restore,  # noqa: F401  (looked up here by geobench's tracer)
     metric_restore_stack,
-    transport,
+    transport,  # noqa: F401  (looked up here by geobench's tracer)
     validate_point,  # noqa: F401  (looked up here by geobench's tracer)
     validate_stack,
     weighted_frechet_mean,  # noqa: F401  (looked up here by geobench's tracer)
@@ -99,8 +101,9 @@ class Panel:
         t_len = len(rows[0])
         if t_len < 2 or any(len(row) != t_len for row in rows):
             raise SpaceError("all units must share the same number of periods (at least 2)")
-        if not (1 <= int(self.T0) < t_len):
-            raise SpaceError(f"T0 must satisfy 1 <= T0 < T={t_len}, got {self.T0}")
+        T0 = self.T0
+        if isinstance(T0, bool) or not (isinstance(T0, (int, np.integer)) and 1 <= T0 < t_len):
+            raise SpaceError(f"T0 must be an integer with 1 <= T0 < T={t_len}, got {T0!r}")
         for j, row in enumerate(rows):
             for t, point in enumerate(row):
                 if not isinstance(point, ObjectPoint):
@@ -227,6 +230,8 @@ class CovariatePanel:
         if len(rows) < 2:
             raise SpaceError("covariate panel needs at least two units")
         t_len = len(rows[0])
+        if t_len == 0:
+            raise SpaceError("covariate panel needs at least one period")
         for j, row in enumerate(rows):
             if len(row) != t_len:
                 raise SpaceError("all units must share the same number of covariate periods")
@@ -277,11 +282,6 @@ class GeodesicEffect:
         if not (np.isfinite(self.length) and self.length >= 0.0):
             raise SpaceError(f"effect length must be a nonnegative real, got {self.length}")
         object.__setattr__(self, "length", float(self.length))
-
-
-def geodesic_effect(start: ObjectPoint, end: ObjectPoint) -> GeodesicEffect:
-    """Build a GeodesicEffect with its length computed from the metric."""
-    return GeodesicEffect(start=start, end=end, length=distance(start, end))
 
 
 @dataclass(frozen=True)
@@ -437,11 +437,16 @@ def _synthetic_lengths(
     if report is not None:
         t = periods[report[0] % len(periods)]
         raise SpaceError(f"synthetic outcome (time {t}) is invalid: {report[1]}")
-    coords = panel.coords[units][..., periods, :]
+    return data, _lengths(space, data, panel.coords[units][..., periods, :])
+
+
+def _lengths(space: SpaceDescriptor, data: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Distances from points' ``data`` to points in :attr:`Panel.coords` form,
+    shape (..., D), measured as :func:`distance` measures them point by point."""
     if space.kind == "sphere":
-        return data, _sphere_angle(coords, data)
+        return _sphere_angle(coords, data)
     diff = metric_embed_stack(space, data) - coords
-    return data, np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+    return np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
 
 
 def _synthetic_effects(
@@ -736,78 +741,67 @@ def _post_means(panel: Panel) -> np.ndarray:
     return _means(panel.space, post, np.full(post.shape[1], 1.0 / post.shape[1]))
 
 
-def _grid_mean(
-    panel: Panel,
-    unit_weights: np.ndarray,
-    time_weights: np.ndarray,
-    periods: slice,
-    rows: slice,
-    repair: bool,
-    log: RepairLog | None,
-) -> ObjectPoint:
-    """Frechet mean over a (unit, period) grid with product weights; flat
-    kinds contract them one axis at a time on a view of the coordinates."""
-    x = panel.coords[rows, periods]
-    if panel.space.kind == "sphere":
-        weights = np.outer(unit_weights, time_weights).ravel()
-        mean = _sphere_mean_stack(x.reshape(1, -1, x.shape[-1]), weights / weights.sum())[0]
-    else:
-        mean = unit_weights @ (time_weights @ x) / (unit_weights.sum() * time_weights.sum())
-    return ObjectPoint(panel.space, _restore(panel.space, mean, repair, log))
+def _did_stack(
+    panel: Panel, rows: Sequence[int], unit_w: np.ndarray, time_w: np.ndarray,
+    post_w: np.ndarray, repair: bool, log: RepairLog | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """GSDID for a stack of B pseudo-treated ``rows`` of the panel.
 
+    Row ``b`` weighs all J+1 units by ``unit_w[b]`` (zero on itself), its
+    pre periods by ``time_w[b]`` and its post periods by ``post_w[b]``.
+    Its four means have product weights over (unit, period) grids: on the
+    flat kinds one matrix product contracts the units of all rows, then
+    each row's period weights; on the sphere each is one iterative mean.
+    The controls' pre-to-post displacement is transported to the row's
+    pre mean, and the effect runs from there to the row's post mean.
 
-def _did_transport(
-    panel: Panel,
-    unit_weights: np.ndarray,
-    time_weights: np.ndarray,
-    periods: slice,
-    period_weights: np.ndarray,
-    repair: bool,
-    log: RepairLog | None,
-) -> tuple[dict[str, ObjectPoint], ObjectPoint]:
-    """The treated unit's time-weighted pre mean, transported by the control
-    group's displacement from its doubly weighted pre mean to its
-    ``period_weights``-weighted mean over ``periods``.
-
-    Returns the three means (``treated_pre``, ``controls_pre``,
-    ``controls_post``) and the transported, synthetic point.
+    Returns the means' data, shape (B, 2, 2, *data_shape), indexed by
+    (own, controls) and (pre, post); the synthetic points' data; and the
+    effect lengths, shape (B,).
     """
-    pre, controls = slice(0, panel.T0), slice(1, None)
-    grids = {
-        "treated_pre": (np.ones(1), time_weights, pre, slice(0, 1)),
-        "controls_pre": (unit_weights, time_weights, pre, controls),
-        "controls_post": (unit_weights, period_weights, periods, controls),
-    }
-    means = {name: _grid_mean(panel, *grid, repair, log) for name, grid in grids.items()}
-    synthetic = transport(
-        means["controls_pre"], means["controls_post"], means["treated_pre"],
-        repair=repair, log=log,
-    )
-    return means, synthetic
+    space, coords, n, T, B = panel.space, panel.coords, panel.n_units, panel.n_periods, len(rows)
+    unit_w = unit_w / unit_w.sum(axis=1, keepdims=True)
+    periods = np.zeros((B, 2, T))
+    periods[:, 0, : panel.T0], periods[:, 1, panel.T0 :] = time_w, post_w
+    periods /= periods.sum(axis=2, keepdims=True)
+    if space.kind == "sphere":
+        units = np.stack([np.eye(n)[rows], unit_w], axis=1)
+        grids = (units[:, :, None, :, None] * periods[:, None, :, None, :]).reshape(-1, n * T)
+        x = coords.reshape(1, n * T, -1)
+        means = np.array([_sphere_mean_stack(x, w)[0] for w in grids]).reshape(B, 2, 2, -1)
+    else:
+        own = periods @ coords[rows]  # before the controls' contraction: one copy at a time
+        means = np.stack([own, periods @ (unit_w @ coords.reshape(n, -1)).reshape(B, T, -1)], 1)
+    data = _restore(space, means, repair, log)
+    synthetic = _transport_stack(space, data[:, 1, 0], data[:, 1, 1], data[:, 0, 0], repair, log)
+    points = np.concatenate([data.reshape((-1,) + space.data_shape), synthetic])
+    report = validate_stack(space, points)
+    if report is not None:
+        raise SpaceError(report[1])
+    return data, synthetic, _lengths(space, synthetic, means[:, 0, 1])
 
 
-def _gsdid_core(
-    panel: Panel,
-    unit_weights: SimplexWeights,
-    time_weights: SimplexWeights,
-    post_mean: np.ndarray,
-    repair: bool = True,
+def _gsdid_result(
+    panel: Panel, unit_weights: SimplexWeights, time_weights: SimplexWeights, repair: bool
 ) -> GsdidResult:
-    """GSDID from fitted weights and the coordinates of the treated post mean."""
+    """GSDID from fitted weights, with the post window weighted uniformly."""
     log = RepairLog()
-    observed_post_mean = ObjectPoint(panel.space, _restore(panel.space, post_mean, repair, log))
     n_post = panel.n_periods - panel.T0
-    means, synthetic = _did_transport(
-        panel, unit_weights.values, time_weights.values, slice(panel.T0, None),
-        np.full(n_post, 1.0 / n_post), repair, log,
+    means, synthetic, lengths = _did_stack(
+        panel, [0], np.append(0.0, unit_weights.values)[None], time_weights.values[None],
+        np.full((1, n_post), 1.0 / n_post), repair, log,
     )
+    at = {"treated_pre": (0, 0), "controls_pre": (1, 0),
+          "controls_post": (1, 1), "treated_post": (0, 1)}
+    means = {name: ObjectPoint(panel.space, means[0][i]) for name, i in at.items()}
+    synthetic = ObjectPoint(panel.space, synthetic[0])
     return GsdidResult(
         unit_weights=unit_weights,
         time_weights=time_weights,
         synthetic=synthetic,
-        observed_post_mean=observed_post_mean,
-        effect=geodesic_effect(synthetic, observed_post_mean),
-        intermediates={**means, "treated_post": observed_post_mean},
+        observed_post_mean=means["treated_post"],
+        effect=GeodesicEffect(synthetic, means["treated_post"], lengths[0]),
+        intermediates=means,
         repair_flags=tuple(log.events),
     )
 
@@ -826,9 +820,8 @@ def estimate_gsdid(
     """
     cfg = cfg or SolverConfig()
     unit_weights = _unit_weights(panel, cfg)
-    post_means = _post_means(panel)
-    time_weights = _time_weights(panel, post_means[1:], cfg)
-    return _gsdid_core(panel, unit_weights, time_weights, post_means[0], repair)
+    time_weights = _time_weights(panel, _post_means(panel)[1:], cfg)
+    return _gsdid_result(panel, unit_weights, time_weights, repair)
 
 
 def estimate_gdid(panel: Panel, repair: bool = True) -> GsdidResult:
@@ -840,8 +833,7 @@ def estimate_gdid(panel: Panel, repair: bool = True) -> GsdidResult:
     """
     uniform_units = SimplexWeights(np.full(panel.n_controls, 1.0 / panel.n_controls))
     uniform_times = SimplexWeights(np.full(panel.T0, 1.0 / panel.T0))
-    post_means = _post_means(panel)
-    return _gsdid_core(panel, uniform_units, uniform_times, post_means[0], repair)
+    return _gsdid_result(panel, uniform_units, uniform_times, repair)
 
 
 def estimate_gsdid_per_time(
@@ -852,19 +844,19 @@ def estimate_gsdid_per_time(
     For each post period the time weights are refit against that single
     period's control outcomes, and the synthetic point transports the
     treated pre mean by the displacement of the control means between the
-    weighted pre window and that period.
+    weighted pre window and that period. All periods are one GSDID stack.
     """
     cfg = cfg or SolverConfig()
-    unit_weights = _unit_weights(panel, cfg)
-    effects = []
-    for t in panel.post_periods():
-        time_weights = _time_weights(panel, panel.coords[1:, t], cfg)
-        _, synthetic = _did_transport(
-            panel, unit_weights.values, time_weights.values, slice(t, t + 1), np.ones(1),
-            repair, None,
-        )
-        effects.append(geodesic_effect(synthetic, panel.outcomes[0][t]))
-    return effects
+    unit = np.append(0.0, _unit_weights(panel, cfg).values)
+    post = panel.post_periods()
+    time = np.array([_time_weights(panel, panel.coords[1:, t], cfg).values for t in post])
+    _, synthetic, lengths = _did_stack(
+        panel, [0] * len(post), np.tile(unit, (len(post), 1)), time, np.eye(len(post)), repair, None
+    )
+    return [
+        GeodesicEffect(ObjectPoint(panel.space, x), panel.outcomes[0][t], length)
+        for x, t, length in zip(synthetic, post, lengths)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -890,9 +882,9 @@ def _donor_statistics(
     Control ``j``'s unit QP is the panel's over all J+1 units, with its
     weight held at zero, on ``Panel.grams[0]`` uncopied. A GSDID time QP
     reads the other units' blocks, in cyclic order from ``j + 1`` one
-    window of the doubled pre-period coordinates. GSC's synthetic outcomes
-    are restored, validated and measured as one stack, GSDID's through
-    :func:`_gsdid_core` on each permuted panel. Failures come in panel order.
+    window of the doubled pre-period coordinates. The statistics are one
+    stack on the panel's own coordinates too (GSC's synthetic outcomes or
+    :func:`_did_stack`); failures come in panel order.
     """
     J, T0, T = panel.n_controls, panel.T0, panel.n_periods
     pre, donors = panel.coords[:, :T0], range(1, J + 1)
@@ -904,28 +896,26 @@ def _donor_statistics(
         windows = [slice(j + 1, j + 1 + J) for j in donors]
         problems += [_weight_qp(pre2[s], post2[s], grams2[s].mean(axis=0)) for s in windows]
     fits = _solve_qp_stack(problems, cfg, allowed + [None] * (len(problems) - J))
+    problems = pre2 = post2 = grams2 = None  # free the QPs' stacks before the statistics
 
-    def weights(fit: int) -> SimplexWeights:
-        if isinstance(fits[fit], SolverError):
-            raise fits[fit]
-        return fits[fit][0]
+    def weights(fits_of: list[int]) -> np.ndarray:
+        for fit in fits_of:
+            if isinstance(fits[fit], SolverError):
+                raise fits[fit]
+        return np.array([fits[fit][0].values for fit in fits_of])
 
-    def gsdid(j: int) -> list[float]:
-        unit = SimplexWeights(np.delete(weights(j - 1).values, j))
-        pseudo = panel.with_treated_unit(j)
-        return [_gsdid_core(pseudo, unit, weights(J + j - 1), post[j], repair).effect.length]
-
-    def gsc(units: list[int]) -> list[list[float]]:
-        w = np.array([weights(j - 1).values for j in units])
-        means = (w @ panel.coords.reshape(J + 1, -1)).reshape(len(units), T, -1)
+    def statistics(units: list[int]) -> list[list[float]]:
+        w, B = weights([j - 1 for j in units]), len(units)
+        if method == "gsdid":
+            time, post_w = weights([J + j - 1 for j in units]), np.full((B, T - T0), 1 / (T - T0))
+            return _did_stack(panel, units, w, time, post_w, repair, None)[2][:, None].tolist()
+        means = (w @ panel.coords.reshape(J + 1, -1)).reshape(B, T, -1)
         return _synthetic_lengths(panel, means, units, range(T), repair, None)[1][:, T0:].tolist()
 
-    if method == "gsdid":
-        return [_named(panel, j, lambda: gsdid(j)) for j in donors]
     try:
-        return gsc(list(donors))
+        return statistics(list(donors))
     except (SolverError, SpaceError):  # one by one, so that the first failure is raised
-        return [_named(panel, j, lambda: gsc([j])[0]) for j in donors]
+        return [_named(panel, j, lambda: statistics([j])[0]) for j in donors]
 
 
 def placebo_test(
@@ -945,8 +935,9 @@ def placebo_test(
 
     The treated unit's statistics come from one ``estimate_*`` call on the
     panel. On the flat kinds the controls' weight fits are solved together
-    as one stack of QPs (:func:`_donor_statistics`); on the sphere each
-    control is refitted on its own permuted panel.
+    as one stack of QPs, and their statistics are one stack too
+    (:func:`_donor_statistics`); only the sphere refits each control on
+    its own permuted panel.
 
     Returns one report per post period for ``method="gsc"`` (whose
     statistic is per-period) and a single report for ``method="gsdid"``

@@ -32,10 +32,11 @@ Validation (``validate_stack``), the chart map (``metric_embed_stack``)
 and its inverse (``metric_restore_stack``) work on stacks of points, so
 that a panel is checked and embedded, and a fit's synthetic points are
 restored, in one call each; ``validate_point``, ``metric_embed`` and
-``metric_restore`` are their one-point cases. The sphere's Frechet means
-are likewise one batched routine (``_sphere_mean_stack``), and the sphere
-has one logarithm map (``_sphere_log_stack``) and one exponential map
-(``_sphere_exp_raw``), from which its geodesics and mean steps are built.
+``metric_restore`` are their one-point cases, as ``transport`` is of
+``_transport_stack``. The sphere's Frechet means are likewise one batched
+routine (``_sphere_mean_stack``), and the sphere has one logarithm map
+(``_sphere_log_stack``) and one exponential map (``_sphere_exp_raw``),
+from which its geodesics and mean steps are built.
 """
 
 from __future__ import annotations
@@ -892,17 +893,27 @@ def transport(
     ``Q_beta(F_alpha(.))`` pushforward in the Wasserstein space.
     """
     space = _require_same_space(alpha, beta, omega)
-    require_valid(alpha)
-    require_valid(beta)
-    require_valid(omega)
-    kind = space.kind
-    if kind == "sphere":
-        return ObjectPoint(space, _sphere_transport(alpha.data, beta.data, omega.data, repair, log))
-    if kind == "wasserstein1d":
-        zeta = _wasserstein_transport(alpha.data, beta.data, omega.data, space)
-        return ObjectPoint(space, _isotonize(zeta, quadrature_weights(space), repair, log))
-    combo = metric_embed(omega) + (metric_embed(beta) - metric_embed(alpha))
-    return metric_restore(combo, space, repair=repair, log=log)
+    for point in (alpha, beta, omega):
+        require_valid(point)
+    data = _transport_stack(space, alpha.data[None], beta.data[None], omega.data[None], repair, log)
+    return ObjectPoint(space, data[0])
+
+
+def _transport_stack(
+    space: SpaceDescriptor, alpha: np.ndarray, beta: np.ndarray, omega: np.ndarray,
+    repair: bool, log: RepairLog | None,
+) -> np.ndarray:
+    """:func:`transport` on stacks of valid points' data, shape
+    (B, *data_shape), row by row: one embedding and one restore on the flat
+    charts, the per-point kernels on the sphere and in the Wasserstein space."""
+    rows = zip(alpha, beta, omega)
+    if space.kind == "sphere":
+        return np.array([_sphere_transport(a, b, o, repair, log) for a, b, o in rows])
+    if space.kind == "wasserstein1d":
+        zeta = np.array([_wasserstein_transport(a, b, o, space) for a, b, o in rows])
+        return _isotonize(zeta, quadrature_weights(space), repair, log)
+    a, b, o = metric_embed_stack(space, np.stack([alpha, beta, omega]))
+    return metric_restore_stack(space, o + (b - a), repair, log)
 
 
 def _sphere_transport(

@@ -512,6 +512,25 @@ def test_cli_agsc_and_covariate_type_checks(tmp_path, capsys):
     assert code == EXIT_OK
 
 
+def test_cli_gsc_rejects_covariates_without_periods(tmp_path, capsys):
+    panel = scalar_panel(np.random.default_rng(3).normal(size=(3, 5)), T0=4)
+    panel_path, covs_path = str(tmp_path / "panel.json"), str(tmp_path / "covs.json")
+    save_panel(panel, panel_path)
+    cspace = g.scalar_space()
+    covs = g.CovariatePanel(
+        spaces=(cspace,), covariates=tuple(((row[0],),) for row in panel.outcomes)
+    )
+    save_covariates(covs, covs_path)
+    doc = json.loads(open(covs_path).read())
+    doc["covariates"] = [[] for _ in doc["covariates"]]
+    with open(covs_path, "w") as f:
+        json.dump(doc, f)
+    out = str(tmp_path / "res.json")
+    code, _, err = run(capsys, "gsc", "--panel", panel_path, "--covariates", covs_path, "--out", out)
+    assert code == EXIT_VALIDATION and "at least one period" in err
+    assert "Traceback" not in err and not os.path.exists(out)
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "gsc", "--panel", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "o.json"))

@@ -57,6 +57,16 @@ def test_panel_rejects_bad_cutoff_and_shapes():
         g.Panel(space=space, outcomes=((p, p),), T0=1)
 
 
+def test_panel_cutoff_must_be_an_integer():
+    space = g.l2function_space([0.0, 1.0])
+    row = tuple(g.ObjectPoint(space, np.full(2, float(t))) for t in range(5))
+    for T0 in (2.5, True, "3"):
+        with pytest.raises(g.SpaceError, match="T0 must be an integer"):
+            g.Panel(space=space, outcomes=(row, row), T0=T0)
+    panel = g.Panel(space=space, outcomes=(row, row), T0=np.int64(3))
+    assert panel.T0 == 3 and type(panel.T0) is int
+
+
 def test_panel_default_labels_and_views():
     space = g.l2function_space([0.0, 1.0])
     p = g.ObjectPoint(space, np.zeros(2))
@@ -184,14 +194,37 @@ def test_placebo_refits_carry_the_permuted_grams(space):
 
 
 @pytest.mark.parametrize("space", flat_spaces(3), ids=lambda s: s.kind)
-def test_separable_grid_mean_equals_the_product_weighted_mean(space):
+def test_separable_grid_mean_equals_the_product_weighted_mean(space, monkeypatch):
+    """The controls' pre mean of ``_did_stack``, contracted units first, against
+    the Frechet mean with the product weights. Transport is stubbed to the
+    identity: on these random panels it may leave the cone."""
     panel = make_flat_panel(np.random.default_rng(9), space, J=4, T=6, T0=3)
     rng = np.random.default_rng(4)
     unit_w, time_w = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(3))
-    mean = estimators._grid_mean(panel, unit_w, time_w, slice(0, 3), slice(1, None), True, None)
+    monkeypatch.setattr(estimators, "_transport_stack", lambda space, a, b, omega, *_: omega)
+    means, _, _ = estimators._did_stack(
+        panel, [0], np.append(0.0, unit_w)[None], time_w[None], np.ones((1, 3)), True, None
+    )
     points = [p for row in panel.controls for p in row[:3]]
     flat = g.weighted_frechet_mean(points, np.outer(unit_w, time_w).ravel())
-    assert_close_to_scale(mean.data, flat.data, 1e-13)
+    assert_close_to_scale(means[0, 1, 0], flat.data, 1e-13)
+
+
+@pytest.mark.parametrize("scenario", ["network", "spd", "scalar", "robustness_s3"])
+def test_flat_gsdid_placebo_and_per_period_effects_permute_no_panel(scenario, monkeypatch):
+    panel = g.generate(g.SimConfig(scenario=scenario, seed=0, J=8, T=8, T0=6)).panel
+    orders = []
+    permuted = estimators.Panel._permuted
+    monkeypatch.setattr(
+        estimators.Panel, "_permuted",
+        lambda self, order: orders.append(order) or permuted(self, order),
+    )
+    g.estimate_gsdid_per_time(panel)
+    if scenario != "network":  # its gsdid placebo raises at control_1 (ROADMAP item 3)
+        g.placebo_test(panel, "gsdid")
+    assert orders == []
+    panel.with_treated_unit(1)
+    assert orders == [[1, 0, 2, 3, 4, 5, 6, 7, 8]]
 
 
 @pytest.mark.parametrize("space", flat_spaces(3), ids=lambda s: s.kind)
@@ -769,6 +802,11 @@ def test_covariate_panel_names_the_invalid_covariate():
         g.CovariatePanel(spaces=(g.scalar_space(), quantiles), covariates=cells)
 
 
+def test_covariate_panel_needs_a_period():
+    with pytest.raises(g.SpaceError, match="at least one period"):
+        g.CovariatePanel(spaces=(g.scalar_space(),), covariates=((), (), ()))
+
+
 def test_agsc_rejects_sphere_panels():
     rng = np.random.default_rng(10)
     space = g.sphere_space(3)
@@ -1006,10 +1044,14 @@ def test_placebo_on_location_scale_quantiles_takes_few_active_set_iterations(mon
         assert len(solves) < 100 and len(reports) == 2
 
 
-def test_placebo_donor_failure_names_the_first_failing_unit(monkeypatch):
+@pytest.mark.parametrize("method", ["gsc", "gsdid"])
+def test_placebo_donor_failure_names_the_first_failing_unit(method, monkeypatch):
+    """A restore that refuses the synthetic outcomes (gsc) or the post mean
+    (gsdid) of controls 5 and 3 fails the placebo test at control 3."""
     panel = g.generate(g.SimConfig(scenario="scalar", seed=0, J=8, T=8, T0=6)).panel
     poisoned = [
         np.array([p.data for p in g.estimate_gsc(panel.with_treated_unit(j)).synthetic])
+        if method == "gsc" else g.estimate_gsdid(panel.with_treated_unit(j)).observed_post_mean.data
         for j in (5, 3)
     ]
     restore = estimators._restore
@@ -1023,7 +1065,7 @@ def test_placebo_donor_failure_names_the_first_failing_unit(monkeypatch):
 
     monkeypatch.setattr(estimators, "_restore", failing)
     with pytest.raises(SolverError, match="unit 'control_3': restore refused"):
-        g.placebo_test(panel, "gsc")
+        g.placebo_test(panel, method)
 
 
 def test_placebo_failure_names_unit():

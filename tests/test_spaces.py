@@ -9,6 +9,7 @@ import pytest
 import geosynth as g
 from geosynth.spaces import (
     RepairLog,
+    _transport_stack,
     metric_restore,
     metric_embed_stack,
     metric_restore_stack,
@@ -517,6 +518,48 @@ def test_transport_endpoint_and_identity():
             same = g.transport(a, a, w)
             scale = 1.0 + float(np.abs(w.data).max())
             assert g.distance(same, w) <= 1e-9 * scale, space.kind
+
+
+def _displaced(space, alpha, c):
+    """A point whose displacement from ``alpha`` keeps any transported point
+    valid: ``alpha`` moved a tenth of the way to ``c`` on the sphere,
+    ``alpha + c`` in a flat chart (every chart's image of valid points is
+    closed under that sum)."""
+    if space.kind == "sphere":
+        return g.geodesic_eval(alpha, c, 0.1)
+    return metric_restore(g.metric_embed(alpha) + g.metric_embed(c), space)
+
+
+@pytest.mark.parametrize("space", all_spaces(3), ids=lambda s: s.kind)
+def test_transport_stack_matches_per_point_transport(space):
+    """``_transport_stack`` on stacks of six rows against ``transport`` row
+    by row: the same points and repair notes, or, where some row fails,
+    the first failing row's error."""
+    rng = np.random.default_rng(41)
+    for displaced in (True, False):
+        for _ in range(4):
+            alpha, beta, omega = ([random_point(space, rng) for _ in range(6)] for _ in range(3))
+            if displaced:
+                beta = [_displaced(space, a, c) for a, c in zip(alpha, beta)]
+            stacks = [np.stack([p.data for p in points]) for points in (alpha, beta, omega)]
+            expected, error, point_log = [], None, RepairLog()
+            for a, b, w in zip(alpha, beta, omega):
+                try:
+                    expected.append(g.transport(a, b, w, log=point_log).data)
+                except g.SpaceError as exc:
+                    error = str(exc)
+                    break
+            stack_log = RepairLog()
+            if error is not None:
+                assert not displaced, space.kind
+                with pytest.raises(g.SpaceError) as info:
+                    _transport_stack(space, *stacks, True, stack_log)
+                assert str(info.value) == error
+                continue
+            out = _transport_stack(space, *stacks, True, stack_log)
+            scale = 1.0 + float(np.abs(out).max())
+            assert np.max(np.abs(out - np.array(expected))) <= 1e-14 * scale, space.kind
+            assert stack_log.events == point_log.events
 
 
 def test_transport_wasserstein_uniform_shift():
