@@ -15,9 +15,10 @@ and never mutate their inputs.
 
 GSDID is one routine over a stack of pseudo-treated rows, which the
 estimate, the per-period effects and the placebo donors share. A placebo
-test fits the treated unit with one estimator call. On the flat kinds the
-controls' weight QPs and then their statistics are one stack each, on the
-panel's own coordinates; only the sphere refits each control on its own.
+test fits the treated unit with one estimator call. The controls' weight
+fits (one stack of QPs on the flat kinds, one stacked Gauss-Newton run on
+the sphere) and then their statistics are one stack each, on the panel's
+own coordinates; no placebo builds a permuted panel.
 """
 
 from __future__ import annotations
@@ -195,12 +196,10 @@ class Panel:
 
         The remaining units keep their original relative order, so placebo
         fits see the same donor pool regardless of which unit is held out.
+        The panel is built from the validated and embedded arrays without
+        running the constructor again.
         """
-        return self._permuted([j] + [i for i in range(self.n_units) if i != j])
-
-    def _permuted(self, order: list[int]) -> "Panel":
-        """This panel with its units in ``order``, built from the validated
-        and embedded arrays without running the constructor again."""
+        order = [j] + [i for i in range(self.n_units) if i != j]
         panel = copy.copy(self)
         object.__setattr__(panel, "outcomes", tuple(self.outcomes[i] for i in order))
         object.__setattr__(panel, "unit_labels", tuple(self.unit_labels[i] for i in order))
@@ -355,7 +354,7 @@ class PlaceboReport:
 
 def _sphere_linearization(
     z: np.ndarray, y: np.ndarray
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
     """Residuals and Jacobians of ``mean_b d(m_b(w), y_b)^2`` on the sphere.
 
     ``m_b(w)`` is the ``w``-weighted Frechet mean of the points ``z[b]``
@@ -363,13 +362,21 @@ def _sphere_linearization(
     weights ``w`` the residual of row ``b`` is ``Log_{m_b}(y_b)``, the
     tangent vector from the mean to its target, so the mean of the squared
     residual norms is the objective. To first order it moves by ``-dm_b``,
-    the implicit derivative of the mean.
+    the implicit derivative of the mean. For a stack of such problems,
+    ``z`` (M, B, n, d) and ``y`` (M, B, d), it is ``linearize(w, members)``
+    as :func:`solve_simplex_gauss_newton` takes a stack: the rows of all
+    members asked for are one batch of means and one of Jacobians.
     """
-    z = np.ascontiguousarray(z)
+    *stack, B, n, d = z.shape
+    z, y = np.ascontiguousarray(z).reshape(-1, B, n, d), y.reshape(-1, B, d)
 
-    def linearize(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        means = _sphere_mean_stack(z, w)
-        return _sphere_log_stack(means, y), -_sphere_mean_jacobian(z, w, means)
+    def linearize(w: np.ndarray, members: np.ndarray | None = None) -> tuple:
+        rows, weights = z[members].reshape(-1, n, d), np.repeat(w.reshape(-1, n), B, axis=0)
+        means = _sphere_mean_stack(rows, weights)
+        resid = _sphere_log_stack(means, y[members].reshape(-1, d))
+        jac = -_sphere_mean_jacobian(rows, weights, means)
+        shape = (len(w), B) if stack else (B,)
+        return resid.reshape(shape + (d,)), jac.reshape(shape + (d, n))
 
     return linearize
 
@@ -735,9 +742,9 @@ def estimate_augmented_gsc(
 # synthetic difference-in-differences
 
 
-def _post_means(panel: Panel) -> np.ndarray:
-    """Per-unit uniform Frechet means over the post window, (J+1, D) coordinates."""
-    post = panel.coords[:, panel.T0 :]
+def _post_means(panel: Panel, units: slice) -> np.ndarray:
+    """The ``units``' uniform Frechet means over the post window, (units, D) coordinates."""
+    post = panel.coords[units, panel.T0 :]
     return _means(panel.space, post, np.full(post.shape[1], 1.0 / post.shape[1]))
 
 
@@ -751,7 +758,9 @@ def _did_stack(
     pre periods by ``time_w[b]`` and its post periods by ``post_w[b]``.
     Its four means have product weights over (unit, period) grids: on the
     flat kinds one matrix product contracts the units of all rows, then
-    each row's period weights; on the sphere each is one iterative mean.
+    each row's period weights; on the sphere the rows' own means are one
+    batch of iterative means over their periods, and the controls' means
+    one batch over the whole grid.
     The controls' pre-to-post displacement is transported to the row's
     pre mean, and the effect runs from there to the row's post mean.
 
@@ -765,10 +774,10 @@ def _did_stack(
     periods[:, 0, : panel.T0], periods[:, 1, panel.T0 :] = time_w, post_w
     periods /= periods.sum(axis=2, keepdims=True)
     if space.kind == "sphere":
-        units = np.stack([np.eye(n)[rows], unit_w], axis=1)
-        grids = (units[:, :, None, :, None] * periods[:, None, :, None, :]).reshape(-1, n * T)
-        x = coords.reshape(1, n * T, -1)
-        means = np.array([_sphere_mean_stack(x, w)[0] for w in grids]).reshape(B, 2, 2, -1)
+        own = _sphere_mean_stack(np.repeat(coords[rows], 2, axis=0), periods.reshape(2 * B, T))
+        grids = (unit_w[:, None, :, None] * periods[:, :, None, :]).reshape(2 * B, n * T)
+        controls = _sphere_mean_stack(coords.reshape(1, n * T, -1), grids)
+        means = np.stack([own, controls]).reshape(2, B, 2, -1).swapaxes(0, 1)
     else:
         own = periods @ coords[rows]  # before the controls' contraction: one copy at a time
         means = np.stack([own, periods @ (unit_w @ coords.reshape(n, -1)).reshape(B, T, -1)], 1)
@@ -820,7 +829,7 @@ def estimate_gsdid(
     """
     cfg = cfg or SolverConfig()
     unit_weights = _unit_weights(panel, cfg)
-    time_weights = _time_weights(panel, _post_means(panel)[1:], cfg)
+    time_weights = _time_weights(panel, _post_means(panel, slice(1, None)), cfg)
     return _gsdid_result(panel, unit_weights, time_weights, repair)
 
 
@@ -875,47 +884,71 @@ def _named(panel: Panel, j: int, fit: Callable[[], list[float]]) -> list[float]:
 def _donor_statistics(
     panel: Panel, method: Method, cfg: SolverConfig, repair: bool
 ) -> list[list[float]]:
-    """Every control's placebo statistics on a flat-kind panel, those of
-    ``estimate_*(panel.with_treated_unit(j))`` up to rounding, with all
-    the weight QPs solved as one stack.
+    """Every control's placebo statistics, those of
+    ``estimate_*(panel.with_treated_unit(j))`` up to rounding, with the
+    weight fits of all controls solved as one stack.
 
-    Control ``j``'s unit QP is the panel's over all J+1 units, with its
-    weight held at zero, on ``Panel.grams[0]`` uncopied. A GSDID time QP
-    reads the other units' blocks, in cyclic order from ``j + 1`` one
-    window of the doubled pre-period coordinates. The statistics are one
-    stack on the panel's own coordinates too (GSC's synthetic outcomes or
-    :func:`_did_stack`); failures come in panel order.
+    On the flat kinds control ``j``'s unit QP is the panel's over all J+1
+    units, with its weight held at zero, on ``Panel.grams[0]`` uncopied. A
+    GSDID time QP reads the other units' blocks, in cyclic order from
+    ``j + 1`` one window of the doubled pre-period coordinates. On the
+    sphere control ``j``'s problems are its permuted panel's, the other
+    units in panel order; its unit and time weights are one stacked
+    Gauss-Newton run each. The statistics are one stack on the panel's own
+    coordinates too (GSC's synthetic outcomes or :func:`_did_stack`); if
+    it fails, the controls are taken one by one, so failures come in panel
+    order.
     """
     J, T0, T = panel.n_controls, panel.T0, panel.n_periods
-    pre, donors = panel.coords[:, :T0], range(1, J + 1)
-    problems = [_weight_qp(pre.swapaxes(0, 1), pre[j], panel.grams[0]) for j in donors]
-    allowed = [np.arange(J + 1) != j for j in donors]
-    if method == "gsdid":
-        post = _post_means(panel)
-        pre2, post2, grams2 = (np.concatenate([a, a]) for a in (pre, post, panel.grams[1]))
-        windows = [slice(j + 1, j + 1 + J) for j in donors]
-        problems += [_weight_qp(pre2[s], post2[s], grams2[s].mean(axis=0)) for s in windows]
-    fits = _solve_qp_stack(problems, cfg, allowed + [None] * (len(problems) - J))
-    problems = pre2 = post2 = grams2 = None  # free the QPs' stacks before the statistics
+    pre, sphere = panel.coords[:, :T0], panel.space.kind == "sphere"
+    post = _post_means(panel, slice(None)) if method == "gsdid" else None
 
-    def weights(fits_of: list[int]) -> np.ndarray:
-        for fit in fits_of:
-            if isinstance(fits[fit], SolverError):
-                raise fits[fit]
-        return np.array([fits[fit][0].values for fit in fits_of])
+    def weights(units: list[int]) -> list[np.ndarray]:
+        """The ``units``' unit weights, (B, J+1) and zero on each unit's own
+        row, and for GSDID their time weights, (B, T0)."""
+        B, others = len(units), np.arange(J + 1) != np.array(units)[:, None]
+        if sphere:
+            order = np.nonzero(others)[1].reshape(B, J)
+            problems = [(pre[order].swapaxes(1, 2), pre[units])]
+            if method == "gsdid":
+                problems.append((pre[order], post[order]))
+            fits = [
+                solve_simplex_gauss_newton(_sphere_linearization(z, y), z.shape[2], cfg, B)
+                for z, y in problems
+            ]
+        else:
+            problems = [_weight_qp(pre.swapaxes(0, 1), pre[j], panel.grams[0]) for j in units]
+            if method == "gsdid":
+                pre2, post2, grams2 = (np.concatenate([a, a]) for a in (pre, post, panel.grams[1]))
+                windows = [slice(j + 1, j + 1 + J) for j in units]
+                problems += [_weight_qp(pre2[s], post2[s], grams2[s].mean(axis=0)) for s in windows]
+            stack = _solve_qp_stack(problems, cfg, list(others) + [None] * (len(problems) - B))
+            fits = [stack[k : k + B] for k in range(0, len(stack), B)]
+        for fit in (fit for kind in fits for fit in kind):
+            if isinstance(fit, SolverError):
+                raise fit
+        values = [np.array([fit[0].values for fit in kind]) for kind in fits]
+        if sphere:
+            values[0] = np.zeros(others.shape)
+            values[0][others] = np.concatenate([fit[0].values for fit in fits[0]])
+        return values
 
     def statistics(units: list[int]) -> list[list[float]]:
-        w, B = weights([j - 1 for j in units]), len(units)
+        w, B = weights(units), len(units)
         if method == "gsdid":
-            time, post_w = weights([J + j - 1 for j in units]), np.full((B, T - T0), 1 / (T - T0))
-            return _did_stack(panel, units, w, time, post_w, repair, None)[2][:, None].tolist()
-        means = (w @ panel.coords.reshape(J + 1, -1)).reshape(B, T, -1)
+            post_w = np.full((B, T - T0), 1 / (T - T0))
+            return _did_stack(panel, units, *w, post_w, repair, None)[2][:, None].tolist()
+        if sphere:  # one mean per (control, period)
+            z = np.tile(panel.coords.swapaxes(0, 1), (B, 1, 1))
+            means = _sphere_mean_stack(z, np.repeat(w[0], T, axis=0)).reshape(B, T, -1)
+        else:
+            means = (w[0] @ panel.coords.reshape(J + 1, -1)).reshape(B, T, -1)
         return _synthetic_lengths(panel, means, units, range(T), repair, None)[1][:, T0:].tolist()
 
     try:
-        return statistics(list(donors))
+        return statistics(list(range(1, J + 1)))
     except (SolverError, SpaceError):  # one by one, so that the first failure is raised
-        return [_named(panel, j, lambda: statistics([j])[0]) for j in donors]
+        return [_named(panel, j, lambda: statistics([j])[0]) for j in range(1, J + 1)]
 
 
 def placebo_test(
@@ -934,10 +967,10 @@ def placebo_test(
     under relabeling of the controls and never smaller than 1/(J+1).
 
     The treated unit's statistics come from one ``estimate_*`` call on the
-    panel. On the flat kinds the controls' weight fits are solved together
-    as one stack of QPs, and their statistics are one stack too
-    (:func:`_donor_statistics`); only the sphere refits each control on
-    its own permuted panel.
+    panel. The controls' weight fits are solved together, as one stack of
+    QPs on the flat kinds and as one stacked Gauss-Newton run per kind of
+    weights on the sphere, and their statistics are one stack too
+    (:func:`_donor_statistics`). No kind refits a permuted panel.
 
     Returns one report per post period for ``method="gsc"`` (whose
     statistic is per-period) and a single report for ``method="gsdid"``
@@ -948,16 +981,12 @@ def placebo_test(
         raise SolverError(f"unknown placebo method {method!r}")
     n = panel.n_units
 
-    def refit(pseudo: Panel) -> list[float]:
+    def treated() -> list[float]:
         if method == "gsc":
-            return [e.length for e in estimate_gsc(pseudo, cfg, repair).effects]
-        return [estimate_gsdid(pseudo, cfg, repair).effect.length]
+            return [e.length for e in estimate_gsc(panel, cfg, repair).effects]
+        return [estimate_gsdid(panel, cfg, repair).effect.length]
 
-    if panel.space.kind == "sphere":
-        per_unit = [_named(panel, j, lambda: refit(panel.with_treated_unit(j))) for j in range(n)]
-    else:
-        per_unit = [_named(panel, 0, lambda: refit(panel))]
-        per_unit += _donor_statistics(panel, method, cfg, repair)
+    per_unit = [_named(panel, 0, treated)] + _donor_statistics(panel, method, cfg, repair)
     reports = []
     for stats in np.array(per_unit).T:
         rank = int(np.sum(stats >= stats[0]))  # max-rank of the treated unit, row 0

@@ -634,6 +634,12 @@ def metric_restore(
 # distances
 
 
+def _norms(a: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """``np.linalg.norm(a, axis=-1)``, the same bits, without its dispatch:
+    the sphere's iterations call it on small arrays many times."""
+    return np.sqrt(np.add.reduce(a * a, axis=-1, keepdims=keepdims))
+
+
 def _sphere_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Angle between unit vectors along the last axis.
 
@@ -642,9 +648,9 @@ def _sphere_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     pairs and ``pi - 2 asin(|a + b| / 2)`` for obtuse pairs are accurate
     over the whole range.
     """
-    dots = np.sum(a * b, axis=-1)
-    acute = 2.0 * np.arcsin(np.clip(0.5 * np.linalg.norm(a - b, axis=-1), 0.0, 1.0))
-    obtuse = np.pi - 2.0 * np.arcsin(np.clip(0.5 * np.linalg.norm(a + b, axis=-1), 0.0, 1.0))
+    dots = np.add.reduce(a * b, axis=-1)
+    acute = 2.0 * np.arcsin(np.minimum(0.5 * _norms(a - b), 1.0))
+    obtuse = np.pi - 2.0 * np.arcsin(np.minimum(0.5 * _norms(a + b), 1.0))
     return np.where(dots >= 0.0, acute, obtuse)
 
 
@@ -777,32 +783,43 @@ def _sphere_mean_single(z: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _sphere_mean_stack(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Frechet means of a batch of sphere configurations, shape (B, J, d) -> (B, d).
+    """Frechet means of a batch of sphere configurations ``z`` (R, n, d), or
+    one (1, n, d) configuration for every row, with weights ``w`` (R, n),
+    or one (n,) row of weights for every row. Returns (R, d).
 
     Starts at the normalized extrinsic averages and takes unit Riemannian
-    gradient steps, ``nu <- Exp_nu(sum_j w_j Log_nu(z_j))``, until every
-    row's gradient is below ``TOL_MEAN``. No
+    gradient steps, ``nu <- Exp_nu(sum_j w_j Log_nu(z_j))``. Each row stops
+    once its own gradient is below ``TOL_MEAN``, and every operation works
+    row by row, so a row's mean does not depend on its batch-mates. No
     step needs a decrease check: the Riemannian Hessian of
     ``1/2 sum_j w_j d(nu, z_j)^2`` has eigenvalue 1 along each
     ``Log_nu(z_j)`` and ``theta_j cot theta_j <= 1`` across it, so it is
     at most the identity and a unit step along the negative gradient
     always descends (Afsari, Tron and Vidal, SIAM J. Control Optim. 2013).
     """
-    nu = np.einsum("j,bjd->bd", w, z)
-    norms = np.linalg.norm(nu, axis=1, keepdims=True)
+    nu = np.einsum("...j,...jd->...d", w, z)
+    norms = _norms(nu, keepdims=True)
     if norms.min() <= TOL_DEGENERATE:
         raise SpaceError("sphere mean is undefined: extrinsic average is at the origin")
-    nu = nu / norms
+    means = nu = nu / norms  # every row's mean, and the still-moving rows' iterates
+    rows = np.arange(len(nu))
     for _ in range(MAX_MEAN_ITER):
-        grad = np.einsum("j,bjd->bd", w, _sphere_log_stack(nu[:, None, :], z))
-        if np.linalg.norm(grad, axis=1).max() <= TOL_MEAN:
-            return nu
+        grad = np.einsum("...j,...jd->...d", w, _sphere_log_stack(nu[:, None, :], z))
+        moving = _norms(grad) > TOL_MEAN
+        if not moving.all():
+            means[rows] = nu
+            if not moving.any():
+                return means
+            z = z[moving] if len(z) > 1 else z
+            w = w[moving] if w.ndim > 1 else w
+            rows, nu, grad = rows[moving], nu[moving], grad[moving]
         nu = _sphere_exp_raw(nu, grad)
     raise SpaceError(f"sphere mean did not converge within {MAX_MEAN_ITER} iterations")
 
 
 def _sphere_mean_jacobian(z: np.ndarray, w: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """Derivative of the Frechet means ``nu`` (B, d) of ``z`` (B, J, d) in ``w``.
+    """Derivative of the Frechet means ``nu`` (B, d) of ``z`` (B, J, d) in
+    their weights ``w`` (B, J).
 
     Returns shape (B, d, J). Differentiating the stationarity condition
     ``sum_j w_j Log_nu(z_j) = 0`` gives ``H dnu = sum_j dw_j Log_nu(z_j)``
@@ -813,13 +830,14 @@ def _sphere_mean_jacobian(z: np.ndarray, w: np.ndarray, nu: np.ndarray) -> np.nd
     ambient d x d system nonsingular without changing tangent solutions.
     """
     logs = _sphere_log_stack(nu[:, None, :], z)
-    theta = np.linalg.norm(logs, axis=2)
+    theta = _norms(logs)
     safe = np.where(theta > 0.0, theta, 1.0)
     unit = logs / safe[..., None]
     theta_cot = np.where(theta > 0.0, theta * np.cos(theta) / np.sin(safe), 1.0)
     normal = nu[:, :, None] * nu[:, None, :]
-    hess = np.einsum("j,bj,bjd,bje->bde", w, 1.0 - theta_cot, unit, unit)
-    hess += (theta_cot @ w)[:, None, None] * (np.eye(z.shape[2]) - normal) + normal
+    hess = np.einsum("bj,bj,bjd,bje->bde", w, 1.0 - theta_cot, unit, unit)
+    hess += np.einsum("bj,bj->b", w, theta_cot)[:, None, None] * (np.eye(z.shape[2]) - normal)
+    hess += normal
     return np.linalg.solve(hess, logs.transpose(0, 2, 1))
 
 
@@ -834,17 +852,17 @@ def _sphere_log_stack(base: np.ndarray, z: np.ndarray) -> np.ndarray:
     relative accuracy when ``z`` is close to ``base``.
     """
     diff = z - base
-    u = diff - np.sum(diff * base, axis=-1, keepdims=True) * base
-    unorm = np.linalg.norm(u, axis=-1)
+    u = diff - np.add.reduce(diff * base, axis=-1, keepdims=True) * base
+    unorm = _norms(u)
     theta = _sphere_angle(base, z)
     return (theta / np.where(unorm > 0.0, unorm, 1.0))[..., None] * u
 
 
 def _sphere_exp_raw(base: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Exponential maps ``Exp_base(v)`` along the last axis, broadcasting."""
-    theta = np.linalg.norm(v, axis=-1, keepdims=True)
+    theta = _norms(v, keepdims=True)
     out = np.cos(theta) * base + np.sin(theta) * (v / np.where(theta > 0.0, theta, 1.0))
-    return out / np.linalg.norm(out, axis=-1, keepdims=True)
+    return out / _norms(out, keepdims=True)
 
 
 def sphere_exp(base: ObjectPoint, tangent: TangentVector) -> ObjectPoint:

@@ -210,21 +210,24 @@ def test_separable_grid_mean_equals_the_product_weighted_mean(space, monkeypatch
     assert_close_to_scale(means[0, 1, 0], flat.data, 1e-13)
 
 
-@pytest.mark.parametrize("scenario", ["network", "spd", "scalar", "robustness_s3"])
+@pytest.mark.parametrize("scenario", ["network", "spd", "scalar", "robustness_s3", "sphere"])
 def test_flat_gsdid_placebo_and_per_period_effects_permute_no_panel(scenario, monkeypatch):
+    """No gsc or gsdid placebo and no per-period fit builds a permuted
+    panel, on the sphere as on the flat kinds."""
     panel = g.generate(g.SimConfig(scenario=scenario, seed=0, J=8, T=8, T0=6)).panel
-    orders = []
-    permuted = estimators.Panel._permuted
+    held_out = []
+    with_treated_unit = estimators.Panel.with_treated_unit
     monkeypatch.setattr(
-        estimators.Panel, "_permuted",
-        lambda self, order: orders.append(order) or permuted(self, order),
+        estimators.Panel, "with_treated_unit",
+        lambda self, j: held_out.append(j) or with_treated_unit(self, j),
     )
     g.estimate_gsdid_per_time(panel)
+    g.placebo_test(panel, "gsc")
     if scenario != "network":  # its gsdid placebo raises at control_1 (ROADMAP item 3)
         g.placebo_test(panel, "gsdid")
-    assert orders == []
-    panel.with_treated_unit(1)
-    assert orders == [[1, 0, 2, 3, 4, 5, 6, 7, 8]]
+    assert held_out == []
+    swapped = panel.with_treated_unit(1)
+    assert held_out == [1] and swapped.unit_labels[:2] == ("control_1", "treated")
 
 
 @pytest.mark.parametrize("space", flat_spaces(3), ids=lambda s: s.kind)
@@ -454,6 +457,18 @@ def test_sphere_gsdid_is_deterministic_and_relabel_invariant():
     )
     for effect, length in zip(g.estimate_gsdid_per_time(relabeled), per_time):
         assert effect.length == pytest.approx(length, abs=1e-9)
+
+
+@pytest.mark.parametrize("scenario", ["sphere", "spd"])
+def test_gsdid_time_weights_read_only_the_controls_post_means(scenario):
+    """GSDID computes the post means of the controls alone; a unit's post
+    mean does not depend on the other rows, so the time weights are the
+    same bits as from all J+1 post means."""
+    panel = g.generate(g.SimConfig(scenario=scenario, seed=2, J=6, T=8, T0=5)).panel
+    every = estimators._post_means(panel, slice(None))
+    assert np.array_equal(estimators._post_means(panel, slice(1, None)), every[1:])
+    time = estimators._time_weights(panel, every[1:], g.SolverConfig())
+    assert np.array_equal(g.estimate_gsdid(panel).time_weights.values, time.values)
 
 
 def test_gauss_newton_steps_below_the_rounding_of_the_objective():
@@ -976,14 +991,21 @@ def rel_gap(a, b) -> float:
 def test_placebo_matches_per_refit_fits(scenario, size, monkeypatch):
     """Stacked donor fits against ``estimate_*(panel.with_treated_unit(j))``:
     the same ranks and p-values, statistics within the README's bound,
-    donor weights within 1e-10 and the treated row bit for bit."""
+    donor weights within 1e-10 (the sphere's, each control's own problem
+    in one stacked Gauss-Newton run, within 1e-12) and the treated row bit
+    for bit."""
     stacks = []
     solve_stack = estimators._solve_qp_stack
+    solve_gauss_newton = estimators.solve_simplex_gauss_newton
     monkeypatch.setattr(
-        estimators, "_solve_qp_stack",
-        lambda problems, cfg=None, allowed=None: stacks.append(
-            solve_stack(problems, cfg, allowed)) or stacks[-1],
+        estimators, "_solve_qp_stack", lambda *a: stacks.append(solve_stack(*a)) or stacks[-1]
     )
+
+    def gauss_newton(linearize, n, cfg=None, size=None):  # records the stacked runs
+        fits = solve_gauss_newton(linearize, n, cfg, size)
+        return fits if size is None else stacks.append(fits) or fits
+
+    monkeypatch.setattr(estimators, "solve_simplex_gauss_newton", gauss_newton)
     for seed in range(3):
         panel = g.generate(g.SimConfig(scenario=scenario, seed=seed, effect_size=0.5, **size)).panel
         J = panel.n_controls
@@ -1009,17 +1031,19 @@ def test_placebo_matches_per_refit_fits(scenario, size, monkeypatch):
             ranks = [int(np.sum(col >= col[0])) for col in ref.T]
             assert [r.rank_of_treated for r in reports] == ranks, (seed, method)
             assert [r.p_value for r in reports] == [rank / panel.n_units for rank in ranks]
-            if scenario == "sphere":
-                assert stacks == []
-                continue
-            [fits] = stacks
+            if scenario == "sphere":  # unit weights over the other units, then time weights
+                fits, bound = [fit for stack in stacks for fit in stack], 1e-12
+                assert len(stacks) == (1 if method == "gsc" else 2)
+                donors = [fits[j - 1][0].values for j in range(1, J + 1)]
+            else:
+                [fits], bound = stacks, 1e-10
+                assert all(fits[j - 1][0].values[j] == 0.0 for j in range(1, J + 1))
+                donors = [np.delete(fits[j - 1][0].values, j) for j in range(1, J + 1)]
             for j in range(1, J + 1):
-                stacked = fits[j - 1][0].values
-                assert stacked[j] == 0.0
-                assert np.max(np.abs(np.delete(stacked, j) - unit[j])) <= 1e-10
+                assert np.max(np.abs(donors[j - 1] - unit[j])) <= bound
                 if method == "gsdid":
                     time = fits[J + j - 1][0].values
-                    assert np.max(np.abs(time - refits[j].time_weights.values)) <= 1e-10
+                    assert np.max(np.abs(time - refits[j].time_weights.values)) <= bound
 
 
 def test_placebo_on_location_scale_quantiles_takes_few_active_set_iterations(monkeypatch):
@@ -1044,11 +1068,10 @@ def test_placebo_on_location_scale_quantiles_takes_few_active_set_iterations(mon
         assert len(solves) < 100 and len(reports) == 2
 
 
-@pytest.mark.parametrize("method", ["gsc", "gsdid"])
-def test_placebo_donor_failure_names_the_first_failing_unit(method, monkeypatch):
+def fail_controls_5_and_3(scenario, method, monkeypatch):
     """A restore that refuses the synthetic outcomes (gsc) or the post mean
     (gsdid) of controls 5 and 3 fails the placebo test at control 3."""
-    panel = g.generate(g.SimConfig(scenario="scalar", seed=0, J=8, T=8, T0=6)).panel
+    panel = g.generate(g.SimConfig(scenario=scenario, seed=0, J=8, T=8, T0=6)).panel
     poisoned = [
         np.array([p.data for p in g.estimate_gsc(panel.with_treated_unit(j)).synthetic])
         if method == "gsc" else g.estimate_gsdid(panel.with_treated_unit(j)).observed_post_mean.data
@@ -1066,6 +1089,16 @@ def test_placebo_donor_failure_names_the_first_failing_unit(method, monkeypatch)
     monkeypatch.setattr(estimators, "_restore", failing)
     with pytest.raises(SolverError, match="unit 'control_3': restore refused"):
         g.placebo_test(panel, method)
+
+
+@pytest.mark.parametrize("method", ["gsc", "gsdid"])
+def test_placebo_donor_failure_names_the_first_failing_unit(method, monkeypatch):
+    fail_controls_5_and_3("scalar", method, monkeypatch)
+
+
+@pytest.mark.parametrize("method", ["gsc", "gsdid"])
+def test_sphere_placebo_donor_failure_names_the_first_failing_unit(method, monkeypatch):
+    fail_controls_5_and_3("sphere", method, monkeypatch)
 
 
 def test_placebo_failure_names_unit():

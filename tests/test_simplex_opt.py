@@ -517,6 +517,40 @@ def test_gauss_newton_raises_when_an_accepted_step_leaves_w_unchanged():
     assert len(calls) <= 40
 
 
+def test_gauss_newton_stack_members_match_single_fits_and_fail_in_place():
+    # nonconvex residuals r_t = sin(A_t w) - b_t, so members take different
+    # numbers of steps; members 1 and 4 stall near their optimum, and
+    # member 2's residuals are not finite
+    rng = np.random.default_rng(12)
+    factors = rng.normal(size=(5, 3, 2, 4))
+    targets = rng.uniform(-0.5, 0.5, size=(5, 3, 2))
+    calls = []
+
+    def member(m):
+        def linearize(w):
+            inner = factors[m] @ w
+            resid = np.sin(inner) - targets[m] + (np.nan if m == 2 else 0.0)
+            return resid, np.cos(inner)[..., None] * factors[m]
+        return linearize
+
+    def stacked(w, members):
+        calls.append(len(members))
+        parts = [member(m)(wm) for m, wm in zip(members, w)]
+        return tuple(np.array(a) for a in zip(*parts))
+
+    results = solve_simplex_gauss_newton(stacked, 4, size=5)
+    assert "not finite" in str(results[2])
+    for m in (1, 4):  # they stall on their own too, with the same message
+        with pytest.raises(SolverError, match="stalled") as alone:
+            solve_simplex_gauss_newton(member(m), 4)
+        assert str(results[m]) == str(alone.value)
+    for m in (0, 3):
+        w, val = solve_simplex_gauss_newton(member(m), 4)
+        assert np.array_equal(results[m][0].values, w.values) and results[m][1] == val
+    # every step linearizes the live members in one call
+    assert calls[0] == 5 and len(calls) < sum(calls)
+
+
 # ---------------------------------------------------------------------------
 # derivative-free solver
 

@@ -8,7 +8,10 @@ import pytest
 
 import geosynth as g
 from geosynth.spaces import (
+    TOL_MEAN,
     RepairLog,
+    _sphere_log_stack,
+    _sphere_mean_stack,
     _transport_stack,
     metric_restore,
     metric_embed_stack,
@@ -435,6 +438,30 @@ def test_mean_sphere_stationarity():
         q = random_point(space, rng)
         fq = sum(wi * g.distance(q, p) ** 2 for wi, p in zip(w, points))
         assert fmin <= fq + 1e-10
+
+
+def test_sphere_mean_stack_row_does_not_depend_on_its_batch():
+    """Each row stops on its own gradient test and every step works row by
+    row, so a row's mean is the same bits alone as inside any batch."""
+    rng = np.random.default_rng(29)
+    d, n = 4, 7
+    centers = np.abs(rng.normal(size=(10, 1, d)))
+    spread = rng.choice([1e-3, 0.3, 1.0], size=(10, 1, 1))  # a few iterations up to many
+    z = centers + spread * rng.normal(size=(10, n, d))
+    z[3] = z[3, 0]  # identical points: the extrinsic start is already the mean
+    z /= np.linalg.norm(z, axis=-1, keepdims=True)
+    w = rng.dirichlet(np.ones(n), size=10)
+    w[5] = np.eye(n)[2]  # a vertex
+    batch = _sphere_mean_stack(z, w)
+    for r in range(len(z)):
+        assert np.array_equal(_sphere_mean_stack(z[r : r + 1], w[r : r + 1])[0], batch[r])
+        grad = w[r] @ _sphere_log_stack(batch[r], z[r])
+        assert np.linalg.norm(grad) <= TOL_MEAN
+    # one configuration broadcast over rows of other weights
+    shared = _sphere_mean_stack(z[:1], w)
+    for r in range(len(w)):
+        assert np.array_equal(_sphere_mean_stack(z[:1], w[r])[0], shared[r])
+        assert np.array_equal(_sphere_mean_stack(z[[0, 0]], w[[0, r]])[1], shared[r])
 
 
 def test_mean_weight_validation():
