@@ -13,6 +13,7 @@ Exit codes of the command line: 0 success, 2 validation or file error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -60,11 +61,15 @@ class FileFormatError(ValueError):
 # ---------------------------------------------------------------------------
 # deterministic JSON emission
 
+_FLOAT_FORMATS = np.array(["%.17g", "%.1f"], dtype=object)
 
-def _format_float(x: float) -> str:
+
+def _float_format(x: float) -> str:
+    """The placeholder of one float: ``%.1f`` for an integer value below 1e16
+    in magnitude, else 17 significant digits."""
     if not math.isfinite(x):
         raise FileFormatError(f"cannot serialize non-finite number {x!r}")
-    return format(x, ".1f" if x.is_integer() and abs(x) < 1e16 else ".17g")
+    return "%.1f" if x.is_integer() and abs(x) < 1e16 else "%.17g"
 
 
 def _json_block(items: Sequence[str], indent: int, brackets: str = "[]") -> str:
@@ -75,25 +80,33 @@ def _json_block(items: Sequence[str], indent: int, brackets: str = "[]") -> str:
     return brackets[0] + child + ("," + child).join(items) + "\n" + "  " * indent + brackets[1]
 
 
-def _float_array_json(arr: np.ndarray, indent: int) -> str:
-    """:func:`canonical_json` of ``arr.tolist()``: the flat array formatted
-    in one pass, then joined row by row, innermost axis first."""
-    parts = [_format_float(x) for x in arr.ravel().tolist()]
-    for depth in reversed(range(arr.ndim)):
-        n = arr.shape[depth]
-        starts = range(0, len(parts), n) if n else [0] * int(np.prod(arr.shape[:depth]))
-        parts = [_json_block(parts[i : i + n], indent + depth) for i in starts]
-    return parts[0]
+def _float_array_template(arr: np.ndarray, indent: int, values: list) -> str:
+    """The template of ``arr.tolist()``, built for the flat array at once:
+    each float's placeholder, by :func:`_float_format`'s rule, then the
+    separator that closes the rows ending at that float and opens the next."""
+    flat = arr.ravel()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        _float_format(float(flat[np.argmin(finite)]))  # raises
+    if arr.ndim == 0 or flat.size == 0:
+        return _template(arr.tolist(), indent, values)
+    values.extend(flat.tolist())
+    small_int = (flat == np.trunc(flat)) & (np.abs(flat) < 1e16)
+    d, pad = arr.ndim, ["\n" + "  " * (indent + k) for k in range(arr.ndim + 1)]
+    opens, closes = ["[" + pad[k + 1] for k in range(d)], [pad[k] + "]" for k in range(d)]
+    seps = np.array([  # after a float that ends the last c rows
+        "".join(closes[d - c :][::-1]) + "," + pad[d - c] + "".join(opens[d - c :])
+        for c in range(d)
+    ], dtype=object)
+    ends = sum(np.arange(1, flat.size) % math.prod(arr.shape[k:]) == 0 for k in range(1, d))
+    parts = np.empty(2 * flat.size - 1, dtype=object)
+    parts[0::2], parts[1::2] = _FLOAT_FORMATS[small_int.view(np.uint8)], seps[ends]
+    return "".join(opens) + "".join(parts.tolist()) + "".join(closes[::-1])
 
 
-def canonical_json(obj: Any, indent: int = 0) -> str:
-    """Serialize with sorted keys and fixed float formatting.
-
-    Floats use 17 significant digits, enough to round-trip IEEE doubles
-    exactly, so repeated saves of the same data are byte-identical. Float
-    arrays are formatted a whole array at a time, to the same bytes as
-    their nested lists.
-    """
+def _template(obj: Any, indent: int, values: list) -> str:
+    """:func:`canonical_json`'s text of ``obj`` with each float replaced by its
+    placeholder and appended to ``values``, and every other ``%`` doubled."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -101,23 +114,38 @@ def canonical_json(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
+        values.append(float(obj))
+        return _float_format(values[-1])
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return json.dumps(obj).replace("%", "%%")
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f":
-            return _float_array_json(obj, indent)
-        return canonical_json(obj.tolist(), indent)
+            return _float_array_template(obj, indent, values)
+        return _template(obj.tolist(), indent, values)
     if isinstance(obj, (list, tuple)):
-        return _json_block([canonical_json(v, indent + 1) for v in obj], indent)
+        return _json_block([_template(v, indent + 1, values) for v in obj], indent)
     if isinstance(obj, dict):
         parts = []
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise FileFormatError(f"document keys must be strings, got {key!r}")
-            parts.append(json.dumps(key) + ": " + canonical_json(obj[key], indent + 1))
+            item = _template(obj[key], indent + 1, values)
+            parts.append(json.dumps(key).replace("%", "%%") + ": " + item)
         return _json_block(parts, indent, "{}")
     raise FileFormatError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def canonical_json(obj: Any, indent: int = 0) -> str:
+    """Serialize with sorted keys and fixed float formatting.
+
+    Floats use 17 significant digits, enough to round-trip IEEE doubles
+    exactly, so repeated saves of the same data are byte-identical. One
+    traversal builds a template, with a ``%`` placeholder for each float,
+    and the list of those floats in document order; one ``%`` operation then
+    formats them all. A float array gives the same bytes as its nested lists.
+    """
+    values: list[float] = []
+    return _template(obj, indent, values) % tuple(values)
 
 
 def _write_document(doc: dict, path: str) -> None:
@@ -211,7 +239,7 @@ def panel_to_doc(panel: Panel) -> dict:
         "T0": panel.T0,
         "unit_labels": list(panel.unit_labels),
         "time_labels": list(panel.time_labels),
-        "outcomes": [[p.data for p in row] for row in panel.outcomes],
+        "outcomes": panel.data,
     }
 
 
@@ -228,19 +256,15 @@ def panel_from_doc(doc: dict, origin: str) -> Panel:
     if not isinstance(outcomes, list) or len(outcomes) < 2:
         raise FileFormatError(f"{origin}: outcomes must list at least two units")
     batch = _float_array(outcomes)
-    if batch is not None and batch.shape[2:] == space.data_shape and np.isfinite(batch).all():
-        rows = [tuple(ObjectPoint(space, x) for x in row) for row in batch]
-    else:  # decode point by point, to name the offending unit and time
-        rows = []
-        for j, row in enumerate(outcomes):
+    if batch is None or batch.shape[2:] != space.data_shape or not np.isfinite(batch).all():
+        for j, row in enumerate(outcomes):  # decode point by point, to name the offender
             if not isinstance(row, list) or not row:
                 raise FileFormatError(
                     f"{origin}: outcomes[{j}] must be a nonempty list over periods"
                 )
-            rows.append(tuple(
+            for t, entry in enumerate(row):
                 decode_point(space, entry, f"{origin}: outcomes[{j}][{t}] (unit {j}, time {t})")
-                for t, entry in enumerate(row)
-            ))
+        raise FileFormatError(f"{origin}: all units must share the same number of periods")
     t0 = doc.get("T0")
     if type(t0) is not int:
         raise FileFormatError(f"{origin}: T0 must be an integer")
@@ -253,7 +277,7 @@ def panel_from_doc(doc: dict, origin: str) -> Panel:
     try:
         return Panel(
             space=space,
-            outcomes=tuple(rows),
+            outcomes=batch,
             T0=t0,
             unit_labels=labels["unit_labels"],
             time_labels=labels["time_labels"],
@@ -499,7 +523,7 @@ def emit_plot_series(
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("unit\ttime\tstatistic\tvalue\n")
         for unit, time, stat, value in rows:
-            fh.write(f"{unit}\t{time}\t{stat}\t{_format_float(float(value))}\n")
+            fh.write(f"{unit}\t{time}\t{stat}\t{_float_format(value) % value}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +568,7 @@ def _seed(value: str) -> int:
 _seed.__name__ = "int"  # argparse's "invalid int value" message names it
 
 
+@functools.cache  # argparse parsers are not changed by parsing; build one per process
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=_positive(float), default=1e-10,

@@ -6,12 +6,12 @@ synthetic difference-in-differences (GSDID) with a per-period variant and
 a uniform-weight geodesic DID baseline, and placebo permutation tests.
 
 A panel holds one treated unit (row 0) and J control units observed over T
-periods, the first T0 of them pre-treatment. It is validated and embedded
-once, into a (J+1, T, D) coordinate tensor that every estimator and
-placebo refit reads: the isometric coordinates on the flat kinds, so the
-augmented estimator's regression and its correction are combinations of
-that tensor too. All estimators are pure functions of (panel, config)
-and never mutate their inputs.
+periods, the first T0 of them pre-treatment, as one array of point data.
+It is validated and embedded once, into a (J+1, T, D) coordinate tensor
+that every estimator and placebo refit reads: the isometric coordinates
+on the flat kinds, so the augmented estimator's regression and its
+correction are combinations of that tensor too. All estimators are pure
+functions of (panel, config) and never mutate their inputs.
 
 GSDID is one routine over a stack of pseudo-treated rows, which the
 estimate, the per-period effects and the placebo donors share. A placebo
@@ -35,6 +35,7 @@ from .spaces import (
     SpaceDescriptor,
     SpaceError,
     FLAT_KINDS,
+    _shared_point,
     _sphere_angle,
     _sphere_log_stack,
     _sphere_mean_jacobian,
@@ -65,7 +66,7 @@ from .simplex_opt import (
 Method = Literal["gsc", "gsdid"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Panel:
     """A panel of object-valued outcomes with a single treated unit.
 
@@ -73,72 +74,96 @@ class Panel:
     ----------
     space : SpaceDescriptor
         Common outcome space of all observations.
-    outcomes : nested sequence of ObjectPoint, shape (J+1, T)
+    outcomes : array of shape (J+1, T, *data_shape), or nested ObjectPoints (J+1, T)
         Row 0 is the treated unit; rows 1..J are controls.
     T0 : int
         Number of pre-treatment periods, ``1 <= T0 < T``.
     unit_labels, time_labels : sequence of str, optional
         Display labels; generated when omitted.
 
-    Construction validates all outcomes in one batched call. Estimators
-    read slices of :attr:`coords`, the panel embedded once, and on the flat
-    kinds assemble every weight QP from :attr:`grams`, computed once;
+    The panel holds its outcomes as one read-only array, :attr:`data`
+    (nested points are stacked once), validated in one batched call;
+    :attr:`outcomes` views it as points. Estimators read slices of
+    :attr:`coords`, the panel embedded once, and on the flat kinds assemble
+    every weight QP from :attr:`grams`, computed once;
     :meth:`with_treated_unit` permutes the rows of :attr:`coords` without
     validating again.
     """
 
     space: SpaceDescriptor
-    outcomes: tuple[tuple[ObjectPoint, ...], ...]
+    data: np.ndarray = field(repr=False)
     T0: int
     unit_labels: tuple[str, ...] = ()
     time_labels: tuple[str, ...] = ()
-    _coords: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _grams: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _outcomes: tuple | None = field(default=None, repr=False)
+    _coords: np.ndarray | None = field(default=None, repr=False)
+    _grams: tuple | None = field(default=None, repr=False)
+
+    def __init__(self, space: SpaceDescriptor, outcomes, T0: int, unit_labels=(), time_labels=()):
+        self.__dict__.update(
+            space=space, data=outcomes, T0=T0, unit_labels=unit_labels, time_labels=time_labels
+        )
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.outcomes)
-        if len(rows) < 2:
-            raise SpaceError("panel needs a treated unit and at least one control")
-        t_len = len(rows[0])
-        if t_len < 2 or any(len(row) != t_len for row in rows):
-            raise SpaceError("all units must share the same number of periods (at least 2)")
+        space, data = self.space, self.data
+        if not isinstance(data, np.ndarray) or data.dtype == object:  # nested points
+            rows = [tuple(row) for row in data]
+            if any(len(row) != len(rows[0]) for row in rows):
+                raise SpaceError("all units must share the same number of periods")
+            for j, row in enumerate(rows):
+                for t, point in enumerate(row):
+                    if not (isinstance(point, ObjectPoint) and point.space == space):
+                        raise SpaceError(f"outcome ({j},{t}) is not a point of the panel's space")
+            data = [[point.data for point in row] for row in rows]
+        data = np.array(data, dtype=float)
+        if data.ndim != 2 + len(space.data_shape) or data.shape[2:] != space.data_shape:
+            raise SpaceError(f"outcomes must have shape (J+1, T) + {space.data_shape}")
+        n_units, t_len = data.shape[:2]
+        if n_units < 2 or t_len < 2:
+            raise SpaceError("panel needs a treated unit, a control and at least 2 periods")
         T0 = self.T0
         if isinstance(T0, bool) or not (isinstance(T0, (int, np.integer)) and 1 <= T0 < t_len):
             raise SpaceError(f"T0 must be an integer with 1 <= T0 < T={t_len}, got {T0!r}")
-        for j, row in enumerate(rows):
-            for t, point in enumerate(row):
-                if not isinstance(point, ObjectPoint):
-                    raise SpaceError(f"outcome ({j},{t}) is not an ObjectPoint")
-                if point.space != self.space:
-                    raise SpaceError(f"outcome ({j},{t}) belongs to a different space")
-        object.__setattr__(self, "outcomes", rows)
-        report = validate_stack(self.space, self._data().reshape((-1,) + self.space.data_shape))
+        report = validate_stack(space, data.reshape((-1,) + space.data_shape))
         if report is not None:
             j, t = divmod(report[0], t_len)
             raise SpaceError(f"outcome (unit {j}, time {t}) is invalid: {report[1]}")
         units = tuple(self.unit_labels) or tuple(
-            ["treated"] + [f"control_{j}" for j in range(1, len(rows))]
+            ["treated"] + [f"control_{j}" for j in range(1, n_units)]
         )
         times = tuple(self.time_labels) or tuple(f"t{t + 1}" for t in range(t_len))
-        if len(units) != len(rows):
-            raise SpaceError(f"expected {len(rows)} unit labels, got {len(units)}")
+        if len(units) != n_units:
+            raise SpaceError(f"expected {n_units} unit labels, got {len(units)}")
         if len(times) != t_len:
             raise SpaceError(f"expected {t_len} time labels, got {len(times)}")
+        data.setflags(write=False)
+        object.__setattr__(self, "data", data)
         object.__setattr__(self, "T0", int(self.T0))
         object.__setattr__(self, "unit_labels", tuple(str(u) for u in units))
         object.__setattr__(self, "time_labels", tuple(str(t) for t in times))
 
     @property
+    def outcomes(self) -> tuple[tuple[ObjectPoint, ...], ...]:
+        """The outcomes as points, ``outcomes[j][t]`` for unit ``j`` in period
+        ``t``: built on first use and cached, each point's data a read-only
+        view of :attr:`data`."""
+        if self._outcomes is None:
+            rows = tuple(tuple(_shared_point(self.space, x) for x in row) for row in self.data)
+            object.__setattr__(self, "_outcomes", rows)
+        return self._outcomes
+
+    @property
     def coords(self) -> np.ndarray:
         """Read-only (J+1, T, D) coordinates of the outcomes: the isometric
-        chart (:func:`metric_embed_stack`) for the flat kinds and the unit
-        vectors themselves for the sphere.
+        chart (:func:`metric_embed_stack`) of :attr:`data` for the flat kinds
+        and the unit vectors themselves for the sphere.
 
         Computed in one batched call on first use and cached, so a panel
         that no estimator reads holds no second copy of its data.
         """
         if self._coords is None:
-            data = self._data()
+            data = self.data
             coords = data if self.space.kind == "sphere" else metric_embed_stack(self.space, data)
             coords.setflags(write=False)
             object.__setattr__(self, "_coords", coords)
@@ -161,21 +186,17 @@ class Panel:
             object.__setattr__(self, "_grams", grams)
         return self._grams
 
-    def _data(self) -> np.ndarray:
-        """The outcomes' data stacked into one (J+1, T, *data_shape) array."""
-        return np.array([[point.data for point in row] for row in self.outcomes])
-
     @property
     def n_units(self) -> int:
-        return len(self.outcomes)
+        return len(self.data)
 
     @property
     def n_controls(self) -> int:
-        return len(self.outcomes) - 1
+        return len(self.data) - 1
 
     @property
     def n_periods(self) -> int:
-        return len(self.outcomes[0])
+        return self.data.shape[1]
 
     @property
     def treated(self) -> tuple[ObjectPoint, ...]:
@@ -200,12 +221,14 @@ class Panel:
         running the constructor again.
         """
         order = [j] + [i for i in range(self.n_units) if i != j]
+        data, coords = self.data[order], self.coords[order]
+        for array in (data, coords):
+            array.setflags(write=False)
         panel = copy.copy(self)
-        object.__setattr__(panel, "outcomes", tuple(self.outcomes[i] for i in order))
-        object.__setattr__(panel, "unit_labels", tuple(self.unit_labels[i] for i in order))
-        object.__setattr__(panel, "_coords", self.coords[order])
-        object.__setattr__(panel, "_grams", None)
-        panel._coords.setflags(write=False)
+        panel.__dict__.update(
+            data=data, unit_labels=tuple(self.unit_labels[i] for i in order),
+            _outcomes=None, _coords=coords, _grams=None,
+        )
         return panel
 
 
@@ -458,14 +481,15 @@ def _lengths(space: SpaceDescriptor, data: np.ndarray, coords: np.ndarray) -> np
 
 def _synthetic_effects(
     panel: Panel, means: np.ndarray, periods: Sequence[int], repair: bool, log: RepairLog
-) -> tuple[tuple[ObjectPoint, ...], tuple[GeodesicEffect, ...]]:
+) -> tuple[tuple[ObjectPoint, ...], np.ndarray, tuple[GeodesicEffect, ...]]:
     """The treated unit's synthetic outcomes in ``periods`` from their
-    (periods, D) coordinates ``means``, and their effects."""
+    (periods, D) coordinates ``means``, their distances to its outcomes, and
+    the effects of the post periods among them."""
     data, lengths = _synthetic_lengths(panel, means, 0, periods, repair, log)
     synthetic = tuple(ObjectPoint(panel.space, x) for x in data)
-    return synthetic, tuple(
-        GeodesicEffect(start, panel.outcomes[0][t], length)
-        for start, t, length in zip(synthetic, periods, lengths)
+    return synthetic, lengths, tuple(
+        GeodesicEffect(start, ObjectPoint(panel.space, panel.data[0, t]), length)
+        for start, t, length in zip(synthetic, periods, lengths) if t >= panel.T0
     )
 
 
@@ -474,13 +498,13 @@ def _gsc_result(panel: Panel, weights: SimplexWeights, repair: bool) -> GscResul
     Frechet mean in every period, with their effects and pre-period fit."""
     log = RepairLog()
     means = _means(panel.space, panel.coords[1:].swapaxes(0, 1), weights.values)
-    synthetic, effects = _synthetic_effects(panel, means, range(panel.n_periods), repair, log)
-    sq = [e.length**2 for e in effects[: panel.T0]]
+    periods = range(panel.n_periods)
+    synthetic, lengths, effects = _synthetic_effects(panel, means, periods, repair, log)
     return GscResult(
         weights=weights,
         synthetic=synthetic,
-        effects=effects[panel.T0 :],
-        pre_fit_rmse=float(np.sqrt(np.mean(sq))),
+        effects=effects,
+        pre_fit_rmse=float(np.sqrt(np.mean(lengths[: panel.T0] ** 2))),
         repair_flags=tuple(log.events),
     )
 
@@ -722,7 +746,7 @@ def estimate_augmented_gsc(
     log = RepairLog()
     log.events.extend(base.repair_flags)
     post = controls[:, panel.T0 :].swapaxes(0, 1)
-    post_synthetic, effects = _synthetic_effects(
+    post_synthetic, _, effects = _synthetic_effects(
         panel, (w + a) @ post, panel.post_periods(), repair, log
     )
     return GscResult(
@@ -862,8 +886,9 @@ def estimate_gsdid_per_time(
     _, synthetic, lengths = _did_stack(
         panel, [0] * len(post), np.tile(unit, (len(post), 1)), time, np.eye(len(post)), repair, None
     )
+    space = panel.space
     return [
-        GeodesicEffect(ObjectPoint(panel.space, x), panel.outcomes[0][t], length)
+        GeodesicEffect(ObjectPoint(space, x), ObjectPoint(space, panel.data[0, t]), length)
         for x, t, length in zip(synthetic, post, lengths)
     ]
 

@@ -9,11 +9,12 @@ The mixing weights are recorded in ``truth`` together with the generating
 parameters.
 
 Each generator computes its untreated outcomes as one array of shape
-(J+1, T, *data_shape), treated unit first, from whole arrays. Only
-:func:`_assemble` wraps points: a nonzero ``effect_size`` displaces the
-observed treated outcome after treatment along the geodesic toward a fixed
-random target by that fraction; the stored counterfactual keeps the
-untreated trajectory.
+(J+1, T, *data_shape), treated unit first, from whole arrays, and
+:func:`_assemble` hands that array to the panel. A nonzero ``effect_size``
+displaces the observed treated outcome after treatment along the geodesic
+toward a fixed random target by that fraction, one stacked geodesic over
+the post periods; the stored counterfactual keeps the untreated trajectory
+as points.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .spaces import (
     SpaceDescriptor,
     SpaceError,
     _eig_apply,
+    _geodesic_stack,
     _logm_spd,
     _sphere_geodesic,
-    geodesic_eval,
     laplacian_space,
     scalar_space,
     spd_space,
@@ -122,12 +123,12 @@ def _assemble(
     """Pack panel + oracle + truth from the untreated outcome tensor ``data``,
     shape (J+1, T, *data_shape) with the treated unit first, displacing the
     treated post outcomes toward ``target`` by the effect fraction."""
-    rows = [[ObjectPoint(space, point) for point in row] for row in data]
-    counterfactual = tuple(rows[0][cfg.T0 :])
-    goal = ObjectPoint(space, target)
-    rows[0][cfg.T0 :] = [geodesic_eval(p, goal, cfg.effect_size) for p in counterfactual]
-    panel = Panel(space=space, outcomes=tuple(tuple(row) for row in rows), T0=cfg.T0)
-    truth = {**truth, "effect_target": goal.data}
+    untreated = data[0, cfg.T0 :]
+    counterfactual = tuple(ObjectPoint(space, point) for point in untreated)
+    observed = data.copy()
+    observed[0, cfg.T0 :] = _geodesic_stack(space, untreated, target, cfg.effect_size)
+    panel = Panel(space=space, outcomes=observed, T0=cfg.T0)
+    truth = {**truth, "effect_target": ObjectPoint(space, target).data}
     return SimOutput(panel=panel, counterfactual=counterfactual, truth=truth)
 
 

@@ -287,6 +287,14 @@ class ObjectPoint:
         return self.space == other.space and bool(np.array_equal(self.data, other.data))
 
 
+def _shared_point(space: SpaceDescriptor, data: np.ndarray) -> ObjectPoint:
+    """An :class:`ObjectPoint` holding ``data`` itself, a read-only float
+    array of ``space.data_shape``, without the constructor's copy."""
+    point = object.__new__(ObjectPoint)
+    point.__dict__.update(space=space, data=data)
+    return point
+
+
 @dataclass(frozen=True)
 class TangentVector:
     """A tangent vector to the sphere at ``base``, orthogonal to it."""
@@ -716,14 +724,21 @@ def geodesic_eval(a: ObjectPoint, b: ObjectPoint, t: float) -> ObjectPoint:
         raise SpaceError(f"geodesic parameter must lie in [0, 1], got {t}")
     require_valid(a)
     require_valid(b)
+    return ObjectPoint(space, _geodesic_stack(space, a.data, b.data, t))
+
+
+def _geodesic_stack(space: SpaceDescriptor, a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
+    """:func:`geodesic_eval` from a stack of valid points' data ``a``, shape
+    (..., *data_shape), to one point's data ``b``, in one call; ``t = 0`` and
+    ``t = 1`` return the endpoints themselves."""
     if t == 0.0:
         return a
     if t == 1.0:
-        return b
+        return np.broadcast_to(b, a.shape)
     if space.kind == "sphere":
-        return ObjectPoint(space, _sphere_geodesic(a.data, b.data, t))
-    combo = (1.0 - t) * metric_embed(a) + t * metric_embed(b)
-    return metric_restore(combo, space)
+        return _sphere_geodesic(a, b, t)
+    combo = (1.0 - t) * metric_embed_stack(space, a) + t * metric_embed_stack(space, b)
+    return metric_restore_stack(space, combo)
 
 
 def _sphere_geodesic(z1: np.ndarray, z2: np.ndarray, t: float) -> np.ndarray:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import geosynth as g
+from geosynth import cli_io
 from geosynth.cli_io import (
     EXIT_OK,
     EXIT_SOLVER,
@@ -105,6 +106,91 @@ def test_canonical_json_arrays_are_byte_identical_to_lists():
                 canonical_json(obj)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
+
+
+def _reference_json(obj, indent=0):
+    """Canonical JSON written value by value: each float formatted on its
+    own, each list and object joined level by level."""
+
+    def block(items, indent, brackets="[]"):
+        if not items:
+            return brackets
+        child = "\n" + "  " * (indent + 1)
+        return brackets[0] + child + ("," + child).join(items) + "\n" + "  " * indent + brackets[1]
+
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return json.dumps(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise FileFormatError(f"cannot serialize non-finite number {obj!r}")
+        return format(obj, ".1f" if obj.is_integer() and abs(obj) < 1e16 else ".17g")
+    if isinstance(obj, list):
+        return block([_reference_json(v, indent + 1) for v in obj], indent)
+    items = [json.dumps(k) + ": " + _reference_json(obj[k], indent + 1) for k in sorted(obj)]
+    return block(items, indent, "{}")
+
+
+def _assert_written_as_reference(doc, indent=0):
+    """``canonical_json(doc)`` equals the value-by-value reference on the
+    document of lists, and raises the same error when the reference does."""
+    try:
+        expected = _reference_json(_as_lists(doc), indent)
+    except FileFormatError as exc:
+        with pytest.raises(FileFormatError) as info:
+            canonical_json(doc, indent)
+        assert str(info.value) == str(exc)
+        return
+    assert canonical_json(doc, indent) == expected
+    assert canonical_json(_as_lists(doc), indent) == expected
+
+
+def test_canonical_json_escapes_percent_in_keys_and_strings(tmp_path):
+    doc = {"%s": "%%", "a%d": ["%", "100%", 1.5, "%(x)s"], "%%": {"%.17g": 2.0}, "n": 3}
+    _assert_written_as_reference(doc)
+    assert json.loads(canonical_json(doc)) == doc
+    panel = scalar_panel(np.arange(6.0).reshape(2, 3), T0=2)
+    labelled = g.Panel(
+        space=panel.space, outcomes=panel.data, T0=2,
+        unit_labels=("a%s", "%%"), time_labels=("%", "t%d", "%.1f"),
+    )
+    path = str(tmp_path / "labels.json")
+    save_panel(labelled, path)
+    assert load_panel(path).unit_labels == ("a%s", "%%")
+    assert load_panel(path).time_labels == ("%", "t%d", "%.1f")
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == _reference_json(_as_lists(panel_to_doc(labelled))) + "\n"
+
+
+def test_canonical_json_arrays_mixing_integer_and_other_values():
+    rng = np.random.default_rng(7)
+    edges = [-0.0, 0.0, 1e16 - 2, 1e16, 1e16 + 2, -1e16 + 2, 5e-324, -5e-324, 0.5, 2.0**53, 7.0]
+    values = np.concatenate([edges, np.round(rng.normal(size=37) * 1e3), rng.normal(size=40)])
+    rng.shuffle(values)
+    for arr in (values, values.reshape(8, 11), values.reshape(2, 4, 11), values.reshape(1, 88, 1)):
+        for indent in (0, 1, 3):
+            _assert_written_as_reference(arr, indent)
+    _assert_written_as_reference({"a": values.reshape(4, 22), "b": [values[:3], 4.0]}, 2)
+
+
+def test_canonical_json_zero_dimensional_and_empty_arrays():
+    for arr in (np.array(2.0), np.array(-0.0), np.array(0.1), np.zeros(0), np.zeros((0, 3)),
+                np.zeros((3, 0)), np.zeros((2, 0, 2)), np.zeros((2, 3, 0))):
+        _assert_written_as_reference(arr, 1)
+        _assert_written_as_reference({"v": [arr, arr], "w": arr})
+
+
+def test_canonical_json_names_the_first_non_finite_value_in_document_order():
+    docs = [
+        {"a": [1.0, math.inf], "b": math.nan},
+        {"b": np.array([math.nan]), "a": [2.0, -math.inf]},
+        {"a": np.array([[0.0, math.inf], [math.nan, 1.0]]), "b": math.nan},
+        [np.array([1.0, 2.0]), np.array([3.0, -math.inf, math.nan]), math.nan],
+        {"x": [{"y": np.array([math.inf])}, math.nan]},
+    ]
+    for doc, first in zip(docs, ["inf", "-inf", "inf", "-inf", "inf"]):
+        with pytest.raises(FileFormatError, match=f"non-finite number {first}$"):
+            canonical_json(doc)
+        _assert_written_as_reference(doc)
 
 
 @pytest.mark.parametrize("scenario", g.SCENARIOS)
@@ -550,6 +636,34 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run(capsys, "validate", "--panel", str(bad))
     assert code == EXIT_VALIDATION and "line 1" in err
+
+
+def test_cli_parser_built_once_gives_the_results_of_fresh_parsers(tmp_path, capsys):
+    def session(directory, fresh):
+        directory.mkdir()
+        panel, out = str(directory / "panel.json"), str(directory / "gsc.json")
+        calls = [
+            ["simulate", "--scenario", "spd", "--J", "4", "--T", "5", "--T0", "4", "--out", panel],
+            ["gsc", "--placebo", "--panel", panel, "--out", out],
+            ["gsc", "--tol", "-1", "--panel", panel, "--out", out],
+            ["--help"],
+            ["gsc", "--panel", panel, "--out", out],
+        ]
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli_io._build_parser.cache_clear()
+            code, stdout, stderr = run(capsys, *argv)
+            files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+            seen.append((code, stdout.replace(str(directory), ""),
+                         stderr.replace(str(directory), ""), files))
+        return seen
+
+    cli_io._build_parser.cache_clear()
+    cached = session(tmp_path / "cached", fresh=False)
+    assert cli_io._build_parser.cache_info().misses == 1
+    assert [code for code, *_ in cached] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]
+    assert cached == session(tmp_path / "fresh", fresh=True)
 
 
 @pytest.mark.parametrize(

@@ -55,6 +55,12 @@ def test_panel_rejects_bad_cutoff_and_shapes():
         g.Panel(space=space, outcomes=((p, p), (p,)), T0=1)
     with pytest.raises(g.SpaceError):
         g.Panel(space=space, outcomes=((p, p),), T0=1)
+    other = g.ObjectPoint(g.wasserstein_space(2, grid=[0.25, 0.75]), np.zeros(2))
+    for bad in (other, np.zeros(2)):
+        with pytest.raises(g.SpaceError, match=r"outcome \(1,0\) is not a point"):
+            g.Panel(space=space, outcomes=((p, p), (bad, p)), T0=1)
+    with pytest.raises(g.SpaceError, match="shape"):
+        g.Panel(space=space, outcomes=np.zeros((2, 2, 3)), T0=1)
 
 
 def test_panel_cutoff_must_be_an_integer():
@@ -103,6 +109,78 @@ def test_panel_coords_are_embedded_once_and_permuted_by_placebo_refits(space, mo
     assert swapped.unit_labels == tuple(panel.unit_labels[i] for i in order)
     assert np.array_equal(swapped.coords, fresh.coords)
     assert not swapped.coords.flags.writeable
+
+
+@pytest.mark.parametrize("space", all_spaces(3), ids=lambda s: s.kind)
+def test_panel_from_an_array_equals_the_panel_from_its_points(space):
+    rng = np.random.default_rng(11)
+    data = np.array([[random_point(space, rng).data for _ in range(5)] for _ in range(4)])
+    labels = dict(unit_labels=("u0", "u1", "u2", "u3"), time_labels=tuple("abcde"))
+    points = tuple(tuple(g.ObjectPoint(space, x) for x in row) for row in data)
+    from_array = g.Panel(space=space, outcomes=data, T0=3, **labels)
+    from_points = g.Panel(space=space, outcomes=points, T0=3, **labels)
+    assert np.array_equal(from_array.data, data) and from_array.data is not data
+    for a, b in [(from_array, from_points), (from_array.with_treated_unit(2),
+                                              from_points.with_treated_unit(2))]:
+        assert np.array_equal(a.data, b.data) and np.array_equal(a.coords, b.coords)
+        assert (a.unit_labels, a.time_labels) == (b.unit_labels, b.time_labels)
+        assert a.outcomes == b.outcomes
+        if space.kind != "sphere":
+            assert all(np.array_equal(x, y) for x, y in zip(a.grams, b.grams))
+
+
+def test_panel_names_an_invalid_outcome_alike_from_an_array_and_from_points():
+    space = g.wasserstein_space(4, grid=[0.2, 0.4, 0.6, 0.8])
+    data = np.tile(np.arange(4.0), (3, 4, 1))
+    data[2, 1] = [0.0, 2.0, 1.0, 3.0]
+    points = tuple(tuple(g.ObjectPoint(space, x) for x in row) for row in data)
+    messages = []
+    for outcomes in (data, points):
+        with pytest.raises(g.SpaceError, match=r"unit 2, time 1") as info:
+            g.Panel(space=space, outcomes=outcomes, T0=2)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_panel_outcomes_are_read_only_views_of_its_array():
+    space = g.spd_space(3, "log_euclidean")
+    rng = np.random.default_rng(2)
+    data = np.array([[random_point(space, rng).data for _ in range(4)] for _ in range(3)])
+    panel = g.Panel(space=space, outcomes=data, T0=2)
+    assert panel.outcomes is panel.outcomes and not panel.data.flags.writeable
+    for j, row in enumerate(panel.outcomes):
+        for t, point in enumerate(row):
+            assert point.space is space and np.shares_memory(point.data, panel.data)
+            assert np.array_equal(point.data, data[j, t]) and not point.data.flags.writeable
+            with pytest.raises(ValueError):
+                point.data[0, 0] = 1.0
+    data[0, 0] = 0.0  # the caller's array is not the panel's
+    assert np.array_equal(panel.outcomes[0][0].data, panel.data[0, 0])
+    assert not np.array_equal(panel.data[0, 0], data[0, 0])
+
+
+def test_loading_fitting_and_placebo_make_only_the_points_of_the_results(tmp_path, monkeypatch):
+    panel = g.generate(g.SimConfig("spd", J=5, T=6, T0=4, seed=3, effect_size=0.5)).panel
+    path = str(tmp_path / "panel.json")
+    g.save_panel(panel, path)
+    made, viewed = [], []
+    post_init, outcomes = spaces.ObjectPoint.__post_init__, estimators.Panel.outcomes
+    monkeypatch.setattr(
+        spaces.ObjectPoint, "__post_init__", lambda self: made.append(self) or post_init(self)
+    )
+    monkeypatch.setattr(
+        estimators.Panel, "outcomes",
+        property(lambda self: viewed.append(self) or outcomes.fget(self)),
+    )
+    loaded = g.load_panel(path)
+    assert made == []
+    result = g.estimate_gsc(loaded)
+    returned = {id(p) for p in result.synthetic} | {id(e.end) for e in result.effects}
+    assert len(made) == len(returned) and {id(p) for p in made} == returned
+    # the placebo's treated statistics are one estimate_gsc call: one more result's points
+    reports = g.placebo_test(loaded, "gsc")
+    assert len(made) == 2 * len(returned) and viewed == []
+    assert [r.statistics[0] for r in reports] == [e.length for e in result.effects]
 
 
 def test_panel_of_one_grid_descriptor_compares_no_grids(monkeypatch):

@@ -1,5 +1,6 @@
 """Unit tests for the simulation scenario generators and their oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -106,6 +107,29 @@ def test_effect_size_is_a_geodesic_fraction(scenario):
         observed = out.panel.outcomes[0][t]
         full = g.distance(natural, target)
         assert g.distance(natural, observed) == pytest.approx(0.4 * full, rel=1e-9)
+
+
+@pytest.mark.parametrize("scenario", g.SCENARIOS)
+@pytest.mark.parametrize("effect", [0.0, 0.3, 1.0])
+def test_displacement_is_the_geodesic_of_each_post_point(scenario, effect):
+    cfg = g.SimConfig(scenario=scenario, T=6, T0=4, J=5, seed=2, effect_size=effect)
+    out = g.generate(cfg)
+    untreated = g.generate(dataclasses.replace(cfg, effect_size=0.0)).panel
+    target = g.ObjectPoint(out.panel.space, out.truth["effect_target"])
+    assert np.array_equal(out.panel.data[:, : cfg.T0], untreated.data[:, : cfg.T0])
+    assert np.array_equal(out.panel.data[1:], untreated.data[1:])
+    for i, t in enumerate(out.panel.post_periods()):
+        # the geodesic written out for one point
+        a = out.counterfactual[i]
+        if effect in (0.0, 1.0):
+            expected = (a, target)[int(effect)].data
+        elif scenario == "sphere":
+            expected = spaces._sphere_geodesic(a.data, target.data, effect)
+        else:
+            combo = (1.0 - effect) * g.metric_embed(a) + effect * g.metric_embed(target)
+            expected = g.metric_restore(combo, a.space).data
+        assert np.array_equal(out.panel.data[0, t], expected)
+        assert np.array_equal(expected, g.geodesic_eval(a, target, effect).data)
 
 
 def test_oracle_counterfactual_indexing():
