@@ -13,18 +13,21 @@ on the flat kinds, so the augmented estimator's regression and its
 correction are combinations of that tensor too. All estimators are pure
 functions of (panel, config) and never mutate their inputs.
 
-GSDID is one routine over a stack of pseudo-treated rows, which the
-estimate, the per-period effects and the placebo donors share. A placebo
-test fits the treated unit with one estimator call. The controls' weight
-fits (one stack of QPs on the flat kinds, one stacked Gauss-Newton run on
-the sphere) and then their statistics are one stack each, on the panel's
-own coordinates; no placebo builds a permuted panel.
+GSC and GSDID are each one routine over a stack of pseudo-treated rows
+(:func:`_gsc_stack`, :func:`_did_stack`): a row's synthetic outcome is a
+weighted Frechet mean of the other units, measured against the row's own
+outcome. The estimates (row 0), the augmented estimate, the per-period
+effects and the placebo donors (rows 1..J) all call them. A placebo test
+fits the treated unit with one estimator call. The controls' weight fits
+(one stack of QPs on the flat kinds, one stacked Gauss-Newton run on the
+sphere) and then their statistics are one stack each, on the panel's own
+coordinates; no placebo builds a permuted panel.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -85,9 +88,7 @@ class Panel:
     (nested points are stacked once), validated in one batched call;
     :attr:`outcomes` views it as points. Estimators read slices of
     :attr:`coords`, the panel embedded once, and on the flat kinds assemble
-    every weight QP from :attr:`grams`, computed once;
-    :meth:`with_treated_unit` permutes the rows of :attr:`coords` without
-    validating again.
+    every weight QP from :attr:`grams`, computed once.
     """
 
     space: SpaceDescriptor
@@ -95,9 +96,6 @@ class Panel:
     T0: int
     unit_labels: tuple[str, ...] = ()
     time_labels: tuple[str, ...] = ()
-    _outcomes: tuple | None = field(default=None, repr=False)
-    _coords: np.ndarray | None = field(default=None, repr=False)
-    _grams: tuple | None = field(default=None, repr=False)
 
     def __init__(self, space: SpaceDescriptor, outcomes, T0: int, unit_labels=(), time_labels=()):
         self.__dict__.update(
@@ -143,17 +141,14 @@ class Panel:
         object.__setattr__(self, "unit_labels", tuple(str(u) for u in units))
         object.__setattr__(self, "time_labels", tuple(str(t) for t in times))
 
-    @property
+    @cached_property
     def outcomes(self) -> tuple[tuple[ObjectPoint, ...], ...]:
         """The outcomes as points, ``outcomes[j][t]`` for unit ``j`` in period
         ``t``: built on first use and cached, each point's data a read-only
         view of :attr:`data`."""
-        if self._outcomes is None:
-            rows = tuple(tuple(_shared_point(self.space, x) for x in row) for row in self.data)
-            object.__setattr__(self, "_outcomes", rows)
-        return self._outcomes
+        return tuple(tuple(_shared_point(self.space, x) for x in row) for row in self.data)
 
-    @property
+    @cached_property
     def coords(self) -> np.ndarray:
         """Read-only (J+1, T, D) coordinates of the outcomes: the isometric
         chart (:func:`metric_embed_stack`) of :attr:`data` for the flat kinds
@@ -162,14 +157,12 @@ class Panel:
         Computed in one batched call on first use and cached, so a panel
         that no estimator reads holds no second copy of its data.
         """
-        if self._coords is None:
-            data = self.data
-            coords = data if self.space.kind == "sphere" else metric_embed_stack(self.space, data)
-            coords.setflags(write=False)
-            object.__setattr__(self, "_coords", coords)
-        return self._coords
+        data = self.data
+        coords = data if self.space.kind == "sphere" else metric_embed_stack(self.space, data)
+        coords.setflags(write=False)
+        return coords
 
-    @property
+    @cached_property
     def grams(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only Gram blocks of a flat kind's pre-period coordinates, cached
         like :attr:`coords`: the (J+1, J+1) unit Gram ``(1/T0) sum_t X_t X_t'``
@@ -177,14 +170,12 @@ class Panel:
         is the unit-weight QP's, and the (J+1, T0, T0) time Grams
         ``Z_j Z_j'`` of ``Z_j = coords[j, :T0]``, whose mean over controls is
         the time-weight QP's."""
-        if self._grams is None:
-            pre = self.coords[:, : self.T0]
-            flat = pre.reshape(self.n_units, -1)
-            grams = ((flat @ flat.T) / self.T0, pre @ pre.swapaxes(1, 2))
-            for gram in grams:
-                gram.setflags(write=False)
-            object.__setattr__(self, "_grams", grams)
-        return self._grams
+        pre = self.coords[:, : self.T0]
+        flat = pre.reshape(self.n_units, -1)
+        grams = ((flat @ flat.T) / self.T0, pre @ pre.swapaxes(1, 2))
+        for gram in grams:
+            gram.setflags(write=False)
+        return grams
 
     @property
     def n_units(self) -> int:
@@ -213,23 +204,16 @@ class Panel:
         return range(self.T0, self.n_periods)
 
     def with_treated_unit(self, j: int) -> "Panel":
-        """Panel with unit ``j`` moved to the treated slot.
+        """Panel with unit ``j`` moved to the treated slot, built and validated
+        as a new panel.
 
-        The remaining units keep their original relative order, so placebo
-        fits see the same donor pool regardless of which unit is held out.
-        The panel is built from the validated and embedded arrays without
-        running the constructor again.
+        The remaining units keep their original relative order, so a refit
+        sees the same donor pool regardless of which unit is held out. No
+        placebo test calls it: the donors' fits read this panel's own arrays.
         """
         order = [j] + [i for i in range(self.n_units) if i != j]
-        data, coords = self.data[order], self.coords[order]
-        for array in (data, coords):
-            array.setflags(write=False)
-        panel = copy.copy(self)
-        panel.__dict__.update(
-            data=data, unit_labels=tuple(self.unit_labels[i] for i in order),
-            _outcomes=None, _coords=coords, _grams=None,
-        )
-        return panel
+        labels = tuple(self.unit_labels[i] for i in order)
+        return Panel(self.space, self.data[order], self.T0, labels, self.time_labels)
 
 
 @dataclass(frozen=True)
@@ -435,14 +419,6 @@ def _time_weights(panel: Panel, targets: np.ndarray, cfg: SolverConfig) -> Simpl
     return _fit_weights(panel.space, panel.coords[1:, : panel.T0], targets, cfg, gram)[0]
 
 
-def _means(space: SpaceDescriptor, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The ``w``-weighted Frechet means of the stacks ``z[b]`` (shape
-    (B, n, D)), as (B, D) coordinates."""
-    if space.kind == "sphere":
-        return _sphere_mean_stack(z, w)
-    return w @ z
-
-
 def _restore(
     space: SpaceDescriptor, coords: np.ndarray, repair: bool, log: RepairLog | None
 ) -> np.ndarray:
@@ -451,23 +427,6 @@ def _restore(
     if space.kind == "sphere":
         return coords
     return metric_restore_stack(space, coords, repair=repair, log=log)
-
-
-def _synthetic_lengths(
-    panel: Panel, means: np.ndarray, units: int | list[int], periods: Sequence[int],
-    repair: bool, log: RepairLog | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The data of synthetic outcomes of ``units`` (a unit or a list) in
-    ``periods`` from their (..., periods, D) coordinates ``means``, restored
-    and validated in one call each, and their distances to those units'
-    outcomes, measured as :func:`distance` measures them point by point."""
-    space = panel.space
-    data = _restore(space, means, repair, log)
-    report = validate_stack(space, data.reshape((-1,) + space.data_shape))
-    if report is not None:
-        t = periods[report[0] % len(periods)]
-        raise SpaceError(f"synthetic outcome (time {t}) is invalid: {report[1]}")
-    return data, _lengths(space, data, panel.coords[units][..., periods, :])
 
 
 def _lengths(space: SpaceDescriptor, data: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -479,32 +438,61 @@ def _lengths(space: SpaceDescriptor, data: np.ndarray, coords: np.ndarray) -> np
     return np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
 
 
-def _synthetic_effects(
-    panel: Panel, means: np.ndarray, periods: Sequence[int], repair: bool, log: RepairLog
-) -> tuple[tuple[ObjectPoint, ...], np.ndarray, tuple[GeodesicEffect, ...]]:
-    """The treated unit's synthetic outcomes in ``periods`` from their
-    (periods, D) coordinates ``means``, their distances to its outcomes, and
-    the effects of the post periods among them."""
-    data, lengths = _synthetic_lengths(panel, means, 0, periods, repair, log)
-    synthetic = tuple(ObjectPoint(panel.space, x) for x in data)
-    return synthetic, lengths, tuple(
-        GeodesicEffect(start, ObjectPoint(panel.space, panel.data[0, t]), length)
-        for start, t, length in zip(synthetic, periods, lengths) if t >= panel.T0
+def _gsc_stack(
+    panel: Panel, rows: Sequence[int], unit_w: np.ndarray, periods: slice,
+    repair: bool, log: RepairLog | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """GSC for a stack of B pseudo-treated ``rows`` of the panel.
+
+    Row ``b``'s synthetic outcomes in ``periods`` are the Frechet means of
+    all J+1 units weighted by ``unit_w[b]`` (zero on itself): on the flat
+    kinds one matrix product over the units, on the sphere one batch of
+    iterative means over the (row, period) pairs. They are restored and
+    validated in one call each and measured against the rows' outcomes.
+
+    Returns the synthetic points' data, shape (B, P, *data_shape), and
+    their distances to the rows' outcomes, shape (B, P).
+    """
+    space, coords, B = panel.space, panel.coords[:, periods], len(rows)
+    n, P = coords.shape[:2]
+    if space.kind == "sphere":
+        z = np.tile(coords.swapaxes(0, 1), (B, 1, 1))
+        means = _sphere_mean_stack(z, np.repeat(unit_w, P, axis=0)).reshape(B, P, -1)
+    else:
+        means = (unit_w @ coords.reshape(n, -1)).reshape(B, P, -1)
+    data = _restore(space, means, repair, log)
+    report = validate_stack(space, data.reshape((-1,) + space.data_shape))
+    if report is not None:
+        t = range(panel.n_periods)[periods][report[0] % P]
+        raise SpaceError(f"synthetic outcome (time {t}) is invalid: {report[1]}")
+    return data, _lengths(space, data, coords[rows])
+
+
+def _effects(
+    panel: Panel, data: np.ndarray, periods: Sequence[int], lengths: np.ndarray
+) -> tuple[GeodesicEffect, ...]:
+    """The treated unit's effects in ``periods``: from the synthetic points'
+    ``data`` to its outcomes, with their ``lengths``."""
+    space = panel.space
+    return tuple(
+        GeodesicEffect(ObjectPoint(space, x), ObjectPoint(space, panel.data[0, t]), length)
+        for x, t, length in zip(data, periods, lengths)
     )
 
 
 def _gsc_result(panel: Panel, weights: SimplexWeights, repair: bool) -> GscResult:
     """Synthetic outcomes for fitted unit weights, the controls' weighted
     Frechet mean in every period, with their effects and pre-period fit."""
-    log = RepairLog()
-    means = _means(panel.space, panel.coords[1:].swapaxes(0, 1), weights.values)
-    periods = range(panel.n_periods)
-    synthetic, lengths, effects = _synthetic_effects(panel, means, periods, repair, log)
+    log, T0 = RepairLog(), panel.T0
+    unit_w = np.append(0.0, weights.values)[None]
+    (data,), (lengths,) = _gsc_stack(panel, [0], unit_w, slice(None), repair, log)
+    effects = _effects(panel, data[T0:], panel.post_periods(), lengths[T0:])
     return GscResult(
         weights=weights,
-        synthetic=synthetic,
+        synthetic=tuple(ObjectPoint(panel.space, x) for x in data[:T0])
+        + tuple(e.start for e in effects),
         effects=effects,
-        pre_fit_rmse=float(np.sqrt(np.mean(lengths[: panel.T0] ** 2))),
+        pre_fit_rmse=float(np.sqrt(np.mean(lengths[:T0] ** 2))),
         repair_flags=tuple(log.events),
     )
 
@@ -745,18 +733,19 @@ def estimate_augmented_gsc(
 
     log = RepairLog()
     log.events.extend(base.repair_flags)
-    post = controls[:, panel.T0 :].swapaxes(0, 1)
-    post_synthetic, _, effects = _synthetic_effects(
-        panel, (w + a) @ post, panel.post_periods(), repair, log
+    (data,), (lengths,) = _gsc_stack(
+        panel, [0], np.append(0.0, w + a)[None], slice(panel.T0, None), repair, log
     )
+    effects = _effects(panel, data, panel.post_periods(), lengths)
+    correction = a @ controls[:, panel.T0 :].swapaxes(0, 1)
     return GscResult(
         weights=base.weights,
-        synthetic=base.synthetic[: panel.T0] + post_synthetic,
+        synthetic=base.synthetic[: panel.T0] + tuple(e.start for e in effects),
         effects=effects,
         pre_fit_rmse=base.pre_fit_rmse,
         repair_flags=tuple(log.events),
         augmentation={
-            "correction_lengths": np.linalg.norm(a @ post, axis=-1).tolist(),
+            "correction_lengths": np.linalg.norm(correction, axis=-1).tolist(),
             "used_pseudo_inverse": model.used_pseudo_inverse,
         },
     )
@@ -769,7 +758,8 @@ def estimate_augmented_gsc(
 def _post_means(panel: Panel, units: slice) -> np.ndarray:
     """The ``units``' uniform Frechet means over the post window, (units, D) coordinates."""
     post = panel.coords[units, panel.T0 :]
-    return _means(panel.space, post, np.full(post.shape[1], 1.0 / post.shape[1]))
+    w = np.full(post.shape[1], 1.0 / post.shape[1])
+    return _sphere_mean_stack(post, w) if panel.space.kind == "sphere" else w @ post
 
 
 def _did_stack(
@@ -886,11 +876,7 @@ def estimate_gsdid_per_time(
     _, synthetic, lengths = _did_stack(
         panel, [0] * len(post), np.tile(unit, (len(post), 1)), time, np.eye(len(post)), repair, None
     )
-    space = panel.space
-    return [
-        GeodesicEffect(ObjectPoint(space, x), ObjectPoint(space, panel.data[0, t]), length)
-        for x, t, length in zip(synthetic, post, lengths)
-    ]
+    return list(_effects(panel, synthetic, post, lengths))
 
 
 # ---------------------------------------------------------------------------
@@ -920,8 +906,8 @@ def _donor_statistics(
     sphere control ``j``'s problems are its permuted panel's, the other
     units in panel order; its unit and time weights are one stacked
     Gauss-Newton run each. The statistics are one stack on the panel's own
-    coordinates too (GSC's synthetic outcomes or :func:`_did_stack`); if
-    it fails, the controls are taken one by one, so failures come in panel
+    coordinates too (:func:`_gsc_stack` or :func:`_did_stack`); if it
+    fails, the controls are taken one by one, so failures come in panel
     order.
     """
     J, T0, T = panel.n_controls, panel.T0, panel.n_periods
@@ -963,12 +949,7 @@ def _donor_statistics(
         if method == "gsdid":
             post_w = np.full((B, T - T0), 1 / (T - T0))
             return _did_stack(panel, units, *w, post_w, repair, None)[2][:, None].tolist()
-        if sphere:  # one mean per (control, period)
-            z = np.tile(panel.coords.swapaxes(0, 1), (B, 1, 1))
-            means = _sphere_mean_stack(z, np.repeat(w[0], T, axis=0)).reshape(B, T, -1)
-        else:
-            means = (w[0] @ panel.coords.reshape(J + 1, -1)).reshape(B, T, -1)
-        return _synthetic_lengths(panel, means, units, range(T), repair, None)[1][:, T0:].tolist()
+        return _gsc_stack(panel, units, w[0], slice(None), repair, None)[1][:, T0:].tolist()
 
     try:
         return statistics(list(range(1, J + 1)))

@@ -175,8 +175,6 @@ def gen_network_panel(cfg: SimConfig) -> SimOutput:
     which follows the geodesic ``(1 - a_t)(s_t M) + a_t U_1`` with
     ``M = sum_j w*_j L_j`` and ``U_1 = sum_j w*_j u_j L_j``.
     """
-    if cfg.scenario != "network":
-        raise SpaceError(f"expected scenario 'network', got {cfg.scenario!r}")
     rng = np.random.default_rng(cfg.seed)
     n_nodes = 10
     space = laplacian_space(n_nodes)
@@ -242,8 +240,6 @@ def gen_spd_panel(cfg: SimConfig) -> SimOutput:
     The treated unit's latent ``U_1`` is the ``w*``-combination of the
     control levels in the log chart, giving perfect pre-treatment fit.
     """
-    if cfg.scenario != "spd":
-        raise SpaceError(f"expected scenario 'spd', got {cfg.scenario!r}")
     rng = np.random.default_rng(cfg.seed)
     n = 10
     space = spd_space(n, metric="log_euclidean")
@@ -307,8 +303,6 @@ def gen_sphere_panel(cfg: SimConfig) -> SimOutput:
     controls at ``U_1`` vanishes. Draws whose images would leave the
     orthant are rejected and resampled.
     """
-    if cfg.scenario != "sphere":
-        raise SpaceError(f"expected scenario 'sphere', got {cfg.scenario!r}")
     rng = np.random.default_rng(cfg.seed)
     d = 3
     space = sphere_space(d)
@@ -374,8 +368,6 @@ def gen_scalar_panel(cfg: SimConfig) -> SimOutput:
     treated unit is the exact ``w*``-combination of the observed control
     values in every period, so classic synthetic control applies.
     """
-    if cfg.scenario != "scalar":
-        raise SpaceError(f"expected scenario 'scalar', got {cfg.scenario!r}")
     rng = np.random.default_rng(cfg.seed)
     t_frac = np.arange(1, cfg.T + 1, dtype=float) / cfg.T
     intercepts = rng.uniform(0.0, 2.0, size=cfg.J)
@@ -414,8 +406,6 @@ def gen_robustness_panel(cfg: SimConfig) -> SimOutput:
     the treated level ``u_1 = max(u) + 0.5`` lies outside the convex hull
     of the controls and no unit weighting can fit it.
     """
-    if cfg.scenario not in ("robustness_s2", "robustness_s3"):
-        raise SpaceError(f"expected a robustness scenario, got {cfg.scenario!r}")
     rng = np.random.default_rng(cfg.seed)
     t_grid = np.arange(1, cfg.T + 1, dtype=float)
 

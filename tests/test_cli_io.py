@@ -460,6 +460,31 @@ def test_emit_plot_series_checks_panel_match(tmp_path):
         emit_plot_series(res, other, str(tmp_path / "p.tsv"))
 
 
+def test_emit_plot_series_gsdid_rows(tmp_path):
+    panel = scalar_panel(np.random.default_rng(16).normal(size=(4, 6)), T0=4)
+    res = g.estimate_gsdid(panel)
+    report = g.placebo_test(panel, "gsdid")
+    path = str(tmp_path / "plot.tsv")
+    for placebo in (None, report):
+        emit_plot_series(res, panel, path, placebo)
+        lines = open(path).read().splitlines()
+        assert lines[0] == "unit\ttime\tstatistic\tvalue"
+        rows = [line.split("\t") for line in lines[1:]]
+        assert rows[0][:3] == ["treated", "post_mean", "effect_length"]
+        assert float(rows[0][3]) == res.effect.length
+        if placebo is None:
+            assert len(rows) == 1
+            continue
+        # one post_mean row per unit, in panel order
+        assert [r[:3] for r in rows[1:]] == [
+            [label, "post_mean", "placebo_statistic"] for label in panel.unit_labels
+        ]
+        assert [float(r[3]) for r in rows[1:]] == report.statistics.tolist()
+    other = g.Panel(g.sphere_space(3), np.tile([1.0, 0.0, 0.0], (4, 6, 1)), T0=4)
+    with pytest.raises(FileFormatError, match="does not match the panel: different space"):
+        emit_plot_series(res, other, str(tmp_path / "p.tsv"))
+
+
 # ---------------------------------------------------------------------------
 # command line, end to end
 

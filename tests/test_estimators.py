@@ -1,6 +1,8 @@
 """Unit tests for the GSC, augmented GSC, and GSDID estimators and the
 placebo permutation test."""
 
+import functools
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -101,10 +103,10 @@ def test_panel_coords_are_embedded_once_and_permuted_by_placebo_refits(space, mo
         estimators.Panel, "__post_init__", lambda self: builds.append(self) or post_init(self)
     )
     swapped = panel.with_treated_unit(2)
-    assert builds == []
+    assert builds == [swapped]  # built and validated once, as a new panel
     order = [2, 0, 1, 3]
     fresh = g.Panel(space=space, outcomes=tuple(panel.outcomes[i] for i in order), T0=2)
-    assert len(builds) == 1
+    assert len(builds) == 2
     assert swapped.outcomes == fresh.outcomes
     assert swapped.unit_labels == tuple(panel.unit_labels[i] for i in order)
     assert np.array_equal(swapped.coords, fresh.coords)
@@ -170,7 +172,7 @@ def test_loading_fitting_and_placebo_make_only_the_points_of_the_results(tmp_pat
     )
     monkeypatch.setattr(
         estimators.Panel, "outcomes",
-        property(lambda self: viewed.append(self) or outcomes.fget(self)),
+        property(lambda self: viewed.append(self) or outcomes.func(self)),
     )
     loaded = g.load_panel(path)
     assert made == []
@@ -314,11 +316,12 @@ def test_panel_grams_are_computed_once_per_analysis_and_placebo(space, monkeypat
     grams = estimators.Panel.grams
 
     def counting(self):
-        if self._grams is None:
-            computed.append(self)
-        return grams.fget(self)
+        computed.append(self)
+        return grams.func(self)
 
-    monkeypatch.setattr(estimators.Panel, "grams", property(counting))
+    counted = functools.cached_property(counting)  # counts only the computations
+    counted.__set_name__(estimators.Panel, "grams")
+    monkeypatch.setattr(estimators.Panel, "grams", counted)
     # Units constant over time: every transport is the identity, so GSDID
     # stays inside the cone of every kind.
     rng = np.random.default_rng(5)
@@ -398,7 +401,7 @@ def test_invalid_synthetic_point_names_its_period(monkeypatch):
 
     def negate_period_3(space, vecs, **kwargs):
         data = restore(space, vecs, **kwargs)
-        data[3] = -data[3]
+        data[0, 3] = -data[0, 3]  # the (1, T, 3, 3) synthetic stack of row 0
         return data
 
     monkeypatch.setattr(estimators, "metric_restore_stack", negate_period_3)
@@ -406,6 +409,22 @@ def test_invalid_synthetic_point_names_its_period(monkeypatch):
         g.SpaceError, match=r"synthetic outcome \(time 3\) is invalid: spd_frobenius: minimum"
     ):
         g.estimate_gsc(panel)
+
+
+def test_invalid_augmented_point_names_its_period(monkeypatch):
+    rng = np.random.default_rng(22)
+    panel = near_panel(g.spd_space(3, "log_euclidean"), rng, J=4, T=7, T0=5)
+    restore = estimators.metric_restore_stack
+
+    def negate_period_6(space, vecs, **kwargs):
+        data = restore(space, vecs, **kwargs)
+        if data.shape[:2] == (1, 2):  # the (1, T - T0, 3, 3) post-period stack
+            data[0, 1] = -data[0, 1]
+        return data
+
+    monkeypatch.setattr(estimators, "metric_restore_stack", negate_period_6)
+    with pytest.raises(g.SpaceError, match=r"synthetic outcome \(time 6\) is invalid"):
+        g.estimate_augmented_gsc(panel, rng.normal(size=(panel.n_units, 2)))
 
 
 def test_gsc_scalar_reduction_matches_lattice():
@@ -880,7 +899,7 @@ def test_agsc_embeds_only_the_panel_and_its_restored_points(monkeypatch):
     monkeypatch.setattr(estimators, "metric_embed_stack", counted)
     g.estimate_augmented_gsc(panel, rng.normal(size=(panel.n_units, 2)))
     # panel.coords, GSC's synthetic stack, and the augmented post-period stack
-    assert shapes == [(5, 7, 3, 3), (7, 3, 3), (2, 3, 3)]
+    assert shapes == [(5, 7, 3, 3), (1, 7, 3, 3), (1, 2, 3, 3)]
 
 
 def test_covariate_panel_names_the_invalid_covariate():
@@ -1177,6 +1196,49 @@ def test_placebo_donor_failure_names_the_first_failing_unit(method, monkeypatch)
 @pytest.mark.parametrize("method", ["gsc", "gsdid"])
 def test_sphere_placebo_donor_failure_names_the_first_failing_unit(method, monkeypatch):
     fail_controls_5_and_3("sphere", method, monkeypatch)
+
+
+@pytest.mark.parametrize("scenario", ["scalar", "sphere"])
+@pytest.mark.parametrize("method", ["gsc", "gsdid"])
+def test_placebo_donor_weight_fit_failure_names_the_first_failing_unit(
+    scenario, method, monkeypatch
+):
+    """A stacked weight solver that returns a SolverError in place of the
+    unit-weight fits of controls 5 and 3 fails the placebo test at control 3."""
+    panel = g.generate(g.SimConfig(scenario=scenario, seed=0, J=8, T=8, T0=6)).panel
+    refused = SolverError("weight fit refused")
+    if scenario == "sphere":  # a member is known by its target, the unit's pre periods
+        poisoned, targets = panel.coords[[5, 3], : panel.T0], []
+        linearization = estimators._sphere_linearization
+        solve = estimators.solve_simplex_gauss_newton
+        monkeypatch.setattr(
+            estimators, "_sphere_linearization",
+            lambda z, y: targets.append(y) or linearization(z, y),
+        )
+
+        def failing(linearize, n, cfg=None, size=None):
+            fits = solve(linearize, n, cfg, size)
+            if size is None:  # the treated unit's own fit
+                return fits
+            return [
+                refused if any(np.array_equal(y, bad) for bad in poisoned) else fit
+                for y, fit in zip(targets[-1], fits)
+            ]
+
+        monkeypatch.setattr(estimators, "solve_simplex_gauss_newton", failing)
+    else:  # a unit QP is known by its mask, which holds the unit's own weight at zero
+        solve_stack = estimators._solve_qp_stack
+
+        def failing(problems, cfg=None, allowed=None):
+            fits = solve_stack(problems, cfg, allowed)
+            return [
+                refused if mask is not None and not (mask[5] and mask[3]) else fit
+                for mask, fit in zip(allowed, fits)
+            ]
+
+        monkeypatch.setattr(estimators, "_solve_qp_stack", failing)
+    with pytest.raises(SolverError, match="unit 'control_3': weight fit refused"):
+        g.placebo_test(panel, method)
 
 
 def test_placebo_failure_names_unit():

@@ -714,6 +714,50 @@ def test_isotonic_repair_flags():
         metric_restore(vec, space, repair=False)
 
 
+def sphere_excursion(excursion):
+    """Sphere points whose transport leaves the orthant by ``excursion``:
+    ``alpha`` turns toward ``beta`` by ``theta`` in the (e2, e3) plane, and
+    moving ``omega = e1`` that way gives ``(cos theta, sin^2 theta,
+    -sin theta cos theta)``, whose last entry is ``-excursion``."""
+    space = g.sphere_space(3)
+    theta = 0.5 * math.asin(2.0 * excursion)
+    alpha = np.array([0.0, math.cos(theta), math.sin(theta)])
+    points = (alpha, np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+    return tuple(g.ObjectPoint(space, x) for x in points)
+
+
+def test_sphere_transport_clips_an_excursion_within_validation_tolerance_silently():
+    points = sphere_excursion(5e-9)
+    for repair in (True, False):
+        log = RepairLog()
+        out = g.transport(*points, repair=repair, log=log)
+        assert out.data[2] == 0.0 and out.data.min() == 0.0
+        assert np.linalg.norm(out.data) == pytest.approx(1.0, abs=1e-15)
+        assert not log.flagged
+
+
+def test_sphere_transport_repairs_an_excursion_within_budget_and_records_it():
+    log = RepairLog()
+    out = g.transport(*sphere_excursion(1e-7), log=log)
+    assert g.validate_point(out) is None
+    assert out.data[2] == 0.0 and np.linalg.norm(out.data) == pytest.approx(1.0, abs=1e-15)
+    assert len(log.events) == 1
+    assert log.events[0] == "sphere: clipped negative entries by up to 1.000e-07"
+
+
+def test_sphere_transport_beyond_the_repair_budget_raises():
+    with pytest.raises(g.SpaceError, match="by 1.000e-05, beyond the repair budget 1e-06"):
+        g.transport(*sphere_excursion(1e-5))
+
+
+@pytest.mark.parametrize("excursion", [2e-8, 1e-7, 1e-5])
+def test_sphere_transport_excursion_above_validation_tolerance_raises_without_repair(excursion):
+    log = RepairLog()
+    with pytest.raises(g.SpaceError, match="left the nonnegative orthant and repair is off"):
+        g.transport(*sphere_excursion(excursion), repair=False, log=log)
+    assert not log.flagged
+
+
 # ---------------------------------------------------------------------------
 # scaling identity of the geodesic factor model
 
