@@ -13,15 +13,14 @@ on the flat kinds, so the augmented estimator's regression and its
 correction are combinations of that tensor too. All estimators are pure
 functions of (panel, config) and never mutate their inputs.
 
-GSC and GSDID are each one routine over a stack of pseudo-treated rows
-(:func:`_gsc_stack`, :func:`_did_stack`): a row's synthetic outcome is a
-weighted Frechet mean of the other units, measured against the row's own
-outcome. The estimates (row 0), the augmented estimate, the per-period
-effects and the placebo donors (rows 1..J) all call them. A placebo test
-fits the treated unit with one estimator call. The controls' weight fits
-(one stack of QPs on the flat kinds, one stacked Gauss-Newton run on the
-sphere) and then their statistics are one stack each, on the panel's own
-coordinates; no placebo builds a permuted panel.
+Weights and statistics are each one routine over a stack of
+pseudo-treated rows: :func:`_weight_stack` fits a row's unit weights over
+the other units (and its time weights), :func:`_gsc_stack` and
+:func:`_did_stack` make its synthetic outcome a weighted Frechet mean of
+the other units and measure it against the row's own outcome. The
+estimates and per-period effects run them on row 0, the placebo donors on
+rows 1..J, each as one call on the panel's own coordinates; no placebo
+builds a permuted panel.
 """
 
 from __future__ import annotations
@@ -58,11 +57,11 @@ from .simplex_opt import (
     SimplexWeights,
     SolverConfig,
     SolverError,
-    _solve_qp_stack,
+    _solve_qps,
     _weight_qp,
     solve_simplex_derivative_free,  # noqa: F401  (looked up here by geobench's tracer)
     solve_simplex_gauss_newton,
-    solve_simplex_qp,
+    solve_simplex_qp,  # also looked up here by geobench's tracer
     stack_weight_qp,
 )
 
@@ -388,35 +387,55 @@ def _sphere_linearization(
     return linearize
 
 
-def _fit_weights(
-    space: SpaceDescriptor, z: np.ndarray, y: np.ndarray, cfg: SolverConfig,
-    gram: np.ndarray | None = None,
-) -> tuple[SimplexWeights, float]:
-    """Simplex weights minimizing ``mean_b d(m_b(w), y_b)^2``, and that value.
+def _weight_stack(
+    panel: Panel, rows: Sequence[int], cfg: SolverConfig, time_rows: Sequence[int] = (),
+    targets: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Simplex weights for a stack of pseudo-treated rows of the panel: the
+    unit weights of ``rows``, (B, J+1) and zero on each row's own unit, and
+    the time weights of ``time_rows``, (B', T0); a failed fit raises.
 
-    ``m_b(w)`` is the ``w``-weighted Frechet mean of the points ``z[b]``
-    (shape (B, n, D)) and ``y`` (shape (B, D)) holds the targets, both in
-    :attr:`Panel.coords` form. Unit weights are the problem over (pre
-    periods x controls), time weights over (controls x pre periods). On
-    the flat kinds it is an exact QP (``gram``: see :func:`stack_weight_qp`);
-    on the sphere, Gauss-Newton.
+    Unit weights match the other units to the row before treatment, time
+    weights each other unit's pre periods to its target in ``targets[:, b]``
+    ((J+1, B' or 1, D); by default the units' uniform post means). On the
+    flat kinds a unit QP spans all J+1 units on ``Panel.grams[0]``, uncopied,
+    with the row's own weight held at zero, and a time QP reads the units
+    after its row, cyclically, as a window of the doubled pre-period arrays;
+    all are one stack of QPs. On the sphere a row's problems span the other
+    units in panel order, as in ``panel.with_treated_unit(row)``, with one
+    Gauss-Newton run per kind.
     """
-    if space.kind == "sphere":
-        return solve_simplex_gauss_newton(_sphere_linearization(z, y), z.shape[1], cfg)
-    return solve_simplex_qp(stack_weight_qp(z, y, gram), cfg)
-
-
-def _unit_weights(panel: Panel, cfg: SolverConfig) -> SimplexWeights:
-    """Unit weights: the controls matched to the treated unit before treatment."""
-    pre = panel.coords[:, : panel.T0]
-    gram = None if panel.space.kind == "sphere" else panel.grams[0][1:, 1:]
-    return _fit_weights(panel.space, pre[1:].swapaxes(0, 1), pre[0], cfg, gram)[0]
-
-
-def _time_weights(panel: Panel, targets: np.ndarray, cfg: SolverConfig) -> SimplexWeights:
-    """Time weights: each control's pre periods matched to its (J, D) ``targets``."""
-    gram = None if panel.space.kind == "sphere" else panel.grams[1][1:].mean(axis=0)
-    return _fit_weights(panel.space, panel.coords[1:, : panel.T0], targets, cfg, gram)[0]
+    J, T0, B, n_time = panel.n_controls, panel.T0, len(rows), len(time_rows)
+    pre, sphere = panel.coords[:, :T0], panel.space.kind == "sphere"
+    targets = _post_means(panel)[:, None] if targets is None and time_rows else targets
+    others = np.arange(J + 1) != np.array([*rows, *time_rows])[:, None]
+    if sphere:
+        order = np.nonzero(others)[1].reshape(-1, J)
+        problems = [(pre[order[:B]].swapaxes(1, 2), pre[rows])]
+        if time_rows:
+            y = np.broadcast_to(targets, (J + 1, n_time, pre.shape[-1]))
+            problems.append((pre[order[B:]], y[order[B:], np.arange(n_time)[:, None]]))
+        fits = [
+            solve_simplex_gauss_newton(_sphere_linearization(z, y), z.shape[2], cfg, len(z))
+            for z, y in problems
+        ]
+    else:
+        z, (unit_gram, time_grams) = pre.swapaxes(0, 1), panel.grams
+        problems = [_weight_qp(z, pre[j], unit_gram, mask) for j, mask in zip(rows, others)]
+        if time_rows:  # only row 0's window, units 1..J, never wraps around
+            wrap = (lambda a: np.concatenate([a, a])) if any(time_rows) else (lambda a: a)
+            pre2, grams2 = wrap(pre), wrap(time_grams)
+            y = np.broadcast_to(wrap(targets), (len(pre2), n_time, pre.shape[-1]))
+            for b, j in enumerate(time_rows):
+                s = slice(j + 1, j + 1 + J)
+                problems.append(_weight_qp(pre2[s], y[s, b], grams2[s].mean(axis=0)))
+        stack = _solve_qps(problems, cfg)
+        fits = [stack[:B], stack[B:]]
+    for fit in (fit for kind in fits for fit in kind):
+        if isinstance(fit, SolverError):
+            raise fit
+    unit = [np.insert(w.values, j, 0.0) if sphere else w.values for j, (w, _) in zip(rows, fits[0])]
+    return np.array(unit), np.array([w.values for w, _ in fits[1]]) if time_rows else None
 
 
 def _restore(
@@ -513,7 +532,8 @@ def estimate_gsc(
     the derivative of each weighted mean from the implicit function
     theorem; its weights carry the same optimality certificate.
     """
-    return _gsc_result(panel, _unit_weights(panel, cfg or SolverConfig()), repair)
+    unit, _ = _weight_stack(panel, [0], cfg or SolverConfig())
+    return _gsc_result(panel, SimplexWeights(unit[0, 1:]), repair)
 
 
 def estimate_gsc_with_covariates(
@@ -551,7 +571,7 @@ def estimate_gsc_with_covariates(
         axis=-1,
     )
     if "sphere" not in kinds:
-        weights, _ = _fit_weights(covs.spaces[0], flat[:, 1:], flat[:, 0], cfg)
+        weights, _ = solve_simplex_qp(stack_weight_qp(flat[:, 1:], flat[:, 0]), cfg)
     else:
         flat_jac = flat[:, 1:].transpose(0, 2, 1)
         sphere_parts = [
@@ -607,6 +627,8 @@ class FrechetRegressionModel:
     def weights(self, x: np.ndarray) -> np.ndarray:
         """Per-unit regression weights ``s_j(x) / J`` (they sum to 1)."""
         x = np.asarray(x, dtype=float).ravel()
+        if x.shape != self.covariate_mean.shape:
+            raise SpaceError(f"expected {self.covariate_mean.size} covariates, got {x.size}")
         centered = self.covariates - self.covariate_mean
         s = 1.0 + centered @ (self.precision @ (x - self.covariate_mean))
         return s / self.n_units
@@ -643,6 +665,8 @@ def _covariate_matrix(covariates: np.ndarray, n_units: int) -> np.ndarray:
         x = x[:, None]
     if x.shape[0] != n_units:
         raise SpaceError(f"expected {n_units} covariate rows, got {x.shape[0]}")
+    if not np.all(np.isfinite(x)):
+        raise SpaceError("covariates must be finite")
     return x
 
 
@@ -665,15 +689,22 @@ def fit_global_frechet_regression(
     """
     if not outcomes or not outcomes[0]:
         raise SpaceError("regression needs at least one period and one unit")
-    space = outcomes[0][0].space
-    if space.kind not in FLAT_KINDS:
+    space = getattr(outcomes[0][0], "space", None)
+    if space is not None and space.kind not in FLAT_KINDS:
         raise SpaceError("global Frechet regression requires a flat-chart space")
     n_units = len(outcomes[0])
     x = _covariate_matrix(covariates, n_units)
     for t, row in enumerate(outcomes):
         if len(row) != n_units:
             raise SpaceError(f"period {t} has {len(row)} outcomes, expected {n_units}")
+        for j, point in enumerate(row):
+            if not (isinstance(point, ObjectPoint) and point.space == space):
+                raise SpaceError(f"outcome (period {t}, unit {j}) is not a point of the space")
     data = np.array([[p.data for p in row] for row in outcomes])
+    report = validate_stack(space, data.reshape((-1,) + space.data_shape))
+    if report is not None:
+        t, j = divmod(report[0], n_units)
+        raise SpaceError(f"outcome (period {t}, unit {j}) is invalid: {report[1]}")
     return _fit_regression(space, metric_embed_stack(space, data), x, allow_pseudo_inverse)
 
 
@@ -755,9 +786,9 @@ def estimate_augmented_gsc(
 # synthetic difference-in-differences
 
 
-def _post_means(panel: Panel, units: slice) -> np.ndarray:
-    """The ``units``' uniform Frechet means over the post window, (units, D) coordinates."""
-    post = panel.coords[units, panel.T0 :]
+def _post_means(panel: Panel) -> np.ndarray:
+    """The units' uniform Frechet means over the post window, (J+1, D) coordinates."""
+    post = panel.coords[:, panel.T0 :]
     w = np.full(post.shape[1], 1.0 / post.shape[1])
     return _sphere_mean_stack(post, w) if panel.space.kind == "sphere" else w @ post
 
@@ -800,7 +831,9 @@ def _did_stack(
     points = np.concatenate([data.reshape((-1,) + space.data_shape), synthetic])
     report = validate_stack(space, points)
     if report is not None:
-        raise SpaceError(report[1])
+        names = ["treated_pre", "treated_post", "controls_pre", "controls_post"] * B
+        name = (names + ["synthetic"] * B)[report[0]]
+        raise SpaceError(f"GSDID {name} point is invalid: {report[1]}")
     return data, synthetic, _lengths(space, synthetic, means[:, 0, 1])
 
 
@@ -841,10 +874,8 @@ def estimate_gsdid(
     treated unit's time-weighted pre mean, and the effect is the geodesic
     from that synthetic point to the treated post mean.
     """
-    cfg = cfg or SolverConfig()
-    unit_weights = _unit_weights(panel, cfg)
-    time_weights = _time_weights(panel, _post_means(panel, slice(1, None)), cfg)
-    return _gsdid_result(panel, unit_weights, time_weights, repair)
+    unit, time = _weight_stack(panel, [0], cfg or SolverConfig(), [0])
+    return _gsdid_result(panel, SimplexWeights(unit[0, 1:]), SimplexWeights(time[0]), repair)
 
 
 def estimate_gdid(panel: Panel, repair: bool = True) -> GsdidResult:
@@ -869,10 +900,10 @@ def estimate_gsdid_per_time(
     treated pre mean by the displacement of the control means between the
     weighted pre window and that period. All periods are one GSDID stack.
     """
-    cfg = cfg or SolverConfig()
-    unit = np.append(0.0, _unit_weights(panel, cfg).values)
     post = panel.post_periods()
-    time = np.array([_time_weights(panel, panel.coords[1:, t], cfg).values for t in post])
+    unit, time = _weight_stack(
+        panel, [0], cfg or SolverConfig(), [0] * len(post), panel.coords[:, panel.T0 :]
+    )
     _, synthetic, lengths = _did_stack(
         panel, [0] * len(post), np.tile(unit, (len(post), 1)), time, np.eye(len(post)), repair, None
     )
@@ -896,56 +927,13 @@ def _donor_statistics(
     panel: Panel, method: Method, cfg: SolverConfig, repair: bool
 ) -> list[list[float]]:
     """Every control's placebo statistics, those of
-    ``estimate_*(panel.with_treated_unit(j))`` up to rounding, with the
-    weight fits of all controls solved as one stack.
-
-    On the flat kinds control ``j``'s unit QP is the panel's over all J+1
-    units, with its weight held at zero, on ``Panel.grams[0]`` uncopied. A
-    GSDID time QP reads the other units' blocks, in cyclic order from
-    ``j + 1`` one window of the doubled pre-period coordinates. On the
-    sphere control ``j``'s problems are its permuted panel's, the other
-    units in panel order; its unit and time weights are one stacked
-    Gauss-Newton run each. The statistics are one stack on the panel's own
-    coordinates too (:func:`_gsc_stack` or :func:`_did_stack`); if it
-    fails, the controls are taken one by one, so failures come in panel
-    order.
-    """
+    ``estimate_*(panel.with_treated_unit(j))`` up to rounding, from one
+    :func:`_weight_stack` call and one statistics stack. If either fails,
+    the controls are taken one by one, so failures come in panel order."""
     J, T0, T = panel.n_controls, panel.T0, panel.n_periods
-    pre, sphere = panel.coords[:, :T0], panel.space.kind == "sphere"
-    post = _post_means(panel, slice(None)) if method == "gsdid" else None
-
-    def weights(units: list[int]) -> list[np.ndarray]:
-        """The ``units``' unit weights, (B, J+1) and zero on each unit's own
-        row, and for GSDID their time weights, (B, T0)."""
-        B, others = len(units), np.arange(J + 1) != np.array(units)[:, None]
-        if sphere:
-            order = np.nonzero(others)[1].reshape(B, J)
-            problems = [(pre[order].swapaxes(1, 2), pre[units])]
-            if method == "gsdid":
-                problems.append((pre[order], post[order]))
-            fits = [
-                solve_simplex_gauss_newton(_sphere_linearization(z, y), z.shape[2], cfg, B)
-                for z, y in problems
-            ]
-        else:
-            problems = [_weight_qp(pre.swapaxes(0, 1), pre[j], panel.grams[0]) for j in units]
-            if method == "gsdid":
-                pre2, post2, grams2 = (np.concatenate([a, a]) for a in (pre, post, panel.grams[1]))
-                windows = [slice(j + 1, j + 1 + J) for j in units]
-                problems += [_weight_qp(pre2[s], post2[s], grams2[s].mean(axis=0)) for s in windows]
-            stack = _solve_qp_stack(problems, cfg, list(others) + [None] * (len(problems) - B))
-            fits = [stack[k : k + B] for k in range(0, len(stack), B)]
-        for fit in (fit for kind in fits for fit in kind):
-            if isinstance(fit, SolverError):
-                raise fit
-        values = [np.array([fit[0].values for fit in kind]) for kind in fits]
-        if sphere:
-            values[0] = np.zeros(others.shape)
-            values[0][others] = np.concatenate([fit[0].values for fit in fits[0]])
-        return values
 
     def statistics(units: list[int]) -> list[list[float]]:
-        w, B = weights(units), len(units)
+        w, B = _weight_stack(panel, units, cfg, units if method == "gsdid" else ()), len(units)
         if method == "gsdid":
             post_w = np.full((B, T - T0), 1 / (T - T0))
             return _did_stack(panel, units, *w, post_w, repair, None)[2][:, None].tolist()
@@ -973,10 +961,8 @@ def placebo_test(
     under relabeling of the controls and never smaller than 1/(J+1).
 
     The treated unit's statistics come from one ``estimate_*`` call on the
-    panel. The controls' weight fits are solved together, as one stack of
-    QPs on the flat kinds and as one stacked Gauss-Newton run per kind of
-    weights on the sphere, and their statistics are one stack too
-    (:func:`_donor_statistics`). No kind refits a permuted panel.
+    panel, the controls' from one weight stack and one statistics stack
+    (:func:`_donor_statistics`); no kind refits a permuted panel.
 
     Returns one report per post period for ``method="gsc"`` (whose
     statistic is per-period) and a single report for ``method="gsdid"``

@@ -86,6 +86,8 @@ class SimplexQp:
     over a (B, n, D) stack and its (B, D) targets, as :func:`stack_weight_qp`
     builds and checks it; the record keeps what it is given, uncopied. Its
     expanded form ``w' gram w - 2 linear' w + constant`` gives the gradient.
+    ``allowed``, a boolean mask or ``None`` (all), is the face it is solved
+    over: its other weights stay zero, at full length, and out of its certificate.
     """
 
     factor: np.ndarray
@@ -93,6 +95,7 @@ class SimplexQp:
     gram: np.ndarray
     linear: np.ndarray
     constant: float
+    allowed: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -161,12 +164,13 @@ def stack_weight_qp(
     return _weight_qp(z, y, gram)
 
 
-def _weight_qp(z: np.ndarray, y: np.ndarray, gram: np.ndarray) -> SimplexQp:
+def _weight_qp(z: np.ndarray, y: np.ndarray, gram: np.ndarray, allowed=None) -> SimplexQp:
     """The QP of :func:`stack_weight_qp` from a stack, targets and Gram it
-    has checked (or that come checked, like a panel's Gram blocks)."""
+    has checked (or that come checked, like a panel's Gram blocks), over
+    the face ``allowed``."""
     scale = 1.0 / z.shape[0]
     linear = scale * np.einsum("bnd,bd->n", z, y)
-    return SimplexQp(z, y, gram, linear, scale * float(np.vdot(y, y)))
+    return SimplexQp(z, y, gram, linear, scale * float(np.vdot(y, y)), allowed)
 
 
 # ---------------------------------------------------------------------------
@@ -214,20 +218,21 @@ def _tangent_cone_projection(v: np.ndarray, zero_mask: np.ndarray) -> np.ndarray
 
 def kkt_residual(problem: SimplexQp, w: np.ndarray, gradient: np.ndarray | None = None) -> float:
     """Norm of the negative gradient (computed here unless given) projected
-    onto the simplex tangent cone at ``w``."""
-    g = problem.gradient(w) if gradient is None else gradient
-    d = _tangent_cone_projection(-g, np.asarray(w) <= 0.0)
+    onto the tangent cone at ``w`` of the problem's face of the simplex."""
+    w, g = np.asarray(w), problem.gradient(w) if gradient is None else gradient
+    if problem.allowed is not None:
+        w, g = w[problem.allowed], g[problem.allowed]
+    d = _tangent_cone_projection(-g, w <= 0.0)
     return float(np.sqrt(d @ d))
 
 
-def _certified(problem: SimplexQp, w: np.ndarray, tol: float, g=None, allowed=None) -> bool:
+def _certified(problem: SimplexQp, w: np.ndarray, tol: float, g=None) -> bool:
     """The certificate every weight fit carries: ``kkt_residual`` at most
-    ``tol * (1 + |gradient|)``, over the coordinates ``allowed`` (all by
-    default), from the gradient ``g`` at ``w`` when the caller has it."""
+    ``tol * (1 + |gradient|)`` over the problem's face, from the gradient
+    ``g`` at ``w`` when the caller has it."""
     g = problem.gradient(w) if g is None else g
-    if allowed is not None:
-        w, g = w[allowed], g[allowed]
-    return kkt_residual(problem, w, g) <= tol * (1.0 + float(np.sqrt(g @ g)))
+    face = g if problem.allowed is None else g[problem.allowed]
+    return kkt_residual(problem, w, g) <= tol * (1.0 + float(np.sqrt(face @ face)))
 
 
 def _face_solves(kkt: np.ndarray, rhs: np.ndarray, lu: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -253,12 +258,11 @@ def _face_solves(kkt: np.ndarray, rhs: np.ndarray, lu: bool) -> tuple[np.ndarray
 
 
 def _active_set(
-    problems: list[SimplexQp], starts: list[np.ndarray], allowed: list,
-    tol: float, max_iter: int, lu: bool = True,
+    problems: list[SimplexQp], starts: list[np.ndarray], tol: float, max_iter: int,
+    lu: bool = True,
 ) -> list[np.ndarray]:
     """Primal active-set method on a stack of problems, each started from
-    its feasible point ``starts[i]`` and kept to the coordinates of the
-    boolean mask ``allowed[i]`` (``None``: all); see Nocedal & Wright,
+    its feasible point ``starts[i]`` on its face; see Nocedal & Wright,
     Numerical Optimization, ch. 16.
 
     Each member keeps its own working set (its zero coordinates), ratio
@@ -326,11 +330,11 @@ def _active_set(
                 (going if blocked[r] else settled).append(i)
         for i in settled:
             g, face = grads[i], free[i].tobytes()
-            if _certified(problems[i], ws[i], tol, g, allowed[i]) or (lu and face in seen[i]):
+            if _certified(problems[i], ws[i], tol, g) or (lu and face in seen[i]):
                 continue  # certified, or back at a face minimizer: LU faces lost to rounding
             seen[i].add(face)
-            g_s = g[supports[i]]
-            closed = free[i] if allowed[i] is None else free[i] | ~allowed[i]
+            g_s, allowed = g[supports[i]], problems[i].allowed
+            closed = free[i] if allowed is None else free[i] | ~allowed
             reduced = np.where(closed, np.inf, g - float(g_s.sum()) / g_s.size)
             j = int(np.argmin(reduced))
             if reduced[j] < 0.0:
@@ -342,36 +346,30 @@ def _active_set(
     return ws
 
 
-def _solve_qp_stack(
-    problems: list[SimplexQp], cfg: SolverConfig | None = None, allowed: list | None = None
-) -> list:
+def _solve_qp_stack(problems: list[SimplexQp], cfg: SolverConfig | None = None) -> list:
     """:func:`solve_simplex_qp` on a stack of problems at once: each one's
     ``(weights, objective)``, or in its place the :class:`SolverError` it
-    fails with. ``allowed[i]``, a boolean mask or ``None`` (every
-    coordinate), holds problem ``i``'s other weights at zero; its weights
-    keep the full length, and its certificate covers the mask."""
+    fails with."""
     cfg = cfg or SolverConfig()
-    allowed = list(allowed or [None] * len(problems))
     results: list = [None] * len(problems)
     starts, uniforms = {}, {}
-    for i, (problem, mask) in enumerate(zip(problems, allowed)):
-        mask = np.ones(problem.n, dtype=bool) if mask is None else mask
+    for i, problem in enumerate(problems):
+        mask = np.ones(problem.n, dtype=bool) if problem.allowed is None else problem.allowed
         vertex = np.argmin(np.where(mask, np.diag(problem.gram) - 2.0 * problem.linear, np.inf))
         starts[i], uniforms[i] = (np.arange(problem.n) == vertex) * 1.0, mask / mask.sum()
     pending = list(starts)
     for lu in (True, False):  # a member uncertified on LU faces retries on minimum-norm ones
         finishes = _active_set(
             [problems[i] for i in pending], [starts[i] for i in pending],
-            [allowed[i] for i in pending], cfg.tol_kkt, cfg.max_iter, lu,
+            cfg.tol_kkt, cfg.max_iter, lu,
         )
         for i, finish in zip(pending, finishes):
-            problem, mask, best = problems[i], allowed[i], uniforms[i]
+            problem, best = problems[i], uniforms[i]
             f_best, f_finish = problem.objective(best), problem.objective(finish)
-            if f_finish < f_best or (
-                f_finish == f_best and not _certified(problem, best, cfg.tol_kkt, allowed=mask)
-            ):
+            tie = f_finish == f_best and not _certified(problem, best, cfg.tol_kkt)
+            if f_finish < f_best or tie:
                 best, f_best = finish, f_finish
-            if _certified(problem, best, cfg.tol_kkt, allowed=mask):
+            if _certified(problem, best, cfg.tol_kkt):
                 weights = _normalized(best)
                 same = np.array_equal(weights.values, best)
                 results[i] = weights, f_best if same else problem.objective(weights.values)
@@ -392,12 +390,12 @@ def solve_simplex_qp(
     """Minimize a convex quadratic over the probability simplex.
 
     Runs the primal active-set method of :func:`_active_set`, as a stack of
-    one, from the best vertex, ``argmin_i (G_ii - 2 l_i)``. Each release
-    adds one coordinate to the support, as in Lawson and Hanson's NNLS, so
-    a fit costs about one small face KKT solve per support coordinate. The
-    returned point carries a stationarity certificate: the norm of the
-    negative gradient projected onto the simplex tangent cone is at most
-    ``tol_kkt * (1 + |gradient|)``.
+    one, from the best vertex, ``argmin_i (G_ii - 2 l_i)`` over the
+    problem's face (``allowed``). Each release adds one coordinate to the
+    support, as in Lawson and Hanson's NNLS, so a fit costs about one small
+    face KKT solve per support coordinate. The returned point carries a
+    stationarity certificate: the norm of the negative gradient projected
+    onto the tangent cone of the face is at most ``tol_kkt * (1 + |gradient|)``.
 
     Ties are broken deterministically: the uniform point wins when the
     active-set point does not improve on it strictly, so a constant
@@ -414,6 +412,18 @@ def solve_simplex_qp(
     if isinstance(result, SolverError):
         raise result
     return result
+
+
+def _solve_qps(problems: list[SimplexQp], cfg: SolverConfig | None = None) -> list:
+    """Each problem's ``(weights, objective)`` or its :class:`SolverError`,
+    as :func:`_solve_qp_stack` gives them: a lone problem through
+    :func:`solve_simplex_qp`, the name geobench's tracer counts."""
+    if len(problems) != 1:
+        return _solve_qp_stack(problems, cfg) if problems else []
+    try:
+        return [solve_simplex_qp(problems[0], cfg)]
+    except SolverError as exc:
+        return [exc]
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +496,7 @@ def solve_simplex_gauss_newton(
             if _certified(models[i], w, cfg.tol_kkt):
                 results[i] = SimplexWeights(w), fval
                 del models[i]
-        if len(models) == 1:  # through solve_simplex_qp, the name geobench's tracer counts
-            try:
-                targets = [solve_simplex_qp(*models.values(), cfg)]
-            except SolverError as exc:
-                targets = [exc]
-        else:
-            targets = _solve_qp_stack(list(models.values()), cfg) if models else []
-        for i, target in zip(models, targets):
+        for i, target in zip(models, _solve_qps(list(models.values()), cfg)):
             if isinstance(target, SolverError):
                 results[i] = target
                 continue

@@ -10,7 +10,6 @@ from scipy.special import ndtri
 import geosynth as g
 from geosynth import estimators, simplex_opt, spaces
 from geosynth.estimators import (
-    _fit_weights,
     _sphere_linearization,
     fit_global_frechet_regression,
     predict_frechet_regression,
@@ -207,54 +206,59 @@ def test_weight_qps_from_the_panel_grams_match_per_block_assembly(space, monkeyp
     cached Gram blocks, against ``stack_weight_qp`` on stacks embedded
     point by point."""
     panel = make_flat_panel(np.random.default_rng(11), space, J=5, T=7, T0=4)
-    qps = []
-    solve = estimators.solve_simplex_qp
+    stacks = []
+    solve_stack = simplex_opt._solve_qp_stack
     monkeypatch.setattr(
-        estimators, "solve_simplex_qp", lambda qp, cfg=None: qps.append(qp) or solve(qp, cfg)
+        simplex_opt, "_solve_qp_stack",
+        lambda problems, cfg=None: stacks.append(problems) or solve_stack(problems, cfg),
     )
     g.estimate_gsdid(panel)
-    assert len(qps) == 2
+    [qps] = stacks
+    assert len(qps) == 2  # the unit QP over all J+1 units, the treated one held, and the time QP
+    assert np.array_equal(qps[0].allowed, np.arange(panel.n_units) > 0)
+    assert qps[1].allowed is None
 
     embedded = np.array([[g.metric_embed(p) for p in row] for row in panel.outcomes])
     time_qp = g.stack_weight_qp(embedded[1:, : panel.T0], embedded[1:, panel.T0 :].mean(axis=1))
     expected = [unit_weight_qp(panel), time_qp]
     rng = np.random.default_rng(3)
     for qp, ref in zip(qps, expected):
-        assert_close_to_scale(qp.gram, ref.gram, 1e-12)
-        assert_close_to_scale(qp.linear, ref.linear, 1e-12)
+        face = slice(qp.n - ref.n, None)  # the unit QP's face: the controls
+        assert_close_to_scale(qp.gram[face, face], ref.gram, 1e-12)
+        assert_close_to_scale(qp.linear[face], ref.linear, 1e-12)
         assert qp.constant == pytest.approx(ref.constant, rel=1e-12)
-        for w in rng.dirichlet(np.ones(qp.n), size=5):
+        for w in rng.dirichlet(np.ones(ref.n), size=5):
             f = ref.objective(w)
-            assert abs(qp.objective(w) - f) <= 1e-12 * (1.0 + f)
+            assert abs(qp.objective(np.append(np.zeros(qp.n - ref.n), w)) - f) <= 1e-12 * (1.0 + f)
 
 
 def test_unit_qps_take_the_panel_gram_uncopied(monkeypatch):
     panel = make_flat_panel(np.random.default_rng(5), g.spd_space(3), J=4, T=6, T0=3)
     qps, stacks, pseudos = [], [], []
-    solve, solve_stack = estimators.solve_simplex_qp, estimators._solve_qp_stack
+    solve, solve_qps = simplex_opt.solve_simplex_qp, estimators._solve_qps
     monkeypatch.setattr(
-        estimators, "solve_simplex_qp", lambda qp, cfg=None: qps.append(qp) or solve(qp, cfg)
+        simplex_opt, "solve_simplex_qp", lambda qp, cfg=None: qps.append(qp) or solve(qp, cfg)
     )
     monkeypatch.setattr(
-        estimators, "_solve_qp_stack",
-        lambda problems, cfg=None, allowed=None: stacks.append(problems)
-        or solve_stack(problems, cfg, allowed),
+        estimators, "_solve_qps",
+        lambda problems, cfg=None: stacks.append(problems) or solve_qps(problems, cfg),
     )
     g.estimate_gsc(panel)
-    assert len(qps) == 1 and np.shares_memory(qps[0].gram, panel.grams[0])
+    assert len(qps) == 1 and qps[0].gram is panel.grams[0] and stacks == [qps]
     with_treated_unit = estimators.Panel.with_treated_unit
     monkeypatch.setattr(
         estimators.Panel, "with_treated_unit",
         lambda self, j: pseudos.append(with_treated_unit(self, j)) or pseudos[-1],
     )
     qps.clear()
+    stacks.clear()
     g.placebo_test(panel, "gsc")
-    # the treated row is one estimate on the panel itself; the controls'
-    # unit QPs are one stack, each on the panel's whole Gram, and no
-    # panel is permuted
-    assert len(qps) == 1 and np.shares_memory(qps[0].gram, panel.grams[0])
-    assert len(stacks) == 1 and len(stacks[0]) == panel.n_controls
-    assert all(qp.gram is panel.grams[0] for qp in stacks[0])
+    # the treated row is one estimate on the panel itself, a lone QP; the
+    # controls' unit QPs are one stack, each on the panel's whole Gram,
+    # and no panel is permuted
+    assert len(qps) == 1 and qps[0].gram is panel.grams[0]
+    assert len(stacks) == 2 and stacks[0] == qps and len(stacks[1]) == panel.n_controls
+    assert all(qp.gram is panel.grams[0] for qp in stacks[1])
     assert pseudos == []
 
 
@@ -411,6 +415,25 @@ def test_invalid_synthetic_point_names_its_period(monkeypatch):
         g.estimate_gsc(panel)
 
 
+@pytest.mark.parametrize("point", ["treated_post", "synthetic"])
+def test_invalid_gsdid_point_names_it(point, monkeypatch):
+    """A GSDID mean or synthetic point that fails validation is named."""
+    panel = make_flat_panel(np.random.default_rng(2), g.spd_space(3), J=3, T=5, T0=3)
+    restore, transport = estimators._restore, estimators._transport_stack
+
+    def negate_treated_post(space, coords, repair, log):
+        data = restore(space, coords, repair, log)
+        data[0, 0, 1] = -data[0, 0, 1]  # (row, own, post) of the (B, 2, 2, 3, 3) means
+        return data
+
+    if point == "treated_post":
+        monkeypatch.setattr(estimators, "_restore", negate_treated_post)
+    else:
+        monkeypatch.setattr(estimators, "_transport_stack", lambda *a: -transport(*a))
+    with pytest.raises(g.SpaceError, match=rf"GSDID {point} point is invalid: spd_frobenius"):
+        g.estimate_gsdid(panel)
+
+
 def test_invalid_augmented_point_names_its_period(monkeypatch):
     rng = np.random.default_rng(22)
     panel = near_panel(g.spd_space(3, "log_euclidean"), rng, J=4, T=7, T0=5)
@@ -425,6 +448,21 @@ def test_invalid_augmented_point_names_its_period(monkeypatch):
     monkeypatch.setattr(estimators, "metric_restore_stack", negate_period_6)
     with pytest.raises(g.SpaceError, match=r"synthetic outcome \(time 6\) is invalid"):
         g.estimate_augmented_gsc(panel, rng.normal(size=(panel.n_units, 2)))
+
+
+@pytest.mark.parametrize("size", [dict(J=8, T=8, T0=6), {}], ids=["small", "default"])
+@pytest.mark.parametrize("scenario", ["network", "spd", "scalar", "robustness_s2", "robustness_s3"])
+def test_flat_gsc_weights_match_the_unmasked_unit_qp(scenario, size):
+    """GSC solves the unit QP over all J+1 units with the treated weight held
+    at zero; its weights stay within 1e-10 of those of the J-unit QP on the
+    controls' block of the panel's Gram, which sums in another order."""
+    for seed in range(3):
+        panel = g.generate(g.SimConfig(scenario=scenario, seed=seed, **size)).panel
+        pre = panel.coords[:, : panel.T0]
+        qp = g.stack_weight_qp(pre[1:].swapaxes(0, 1), pre[0], panel.grams[0][1:, 1:])
+        ref, _ = g.solve_simplex_qp(qp)
+        w = g.estimate_gsc(panel).weights.values
+        assert np.max(np.abs(w - ref.values)) <= 1e-10, seed
 
 
 def test_gsc_scalar_reduction_matches_lattice():
@@ -506,14 +544,21 @@ def is_certified(linearize, w, cfg):
 
 
 def record_gauss_newton_fits(monkeypatch):
-    """Record (linearize, n, weights) for every Gauss-Newton fit an estimator runs."""
+    """Record (linearize, n, weights) for every Gauss-Newton fit an estimator
+    runs, each member of a stacked run with its own linearization."""
     fits = []
     solve = estimators.solve_simplex_gauss_newton
 
-    def recording(linearize, n, cfg=None):
-        weights, value = solve(linearize, n, cfg)
-        fits.append((linearize, n, weights.values))
-        return weights, value
+    def member(linearize, i):
+        return lambda w: tuple(a[0] for a in linearize(w[None], np.array([i])))
+
+    def recording(linearize, n, cfg=None, size=None):
+        result = solve(linearize, n, cfg, size)
+        if size is None:
+            fits.append((linearize, n, result[0].values))
+        else:
+            fits.extend((member(linearize, i), n, fit[0].values) for i, fit in enumerate(result))
+        return result
 
     monkeypatch.setattr(estimators, "solve_simplex_gauss_newton", recording)
     return fits
@@ -558,14 +603,18 @@ def test_sphere_gsdid_is_deterministic_and_relabel_invariant():
 
 @pytest.mark.parametrize("scenario", ["sphere", "spd"])
 def test_gsdid_time_weights_read_only_the_controls_post_means(scenario):
-    """GSDID computes the post means of the controls alone; a unit's post
-    mean does not depend on the other rows, so the time weights are the
-    same bits as from all J+1 post means."""
+    """GSDID computes the post means of all J+1 units; a unit's post mean
+    does not depend on the other rows, so they are the same bits as the
+    controls' alone, and the treated row's time weights read only the
+    controls' (a NaN in the treated unit's slot changes no bit)."""
     panel = g.generate(g.SimConfig(scenario=scenario, seed=2, J=6, T=8, T0=5)).panel
-    every = estimators._post_means(panel, slice(None))
-    assert np.array_equal(estimators._post_means(panel, slice(1, None)), every[1:])
-    time = estimators._time_weights(panel, every[1:], g.SolverConfig())
-    assert np.array_equal(g.estimate_gsdid(panel).time_weights.values, time.values)
+    every = estimators._post_means(panel)
+    controls = g.Panel(space=panel.space, outcomes=panel.data[1:], T0=panel.T0)
+    assert np.array_equal(estimators._post_means(controls), every[1:])
+    targets = every.copy()
+    targets[0] = np.nan
+    _, time = estimators._weight_stack(panel, [0], g.SolverConfig(), [0], targets[:, None])
+    assert np.array_equal(g.estimate_gsdid(panel).time_weights.values, time[0])
 
 
 def test_gauss_newton_steps_below_the_rounding_of_the_objective():
@@ -578,9 +627,36 @@ def test_gauss_newton_steps_below_the_rounding_of_the_objective():
     targets = [panel.outcomes[j][panel.T0] for j in range(1, panel.n_units)]
     z = np.stack([[p.data for p in row[: panel.T0]] for row in panel.controls])
     y = np.stack([p.data for p in targets])
-    lam, _ = _fit_weights(panel.space, z, y, cfg)
+    lam, _ = simplex_opt.solve_simplex_gauss_newton(_sphere_linearization(z, y), panel.T0, cfg)
     assert is_certified(_sphere_linearization(z, y), lam.values, cfg)
     assert len(g.estimate_gsdid_per_time(panel)) == 2
+
+
+@pytest.mark.parametrize("scenario", ["spd", "scalar", "sphere"])
+def test_per_period_time_weights_equal_each_period_fitted_alone(scenario, monkeypatch):
+    """The per-period time weights, one stack of QPs or one stacked
+    Gauss-Newton run, are the same bits as each period's problem solved
+    alone by the public solvers."""
+    panel = g.generate(g.SimConfig(scenario=scenario, seed=1, J=8, T=9, T0=5)).panel
+    stacked = []
+    did_stack = estimators._did_stack
+    monkeypatch.setattr(
+        estimators, "_did_stack", lambda *a: stacked.append(a[3]) or did_stack(*a)
+    )
+    g.estimate_gsdid_per_time(panel)
+    [time] = stacked
+    pre, cfg = panel.coords[1:, : panel.T0], g.SolverConfig()
+    assert len(time) == panel.n_periods - panel.T0
+    for lam, t in zip(time, panel.post_periods()):
+        y = panel.coords[1:, t]
+        if scenario == "sphere":
+            alone, _ = simplex_opt.solve_simplex_gauss_newton(
+                _sphere_linearization(pre, y), panel.T0, cfg
+            )
+        else:
+            gram = panel.grams[1][1:].mean(axis=0)
+            alone, _ = g.solve_simplex_qp(g.stack_weight_qp(pre, y, gram), cfg)
+        assert np.array_equal(lam, alone.values), t
 
 
 def test_sphere_gsdid_small_panel_sweep_does_not_raise():
@@ -760,6 +836,51 @@ def test_gfr_rejects_sphere_outcomes():
     p = g.ObjectPoint(space, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(g.SpaceError):
         fit_global_frechet_regression([[p, p]], np.array([0.0, 1.0]))
+
+
+def test_gfr_rejects_an_outcome_from_another_space():
+    rng = np.random.default_rng(13)
+    chart, frobenius = g.spd_space(3, "log_euclidean"), g.spd_space(3)
+    outs = [[random_point(chart, rng) for _ in range(4)] for _ in range(2)]
+    x = rng.normal(size=(4, 2))
+    outs[1][2] = g.ObjectPoint(frobenius, outs[1][2].data)
+    with pytest.raises(g.SpaceError, match=r"outcome \(period 1, unit 2\) is not a point"):
+        fit_global_frechet_regression(outs, x)
+    for t, j in [(1, 2), (0, 0)]:  # raw data in place of a point
+        outs[t][j] = outs[1][0].data
+        with pytest.raises(g.SpaceError, match=rf"outcome \(period {t}, unit {j}\) is not a point"):
+            fit_global_frechet_regression(outs, x)
+
+
+def test_gfr_names_an_invalid_outcome():
+    space = g.wasserstein_space(4, grid=[0.2, 0.4, 0.6, 0.8])
+    outs = [[g.ObjectPoint(space, np.arange(4.0) + j) for j in range(3)] for _ in range(2)]
+    outs[1][0] = g.ObjectPoint(space, np.array([0.0, 2.0, 1.0, 3.0]))
+    with pytest.raises(
+        g.SpaceError, match=r"outcome \(period 1, unit 0\) is invalid: wasserstein1d"
+    ):
+        fit_global_frechet_regression(outs, np.array([0.0, 1.0, 3.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_regression_covariates_must_be_finite(bad):
+    space = g.scalar_space()
+    outs = [[g.ObjectPoint(space, np.full(space.dim, float(v))) for v in (1, 2, 3)]]
+    x = np.array([[0.0, 1.0], [1.0, bad], [2.0, 0.5]])
+    with pytest.raises(g.SpaceError, match="covariates must be finite"):
+        fit_global_frechet_regression(outs, x)
+    panel = make_flat_panel(np.random.default_rng(8), g.l2function_space([0.0, 1.0]), J=2)
+    with pytest.raises(g.SpaceError, match="covariates must be finite"):
+        g.estimate_augmented_gsc(panel, x)
+
+
+def test_gfr_prediction_rejects_a_covariate_vector_of_the_wrong_length():
+    space = g.scalar_space()
+    outs = [[g.ObjectPoint(space, np.full(space.dim, float(v))) for v in (1, 2, 4)]]
+    model = fit_global_frechet_regression(outs, np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]))
+    for x in (np.array([1.0]), np.array([1.0, 2.0, 3.0])):
+        with pytest.raises(g.SpaceError, match="expected 2 covariates"):
+            predict_frechet_regression(model, x, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1092,10 +1213,10 @@ def test_placebo_matches_per_refit_fits(scenario, size, monkeypatch):
     in one stacked Gauss-Newton run, within 1e-12) and the treated row bit
     for bit."""
     stacks = []
-    solve_stack = estimators._solve_qp_stack
+    solve_qps = estimators._solve_qps
     solve_gauss_newton = estimators.solve_simplex_gauss_newton
     monkeypatch.setattr(
-        estimators, "_solve_qp_stack", lambda *a: stacks.append(solve_stack(*a)) or stacks[-1]
+        estimators, "_solve_qps", lambda *a: stacks.append(solve_qps(*a)) or stacks[-1]
     )
 
     def gauss_newton(linearize, n, cfg=None, size=None):  # records the stacked runs
@@ -1112,6 +1233,8 @@ def test_placebo_matches_per_refit_fits(scenario, size, monkeypatch):
             stacks.clear()
             reports = g.placebo_test(panel, method)
             reports = reports if method == "gsc" else [reports]
+            # the treated row's weight fits come first, then the controls'
+            placebo_stacks, kinds = stacks[:], 1 if method == "gsc" else 2
             refits = [
                 (g.estimate_gsc if method == "gsc" else g.estimate_gsdid)(panel.with_treated_unit(j))
                 for j in range(panel.n_units)
@@ -1129,11 +1252,12 @@ def test_placebo_matches_per_refit_fits(scenario, size, monkeypatch):
             assert [r.rank_of_treated for r in reports] == ranks, (seed, method)
             assert [r.p_value for r in reports] == [rank / panel.n_units for rank in ranks]
             if scenario == "sphere":  # unit weights over the other units, then time weights
-                fits, bound = [fit for stack in stacks for fit in stack], 1e-12
-                assert len(stacks) == (1 if method == "gsc" else 2)
-                donors = [fits[j - 1][0].values for j in range(1, J + 1)]
+                fits = [fit for stack in placebo_stacks[kinds:] for fit in stack]
+                assert len(placebo_stacks) == 2 * kinds and len(fits) == kinds * J
+                donors, bound = [fits[j - 1][0].values for j in range(1, J + 1)], 1e-12
             else:
-                [fits], bound = stacks, 1e-10
+                [treated, fits], bound = placebo_stacks, 1e-10
+                assert len(treated) == kinds and len(fits) == kinds * J
                 assert all(fits[j - 1][0].values[j] == 0.0 for j in range(1, J + 1))
                 donors = [np.delete(fits[j - 1][0].values, j) for j in range(1, J + 1)]
             for j in range(1, J + 1):
@@ -1218,25 +1342,24 @@ def test_placebo_donor_weight_fit_failure_names_the_first_failing_unit(
 
         def failing(linearize, n, cfg=None, size=None):
             fits = solve(linearize, n, cfg, size)
-            if size is None:  # the treated unit's own fit
-                return fits
             return [
                 refused if any(np.array_equal(y, bad) for bad in poisoned) else fit
                 for y, fit in zip(targets[-1], fits)
             ]
 
         monkeypatch.setattr(estimators, "solve_simplex_gauss_newton", failing)
-    else:  # a unit QP is known by its mask, which holds the unit's own weight at zero
-        solve_stack = estimators._solve_qp_stack
+    else:  # a unit QP is known by its face, which holds the unit's own weight at zero
+        solve_qps = estimators._solve_qps
 
-        def failing(problems, cfg=None, allowed=None):
-            fits = solve_stack(problems, cfg, allowed)
+        def failing(problems, cfg=None):
+            fits = solve_qps(problems, cfg)
             return [
-                refused if mask is not None and not (mask[5] and mask[3]) else fit
-                for mask, fit in zip(allowed, fits)
+                refused if qp.allowed is not None and not (qp.allowed[5] and qp.allowed[3])
+                else fit
+                for qp, fit in zip(problems, fits)
             ]
 
-        monkeypatch.setattr(estimators, "_solve_qp_stack", failing)
+        monkeypatch.setattr(estimators, "_solve_qps", failing)
     with pytest.raises(SolverError, match="unit 'control_3': weight fit refused"):
         g.placebo_test(panel, method)
 

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import geosynth as g
-from geosynth.estimators import _fit_weights
+from geosynth.estimators import _sphere_linearization, _weight_stack
+from geosynth.simplex_opt import kkt_residual
 from helpers import all_spaces, panel_from_arrays, random_point
 
 SPACES = all_spaces(3)
@@ -89,14 +90,25 @@ def test_frechet_mean_is_invariant_under_permuting_the_points(space, seed, n):
 )
 def test_time_weight_fit_value_is_the_mean_squared_distance(space, seed, J, T0):
     """Time weights: one row per control, its pre periods weighted against
-    its outcome in the last period. Swapping units and periods would pair
-    each control's weighted mean with another row's target, or fail."""
+    its outcome in the last period. The fitted weights are certified for
+    the problem whose value is the mean squared distance; swapping units
+    and periods would pair each control's weighted mean with another
+    row's target, or fail."""
     rng = np.random.default_rng(seed)
     T = T0 + 2
     panel = panel_from_arrays(space, interior_data(space, rng, J + 1, T), T0)
     pre, target = panel.coords[1:, :T0], panel.coords[1:, T - 1]
-    lam, value = _fit_weights(space, pre, target, g.SolverConfig())
+    cfg = g.SolverConfig()
+    _, (lam,) = _weight_stack(panel, [0], cfg, [0], panel.coords[:, T - 1 :])
     assert len(lam) == T0
+    if space.kind == "sphere":  # the Gauss-Newton model at the weights
+        resid, jac = _sphere_linearization(pre, target)(lam)
+        value = float(np.mean(np.sum(resid * resid, axis=1)))
+        qp = g.stack_weight_qp(jac.swapaxes(1, 2), jac @ lam - resid)
+    else:
+        qp = g.stack_weight_qp(pre, target, panel.grams[1][1:].mean(axis=0))
+        value = qp.objective(lam)
+    assert kkt_residual(qp, lam) <= cfg.tol_kkt * (1.0 + np.linalg.norm(qp.gradient(lam)))
     direct = np.mean([
         g.distance(g.weighted_frechet_mean(row[:T0], lam), row[T - 1]) ** 2
         for row in panel.controls

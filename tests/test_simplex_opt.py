@@ -1,5 +1,6 @@
 """Unit tests for the simplex-constrained weight solvers."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -242,7 +243,7 @@ def test_qp_two_unit_problems_within_rounding_of_the_uniform_point(sign):
     a = 1e4
     qp = g.stack_weight_qp(np.array([[[a], [-a]]]), np.array([[linear[0] / a]]))
     vertex = np.eye(2)[int(np.argmin(np.diag(qp.gram) - 2.0 * qp.linear))]
-    [finish] = _active_set([qp], [vertex], [None], -1.0, 100)  # a negative tol never certifies
+    [finish] = _active_set([qp], [vertex], -1.0, 100)  # a negative tol never certifies
     assert np.all(finish >= 0.0) and finish.sum() == 1.0
     with pytest.raises(SolverError, match="KKT residual"):
         g.solve_simplex_qp(qp)
@@ -375,11 +376,11 @@ def test_qp_stack_with_a_duplicated_donor_reaches_the_minimum_norm_fallback(monk
     monkeypatch.setattr(
         np.linalg, "lstsq", lambda *a, **k: fallbacks.append(a[0].shape) or lstsq(*a, **k)
     )
-    finishes = _active_set(problems, starts, [None] * len(problems), 1e-10, 100)
+    finishes = _active_set(problems, starts, 1e-10, 100)
     assert (3, 3) in fallbacks
     for qp, start, finish in zip(problems, starts, finishes):
         assert kkt_residual(qp, finish) <= 1e-10 * (1.0 + np.linalg.norm(qp.gradient(finish)))
-        assert np.array_equal(finish, _active_set([qp], [start], [None], 1e-10, 100)[0])
+        assert np.array_equal(finish, _active_set([qp], [start], 1e-10, 100)[0])
 
 
 def test_qp_stack_holds_disallowed_weights_at_zero():
@@ -387,13 +388,33 @@ def test_qp_stack_holds_disallowed_weights_at_zero():
     a = rng.normal(size=(6, 4))
     qp = g.stack_weight_qp(a.T[None], (a @ np.array([0.5, 0.3, 0.0, 0.2]))[None])
     allowed = np.arange(4) != 2
-    [(w, val)] = _solve_qp_stack([qp], allowed=[allowed])
+    masked = dataclasses.replace(qp, allowed=allowed)
+    [(w, val)] = _solve_qp_stack([masked])
     ref, ref_val = g.solve_simplex_qp(g.stack_weight_qp(a[:, allowed].T[None], qp.target))
     assert len(w) == 4 and w.values[2] == 0.0
     assert np.max(np.abs(w.values[allowed] - ref.values)) <= 1e-12
     assert val <= 1e-20 and ref_val <= 1e-20
-    [failed] = _solve_qp_stack([qp], g.SolverConfig(max_iter=1), allowed=[allowed])
+    [failed] = _solve_qp_stack([masked], g.SolverConfig(max_iter=1))
     assert isinstance(failed, SolverError)
+
+
+def test_masked_qp_through_solve_simplex_qp_is_certified_over_its_face():
+    """A lone masked problem solves through ``solve_simplex_qp``: its held
+    weights stay exactly zero and ``kkt_residual`` certifies it over its
+    face, though over the whole simplex a held weight would still pay."""
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(9, 6))
+    qp = g.stack_weight_qp(a.T[None], (a @ np.array([0.6, 0.0, 0.1, 0.0, 0.3, 0.0]))[None])
+    for allowed in (np.arange(6) != 0, np.arange(6) % 2 == 1):
+        masked = dataclasses.replace(qp, allowed=allowed)
+        w, val = g.solve_simplex_qp(masked)
+        assert len(w) == 6 and np.all(w.values[~allowed] == 0.0)
+        face_grad = masked.gradient(w.values)[allowed]
+        assert kkt_residual(masked, w.values) <= 1e-10 * (1.0 + np.linalg.norm(face_grad))
+        assert kkt_residual(qp, w.values) > 1e-3  # the whole simplex's certificate fails
+        ref, ref_val = g.solve_simplex_qp(g.stack_weight_qp(a[:, allowed].T[None], qp.target))
+        assert np.max(np.abs(w.values[allowed] - ref.values)) <= 1e-12
+        assert val == pytest.approx(ref_val, rel=1e-12)
 
 
 @pytest.mark.parametrize(
