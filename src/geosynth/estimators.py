@@ -11,7 +11,7 @@ It is validated and embedded once, into a (J+1, T, D) coordinate tensor
 that every estimator and placebo refit reads: the isometric coordinates
 on the flat kinds, so the augmented estimator's regression and its
 correction are combinations of that tensor too. All estimators are pure
-functions of (panel, config) and never mutate their inputs.
+functions of (panel, config): they change no input but the panel's caches.
 
 Weights and statistics are each one routine over a stack of
 pseudo-treated rows: :func:`_weight_stack` fits a row's unit weights over
@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Literal, Sequence
+from types import MappingProxyType
+from typing import Callable, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -87,7 +88,8 @@ class Panel:
     (nested points are stacked once), validated in one batched call;
     :attr:`outcomes` views it as points. Estimators read slices of
     :attr:`coords`, the panel embedded once, and on the flat kinds assemble
-    every weight QP from :attr:`grams`, computed once.
+    every weight QP from :attr:`grams`, computed once; so are its GSC and
+    GSDID estimates (:attr:`_fits`), which placebo tests reuse.
     """
 
     space: SpaceDescriptor
@@ -175,6 +177,11 @@ class Panel:
         for gram in grams:
             gram.setflags(write=False)
         return grams
+
+    @cached_property
+    def _fits(self) -> dict:
+        """Successful estimates by ``(method, cfg or SolverConfig(), repair)``."""
+        return {}
 
     @property
     def n_units(self) -> int:
@@ -315,7 +322,8 @@ class GsdidResult:
     ``intermediates`` maps the four Frechet means the estimator combines:
     ``treated_pre`` (time-weighted), ``controls_pre`` (unit- and
     time-weighted), ``controls_post`` (unit-weighted), and ``treated_post``
-    (the observed post mean, also exposed as ``observed_post_mean``).
+    (the observed post mean, also exposed as ``observed_post_mean``). It
+    is read-only, as a result may be shared through its panel's store.
     """
 
     unit_weights: SimplexWeights
@@ -323,7 +331,7 @@ class GsdidResult:
     synthetic: ObjectPoint
     observed_post_mean: ObjectPoint
     effect: GeodesicEffect
-    intermediates: dict[str, ObjectPoint]
+    intermediates: Mapping[str, ObjectPoint]
     repair_flags: tuple[str, ...] = ()
 
 
@@ -530,10 +538,14 @@ def estimate_gsc(
     Flat outcome spaces are solved as exact quadratic programs in their
     charts. The sphere uses Gauss-Newton steps on the same objective, with
     the derivative of each weighted mean from the implicit function
-    theorem; its weights carry the same optimality certificate.
+    theorem; its weights carry the same optimality certificate. The panel
+    stores the result: a call with an equal config and ``repair`` returns it.
     """
-    unit, _ = _weight_stack(panel, [0], cfg or SolverConfig())
-    return _gsc_result(panel, SimplexWeights(unit[0, 1:]), repair)
+    key = ("gsc", cfg or SolverConfig(), repair)
+    if key not in panel._fits:
+        unit, _ = _weight_stack(panel, [0], key[1])
+        panel._fits[key] = _gsc_result(panel, SimplexWeights(unit[0, 1:]), repair)
+    return panel._fits[key]
 
 
 def estimate_gsc_with_covariates(
@@ -857,7 +869,7 @@ def _gsdid_result(
         synthetic=synthetic,
         observed_post_mean=means["treated_post"],
         effect=GeodesicEffect(synthetic, means["treated_post"], lengths[0]),
-        intermediates=means,
+        intermediates=MappingProxyType(means),
         repair_flags=tuple(log.events),
     )
 
@@ -872,10 +884,15 @@ def estimate_gsdid(
     synthetic post outcome applies the control group's pre-to-post
     displacement (between the doubly weighted control means) to the
     treated unit's time-weighted pre mean, and the effect is the geodesic
-    from that synthetic point to the treated post mean.
+    from that synthetic point to the treated post mean. The panel stores
+    the result, as :func:`estimate_gsc`'s.
     """
-    unit, time = _weight_stack(panel, [0], cfg or SolverConfig(), [0])
-    return _gsdid_result(panel, SimplexWeights(unit[0, 1:]), SimplexWeights(time[0]), repair)
+    key = ("gsdid", cfg or SolverConfig(), repair)
+    if key not in panel._fits:
+        unit, time = _weight_stack(panel, [0], key[1], [0])
+        weights = SimplexWeights(unit[0, 1:]), SimplexWeights(time[0])
+        panel._fits[key] = _gsdid_result(panel, *weights, repair)
+    return panel._fits[key]
 
 
 def estimate_gdid(panel: Panel, repair: bool = True) -> GsdidResult:
@@ -961,8 +978,9 @@ def placebo_test(
     under relabeling of the controls and never smaller than 1/(J+1).
 
     The treated unit's statistics come from one ``estimate_*`` call on the
-    panel, the controls' from one weight stack and one statistics stack
-    (:func:`_donor_statistics`); no kind refits a permuted panel.
+    panel, answered by its stored estimate if that ran, the controls' from
+    one weight stack and one statistics stack (:func:`_donor_statistics`);
+    no kind refits a permuted panel.
 
     Returns one report per post period for ``method="gsc"`` (whose
     statistic is per-period) and a single report for ``method="gsdid"``

@@ -339,7 +339,9 @@ def validate_stack(space: SpaceDescriptor, data: np.ndarray) -> tuple[int, str] 
     checks: list[tuple[np.ndarray, object]] = []
     if kind in MATRIX_KINDS:
         asym = np.abs(x - np.swapaxes(x, -1, -2)).max(axis=(-2, -1))
-        checks.append((asym > TOL_VALIDATE, f"{kind}: matrix is not symmetric"))
+        # the floor TOL_VALIDATE, or the rounding of the matrix's largest entry
+        tol = np.maximum(TOL_VALIDATE, 64 * np.finfo(float).eps * np.abs(x).max(axis=(-2, -1)))
+        checks.append((asym > tol, f"{kind}: matrix is not symmetric"))
     if kind == "laplacian":
         off = np.where(np.eye(space.dim, dtype=bool), 0.0, x).max(axis=(-2, -1))
         row_sums = np.abs(x.sum(axis=-1)).max(axis=-1)

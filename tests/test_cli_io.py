@@ -534,6 +534,30 @@ def test_cli_gsc_placebo_and_effect(tmp_path, capsys):
     assert block["p_value"] == pytest.approx(block["rank_of_treated"] / 5)
 
 
+@pytest.mark.parametrize("scenario", ["spd", "sphere"])
+def test_cli_placebo_results_equal_unshared_fits_byte_for_byte(scenario, tmp_path, capsys):
+    """``gsc --placebo`` and ``gsdid --placebo`` take the treated row from
+    the estimate stored on their panel; their files equal a rerun's and
+    those written from an estimate and a placebo test on separately loaded
+    panels."""
+    panel_path = str(tmp_path / "panel.json")
+    code, _, _ = run(
+        capsys, "simulate", "--scenario", scenario, "--out", panel_path,
+        "--T", "7", "--T0", "5", "--J", "6", "--seed", "3", "--effect-size", "0.5",
+    )
+    assert code == EXIT_OK
+    for method, estimate in (("gsc", g.estimate_gsc), ("gsdid", g.estimate_gsdid)):
+        outs = [str(tmp_path / f"{method}_{i}.json") for i in range(3)]
+        for out in outs[:2]:
+            code, _, _ = run(capsys, method, "--placebo", "--panel", panel_path, "--out", out)
+            assert code == EXIT_OK
+        result = estimate(load_panel(panel_path))
+        placebo = g.placebo_test(load_panel(panel_path), method)
+        save_result(result, outs[2], load_panel(panel_path), g.SolverConfig(), method, placebo)
+        first = open(outs[0], "rb").read()
+        assert all(open(out, "rb").read() == first for out in outs[1:])
+
+
 def test_cli_gsdid_per_time_matches_single(tmp_path, capsys):
     panel_path = str(tmp_path / "panel.json")
     code, _, _ = run(

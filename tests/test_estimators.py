@@ -178,9 +178,9 @@ def test_loading_fitting_and_placebo_make_only_the_points_of_the_results(tmp_pat
     result = g.estimate_gsc(loaded)
     returned = {id(p) for p in result.synthetic} | {id(e.end) for e in result.effects}
     assert len(made) == len(returned) and {id(p) for p in made} == returned
-    # the placebo's treated statistics are one estimate_gsc call: one more result's points
+    # the placebo's treated statistics are the stored estimate: no more points
     reports = g.placebo_test(loaded, "gsc")
-    assert len(made) == 2 * len(returned) and viewed == []
+    assert len(made) == len(returned) and viewed == []
     assert [r.statistics[0] for r in reports] == [e.length for e in result.effects]
 
 
@@ -253,12 +253,12 @@ def test_unit_qps_take_the_panel_gram_uncopied(monkeypatch):
     qps.clear()
     stacks.clear()
     g.placebo_test(panel, "gsc")
-    # the treated row is one estimate on the panel itself, a lone QP; the
-    # controls' unit QPs are one stack, each on the panel's whole Gram,
-    # and no panel is permuted
-    assert len(qps) == 1 and qps[0].gram is panel.grams[0]
-    assert len(stacks) == 2 and stacks[0] == qps and len(stacks[1]) == panel.n_controls
-    assert all(qp.gram is panel.grams[0] for qp in stacks[1])
+    # the treated row is the estimate stored on the panel, so no QP is
+    # solved for it; the controls' unit QPs are one stack, each on the
+    # panel's whole Gram, and no panel is permuted
+    assert qps == []
+    assert len(stacks) == 1 and len(stacks[0]) == panel.n_controls
+    assert all(qp.gram is panel.grams[0] for qp in stacks[0])
     assert pseudos == []
 
 
@@ -1375,3 +1375,131 @@ def test_placebo_rejects_unknown_method():
     panel = scalar_panel(values, T0=3)
     with pytest.raises(SolverError):
         g.placebo_test(panel, "anova")
+
+
+# ---------------------------------------------------------------------------
+# estimates stored on the panel
+
+
+ESTIMATES = {"gsc": g.estimate_gsc, "gsdid": g.estimate_gsdid}
+
+
+def record_fit_work(monkeypatch):
+    """Names of the weight solves, restores and validations that the
+    estimators run, in call order."""
+    calls = []
+    for name in ("_solve_qps", "solve_simplex_gauss_newton", "_restore", "validate_stack"):
+        original = getattr(estimators, name)
+        monkeypatch.setattr(
+            estimators, name,
+            functools.partial(lambda f, n, *a, **k: calls.append(n) or f(*a, **k), original, name),
+        )
+    return calls
+
+
+@pytest.mark.parametrize("method", ["gsc", "gsdid"])
+@pytest.mark.parametrize("scenario", ["scalar", "spd", "sphere"])
+def test_a_second_estimate_returns_the_stored_result_and_fits_nothing(
+    scenario, method, monkeypatch
+):
+    panel = g.generate(g.SimConfig(scenario=scenario, seed=1, J=6, T=8, T0=6)).panel
+    calls = record_fit_work(monkeypatch)
+    first = ESTIMATES[method](panel)
+    solver = "solve_simplex_gauss_newton" if scenario == "sphere" else "_solve_qps"
+    assert solver in calls and "_restore" in calls and "validate_stack" in calls
+    calls.clear()
+    assert ESTIMATES[method](panel) is first
+    assert ESTIMATES[method](panel, g.SolverConfig(), True) is first  # the normalised key
+    assert calls == []
+
+
+@pytest.mark.parametrize("method", ["gsc", "gsdid"])
+@pytest.mark.parametrize("scenario", ["scalar", "spd", "sphere"])
+def test_placebo_after_an_estimate_fits_only_the_donors(scenario, method, monkeypatch):
+    out = g.generate(g.SimConfig(scenario=scenario, seed=2, J=6, T=8, T0=6, effect_size=0.5))
+    fresh = g.Panel(out.panel.space, out.panel.data, out.panel.T0)
+    panel = out.panel
+    ESTIMATES[method](panel)
+    rows, weight_stack = [], estimators._weight_stack
+    monkeypatch.setattr(
+        estimators, "_weight_stack",
+        lambda panel, r, *a, **k: rows.append(list(r)) or weight_stack(panel, r, *a, **k),
+    )
+    reports = g.placebo_test(panel, method)
+    donors = list(range(1, panel.n_units))
+    assert rows == [donors]
+    rows.clear()
+    expected = g.placebo_test(fresh, method)
+    assert rows == [[0], donors]
+    if method == "gsdid":
+        reports, expected = [reports], [expected]
+    assert len(reports) == len(expected)
+    for got, want in zip(reports, expected):
+        assert np.array_equal(got.statistics, want.statistics)
+        assert got.rank_of_treated == want.rank_of_treated and got.p_value == want.p_value
+
+
+@pytest.mark.parametrize("method", ["gsc", "gsdid"])
+def test_another_config_or_repair_fits_anew(method, monkeypatch):
+    panel = g.generate(g.SimConfig(scenario="spd", seed=0, J=5, T=7, T0=5)).panel
+    estimate = ESTIMATES[method]
+    calls = record_fit_work(monkeypatch)
+    first = estimate(panel)
+    results = [
+        estimate(panel, g.SolverConfig(tol_kkt=1e-9)),
+        estimate(panel, g.SolverConfig(max_iter=500)),
+        estimate(panel, None, False),
+    ]
+    assert all(r is not first for r in results)
+    assert calls.count("_solve_qps") == 4
+    ESTIMATES["gsdid" if method == "gsc" else "gsc"](panel)  # the other method's own key
+    assert calls.count("_solve_qps") == 5
+    calls.clear()
+    assert estimate(panel, g.SolverConfig(tol_kkt=1e-9)) is results[0]
+    assert estimate(panel, repair=False) is results[2]
+    assert calls == []
+
+
+def test_a_panel_with_another_treated_unit_shares_no_stored_fit(monkeypatch):
+    panel = g.generate(g.SimConfig(scenario="scalar", seed=3, J=5, T=7, T0=5)).panel
+    first = g.estimate_gsc(panel)
+    calls = record_fit_work(monkeypatch)
+    for j in (0, 2):
+        swapped = panel.with_treated_unit(j)
+        assert swapped._fits == {} and swapped._fits is not panel._fits
+        calls.clear()
+        result = g.estimate_gsc(swapped)
+        assert result is not first and "_solve_qps" in calls
+    assert g.estimate_gsc(panel) is first and len(panel._fits) == 1
+
+
+@pytest.mark.parametrize("method", ["gsc", "gsdid"])
+def test_a_failed_fit_is_not_stored(method, monkeypatch):
+    panel = g.generate(g.SimConfig(scenario="scalar", seed=4, J=5, T=7, T0=5)).panel
+    attempts, restore = [], estimators._restore
+
+    def refusing(*args):
+        attempts.append(1)
+        raise g.SpaceError("restore refused")
+
+    monkeypatch.setattr(estimators, "_restore", refusing)
+    for n in (1, 2):  # a failing fit raises again on every call
+        with pytest.raises(g.SpaceError, match="restore refused"):
+            ESTIMATES[method](panel)
+        assert len(attempts) == n and panel._fits == {}
+    with pytest.raises(SolverError, match="unit 'treated': restore refused"):
+        g.placebo_test(panel, method)
+    monkeypatch.setattr(estimators, "_restore", restore)
+    result = ESTIMATES[method](panel)
+    assert ESTIMATES[method](panel) is result and len(panel._fits) == 1
+
+
+def test_gsdid_intermediates_are_read_only():
+    panel = g.generate(g.SimConfig(scenario="scalar", seed=5, J=5, T=7, T0=5)).panel
+    for result in (g.estimate_gsdid(panel), g.estimate_gdid(panel)):
+        point = result.intermediates["treated_pre"]
+        with pytest.raises(TypeError):
+            result.intermediates["treated_pre"] = result.synthetic
+        with pytest.raises(TypeError):
+            del result.intermediates["controls_pre"]
+        assert result.intermediates["treated_pre"] is point and len(result.intermediates) == 4

@@ -236,6 +236,18 @@ def test_spd_panel_is_positive_definite():
             assert np.linalg.eigvalsh(p.data).min() > 0.0
 
 
+@pytest.mark.parametrize("J", [60, 100])
+def test_spd_panels_of_many_donors_generate_and_fit(J):
+    """The SPD entries grow with J (to about 1e30 at J=100); the symmetry
+    check scales with them, so these panels validate and both estimators
+    fit."""
+    for seed in range(3):
+        panel = g.generate(g.SimConfig(scenario="spd", J=J, seed=seed)).panel
+        assert panel.n_controls == J
+        assert np.isfinite(g.estimate_gsc(panel).pre_fit_rmse)
+        assert np.isfinite(g.estimate_gsdid(panel).effect.length)
+
+
 def test_spd_geodesic_schedule():
     out = g.generate(g.SimConfig(scenario="spd", seed=10))
     alpha = out.truth["alpha"]

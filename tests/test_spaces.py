@@ -80,6 +80,19 @@ def test_validate_spd_and_quantiles():
     assert g.validate_point(g.ObjectPoint(ws, np.array([0.0, 1.0, 0.5, 2.0]))) is not None
 
 
+@pytest.mark.parametrize("metric", ["frobenius", "log_euclidean"])
+def test_symmetry_bound_is_the_larger_of_the_floor_and_the_rounding_of_the_entries(metric):
+    """An asymmetry of 1e-7 at unit scale is rejected; at entries of order
+    1e9 the bound is 64 ulps of the largest entry (about 1.4e-5)."""
+    space = g.spd_space(3, metric)
+    message = f"{space.kind}: matrix is not symmetric"
+    for scale, tolerated, rejected in ((1.0, 5e-9, 1e-7), (1e9, 1e-5, 1e-4)):
+        for asym, expected in ((tolerated, None), (rejected, (0, message))):
+            x = scale * np.eye(3)
+            x[1, 2] += asym
+            assert validate_stack(space, x[None]) == expected, (scale, asym)
+
+
 @pytest.mark.parametrize("space", all_spaces(), ids=lambda s: s.kind)
 def test_validate_stack_names_the_first_invalid_point(space):
     rng = np.random.default_rng(11)
