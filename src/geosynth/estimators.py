@@ -17,10 +17,10 @@ Weights and statistics are each one routine over a stack of
 pseudo-treated rows: :func:`_weight_stack` fits a row's unit weights over
 the other units (and its time weights), :func:`_gsc_stack` and
 :func:`_did_stack` make its synthetic outcome a weighted Frechet mean of
-the other units and measure it against the row's own outcome. The
-estimates and per-period effects run them on row 0, the placebo donors on
-rows 1..J, each as one call on the panel's own coordinates; no placebo
-builds a permuted panel.
+the other units and measure it against the row's own outcome. Row 0's
+unit and time weights are fitted once per config and stored on the panel,
+where every estimator reads them; the placebo donors, rows 1..J, are one
+call each on the panel's own coordinates, and no placebo permutes a panel.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ class Panel:
     (nested points are stacked once), validated in one batched call;
     :attr:`outcomes` views it as points. Estimators read slices of
     :attr:`coords`, the panel embedded once, and on the flat kinds assemble
-    every weight QP from :attr:`grams`, computed once; so are its GSC and
-    GSDID estimates (:attr:`_fits`), which placebo tests reuse.
+    every weight QP from :attr:`grams`, computed once; so are row 0's weights
+    and the GSC and GSDID results that placebo tests reuse (:attr:`_fits`).
     """
 
     space: SpaceDescriptor
@@ -180,8 +180,14 @@ class Panel:
 
     @cached_property
     def _fits(self) -> dict:
-        """Successful estimates by ``(method, cfg or SolverConfig(), repair)``."""
+        """Row 0's weights by ``(role, cfg)`` and results by ``(method, cfg, repair)``."""
         return {}
+
+    def _stored(self, key: tuple, fit: Callable[[], object]):
+        """``_fits[key]``, from ``fit()`` on first use; a fit that raises stores nothing."""
+        if key not in self._fits:
+            self._fits[key] = fit()
+        return self._fits[key]
 
     @property
     def n_units(self) -> int:
@@ -217,6 +223,8 @@ class Panel:
         sees the same donor pool regardless of which unit is held out. No
         placebo test calls it: the donors' fits read this panel's own arrays.
         """
+        if not 0 <= j < self.n_units:
+            raise SpaceError(f"treated unit index must lie in 0..{self.n_controls}, got {j!r}")
         order = [j] + [i for i in range(self.n_units) if i != j]
         labels = tuple(self.unit_labels[i] for i in order)
         return Panel(self.space, self.data[order], self.T0, labels, self.time_labels)
@@ -401,7 +409,7 @@ def _weight_stack(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Simplex weights for a stack of pseudo-treated rows of the panel: the
     unit weights of ``rows``, (B, J+1) and zero on each row's own unit, and
-    the time weights of ``time_rows``, (B', T0); a failed fit raises.
+    the time weights of ``time_rows``, (B', T0), if any; a failed fit raises.
 
     Unit weights match the other units to the row before treatment, time
     weights each other unit's pre periods to its target in ``targets[:, b]``
@@ -425,7 +433,7 @@ def _weight_stack(
             problems.append((pre[order[B:]], y[order[B:], np.arange(n_time)[:, None]]))
         fits = [
             solve_simplex_gauss_newton(_sphere_linearization(z, y), z.shape[2], cfg, len(z))
-            for z, y in problems
+            if len(z) else [] for z, y in problems
         ]
     else:
         z, (unit_gram, time_grams) = pre.swapaxes(0, 1), panel.grams
@@ -524,6 +532,12 @@ def _gsc_result(panel: Panel, weights: SimplexWeights, repair: bool) -> GscResul
     )
 
 
+def _unit_weights(panel: Panel, cfg: SolverConfig) -> SimplexWeights:
+    """Row 0's unit weights over the controls, stored on the panel."""
+    fit = lambda: SimplexWeights(_weight_stack(panel, [0], cfg)[0][0, 1:])  # noqa: E731
+    return panel._stored(("unit", cfg), fit)
+
+
 def estimate_gsc(
     panel: Panel, cfg: SolverConfig | None = None, repair: bool = True
 ) -> GscResult:
@@ -539,13 +553,10 @@ def estimate_gsc(
     charts. The sphere uses Gauss-Newton steps on the same objective, with
     the derivative of each weighted mean from the implicit function
     theorem; its weights carry the same optimality certificate. The panel
-    stores the result: a call with an equal config and ``repair`` returns it.
+    stores the weights by config and the result by config and ``repair``.
     """
     key = ("gsc", cfg or SolverConfig(), repair)
-    if key not in panel._fits:
-        unit, _ = _weight_stack(panel, [0], key[1])
-        panel._fits[key] = _gsc_result(panel, SimplexWeights(unit[0, 1:]), repair)
-    return panel._fits[key]
+    return panel._stored(key, lambda: _gsc_result(panel, _unit_weights(panel, key[1]), repair))
 
 
 def estimate_gsc_with_covariates(
@@ -885,14 +896,14 @@ def estimate_gsdid(
     displacement (between the doubly weighted control means) to the
     treated unit's time-weighted pre mean, and the effect is the geodesic
     from that synthetic point to the treated post mean. The panel stores
-    the result, as :func:`estimate_gsc`'s.
+    both weights and the result, as :func:`estimate_gsc`'s.
     """
-    key = ("gsdid", cfg or SolverConfig(), repair)
-    if key not in panel._fits:
-        unit, time = _weight_stack(panel, [0], key[1], [0])
-        weights = SimplexWeights(unit[0, 1:]), SimplexWeights(time[0])
-        panel._fits[key] = _gsdid_result(panel, *weights, repair)
-    return panel._fits[key]
+    cfg = cfg or SolverConfig()
+    time = lambda: SimplexWeights(_weight_stack(panel, [], cfg, [0])[1][0])  # noqa: E731
+    fit = lambda: _gsdid_result(  # noqa: E731  (unit weights first: theirs is the error raised)
+        panel, _unit_weights(panel, cfg), panel._stored(("time", cfg), time), repair
+    )
+    return panel._stored(("gsdid", cfg, repair), fit)
 
 
 def estimate_gdid(panel: Panel, repair: bool = True) -> GsdidResult:
@@ -912,15 +923,14 @@ def estimate_gsdid_per_time(
 ) -> list[GeodesicEffect]:
     """Per-period geodesic synthetic difference-in-differences effects.
 
-    For each post period the time weights are refit against that single
-    period's control outcomes, and the synthetic point transports the
-    treated pre mean by the displacement of the control means between the
-    weighted pre window and that period. All periods are one GSDID stack.
+    Time weights are refit against each post period's control outcomes, the
+    unit weights are those the panel stores, and the synthetic point
+    transports the treated pre mean by the displacement of the control means
+    between the weighted pre window and that period. All are one GSDID stack.
     """
-    post = panel.post_periods()
-    unit, time = _weight_stack(
-        panel, [0], cfg or SolverConfig(), [0] * len(post), panel.coords[:, panel.T0 :]
-    )
+    cfg, post = cfg or SolverConfig(), panel.post_periods()
+    unit = np.append(0.0, _unit_weights(panel, cfg).values)
+    _, time = _weight_stack(panel, [], cfg, [0] * len(post), panel.coords[:, panel.T0 :])
     _, synthetic, lengths = _did_stack(
         panel, [0] * len(post), np.tile(unit, (len(post), 1)), time, np.eye(len(post)), repair, None
     )

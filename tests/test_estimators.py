@@ -86,6 +86,16 @@ def test_panel_default_labels_and_views():
     assert swapped.unit_labels[0] == "control_2"
 
 
+def test_with_treated_unit_rejects_an_index_outside_the_panel():
+    panel = g.generate(g.SimConfig(scenario="scalar", seed=0, J=5, T=6, T0=4)).panel
+    for j in (-1, panel.n_units):
+        with pytest.raises(g.SpaceError, match=r"0\.\.5, got " + str(j)):
+            panel.with_treated_unit(j)
+    same = panel.with_treated_unit(0)
+    assert np.array_equal(same.data, panel.data)
+    assert (same.unit_labels, same.time_labels) == (panel.unit_labels, panel.time_labels)
+
+
 @pytest.mark.parametrize("space", all_spaces(3), ids=lambda s: s.kind)
 def test_panel_coords_are_embedded_once_and_permuted_by_placebo_refits(space, monkeypatch):
     panel = make_flat_panel(np.random.default_rng(5), space, J=3, T=4, T0=2)
@@ -213,8 +223,9 @@ def test_weight_qps_from_the_panel_grams_match_per_block_assembly(space, monkeyp
         lambda problems, cfg=None: stacks.append(problems) or solve_stack(problems, cfg),
     )
     g.estimate_gsdid(panel)
-    [qps] = stacks
-    assert len(qps) == 2  # the unit QP over all J+1 units, the treated one held, and the time QP
+    # the unit QP over all J+1 units, the treated one held, then the time QP
+    [unit_qp], [time_qp] = stacks
+    qps = [unit_qp, time_qp]
     assert np.array_equal(qps[0].allowed, np.arange(panel.n_units) > 0)
     assert qps[1].allowed is None
 
@@ -1233,7 +1244,9 @@ def test_placebo_matches_per_refit_fits(scenario, size, monkeypatch):
             stacks.clear()
             reports = g.placebo_test(panel, method)
             reports = reports if method == "gsc" else [reports]
-            # the treated row's weight fits come first, then the controls'
+            # the treated row's weight fit comes first, then the controls': gsc
+            # fits row 0's unit weights, gsdid reads them from the panel and
+            # fits its time weights
             placebo_stacks, kinds = stacks[:], 1 if method == "gsc" else 2
             refits = [
                 (g.estimate_gsc if method == "gsc" else g.estimate_gsdid)(panel.with_treated_unit(j))
@@ -1252,12 +1265,12 @@ def test_placebo_matches_per_refit_fits(scenario, size, monkeypatch):
             assert [r.rank_of_treated for r in reports] == ranks, (seed, method)
             assert [r.p_value for r in reports] == [rank / panel.n_units for rank in ranks]
             if scenario == "sphere":  # unit weights over the other units, then time weights
-                fits = [fit for stack in placebo_stacks[kinds:] for fit in stack]
-                assert len(placebo_stacks) == 2 * kinds and len(fits) == kinds * J
+                fits = [fit for stack in placebo_stacks[1:] for fit in stack]
+                assert len(placebo_stacks) == 1 + kinds and len(fits) == kinds * J
                 donors, bound = [fits[j - 1][0].values for j in range(1, J + 1)], 1e-12
             else:
                 [treated, fits], bound = placebo_stacks, 1e-10
-                assert len(treated) == kinds and len(fits) == kinds * J
+                assert len(treated) == 1 and len(fits) == kinds * J
                 assert all(fits[j - 1][0].values[j] == 0.0 for j in range(1, J + 1))
                 donors = [np.delete(fits[j - 1][0].values, j) for j in range(1, J + 1)]
             for j in range(1, J + 1):
@@ -1430,7 +1443,8 @@ def test_placebo_after_an_estimate_fits_only_the_donors(scenario, method, monkey
     assert rows == [donors]
     rows.clear()
     expected = g.placebo_test(fresh, method)
-    assert rows == [[0], donors]
+    treated = [[0]] if method == "gsc" else [[0], []]  # unit weights, then gsdid's time weights
+    assert rows == treated + [donors]
     if method == "gsdid":
         reports, expected = [reports], [expected]
     assert len(reports) == len(expected)
@@ -1451,9 +1465,12 @@ def test_another_config_or_repair_fits_anew(method, monkeypatch):
         estimate(panel, None, False),
     ]
     assert all(r is not first for r in results)
-    assert calls.count("_solve_qps") == 4
+    # one solve per weight problem and config: ``repair`` keys the result only
+    per_config = 1 if method == "gsc" else 2  # row 0's unit weights, and gsdid's time weights
+    assert calls.count("_solve_qps") == 3 * per_config
     ESTIMATES["gsdid" if method == "gsc" else "gsc"](panel)  # the other method's own key
-    assert calls.count("_solve_qps") == 5
+    # gsdid adds its time weights, gsc nothing
+    assert calls.count("_solve_qps") == 3 * per_config + (method == "gsc")
     calls.clear()
     assert estimate(panel, g.SolverConfig(tol_kkt=1e-9)) is results[0]
     assert estimate(panel, repair=False) is results[2]
@@ -1470,7 +1487,7 @@ def test_a_panel_with_another_treated_unit_shares_no_stored_fit(monkeypatch):
         calls.clear()
         result = g.estimate_gsc(swapped)
         assert result is not first and "_solve_qps" in calls
-    assert g.estimate_gsc(panel) is first and len(panel._fits) == 1
+    assert g.estimate_gsc(panel) is first and len(panel._fits) == 2  # unit weights and result
 
 
 @pytest.mark.parametrize("method", ["gsc", "gsdid"])
@@ -1483,15 +1500,112 @@ def test_a_failed_fit_is_not_stored(method, monkeypatch):
         raise g.SpaceError("restore refused")
 
     monkeypatch.setattr(estimators, "_restore", refusing)
+    # the weight fits succeed and stay stored; the failed result is not stored
+    roles = ["unit"] if method == "gsc" else ["unit", "time"]
+    weights = {(role, g.SolverConfig()) for role in roles}
     for n in (1, 2):  # a failing fit raises again on every call
         with pytest.raises(g.SpaceError, match="restore refused"):
             ESTIMATES[method](panel)
-        assert len(attempts) == n and panel._fits == {}
+        assert len(attempts) == n and set(panel._fits) == weights
     with pytest.raises(SolverError, match="unit 'treated': restore refused"):
         g.placebo_test(panel, method)
     monkeypatch.setattr(estimators, "_restore", restore)
     result = ESTIMATES[method](panel)
-    assert ESTIMATES[method](panel) is result and len(panel._fits) == 1
+    assert ESTIMATES[method](panel) is result and len(panel._fits) == len(weights) + 1
+
+
+def record_weight_targets(monkeypatch):
+    """The target of every weight problem member solved, in call order: a
+    unit problem's is its row's pre-period coordinates, a time problem's the
+    other units' targets. Flat problems are known by the QP, sphere ones by
+    the linearization of their stack."""
+    targets, solved = {}, []
+    weight_qp, linearization = estimators._weight_qp, estimators._sphere_linearization
+    solve_qps, gauss_newton = estimators._solve_qps, estimators.solve_simplex_gauss_newton
+
+    def tagging(build):
+        def tagged(z, y, *args):
+            problem = build(z, y, *args)
+            targets[id(problem)] = problem, y  # the problem kept alive, so its id stays its own
+            return problem
+
+        return tagged
+
+    def solving_qps(problems, cfg=None):
+        solved.extend(targets[id(qp)][1] for qp in problems)
+        return solve_qps(problems, cfg)
+
+    def solving_gauss_newton(linearize, n, cfg=None, size=None):
+        solved.extend(targets[id(linearize)][1])
+        return gauss_newton(linearize, n, cfg, size)
+
+    monkeypatch.setattr(estimators, "_weight_qp", tagging(weight_qp))
+    monkeypatch.setattr(estimators, "_sphere_linearization", tagging(linearization))
+    monkeypatch.setattr(estimators, "_solve_qps", solving_qps)
+    monkeypatch.setattr(estimators, "solve_simplex_gauss_newton", solving_gauss_newton)
+    return solved
+
+
+@pytest.mark.parametrize("scenario", ["scalar", "spd", "sphere"])
+def test_one_analysis_solves_the_treated_units_weight_problems_once(scenario, monkeypatch):
+    """GSC, GSDID, per-period GSDID and both placebo tests on one panel solve
+    row 0's unit problem once and its time problem for the post means once."""
+    sim = g.SimConfig(scenario=scenario, seed=2, J=6, T=8, T0=5, effect_size=0.5)
+    panel = g.generate(sim).panel
+    solved = record_weight_targets(monkeypatch)
+    g.estimate_gsc(panel)
+    g.estimate_gsdid(panel)
+    g.estimate_gsdid_per_time(panel)
+    g.placebo_test(panel, "gsc")
+    g.placebo_test(panel, "gsdid")
+
+    def solves(target):
+        return sum(y.shape == target.shape and np.array_equal(y, target) for y in solved)
+
+    assert solves(panel.coords[0, : panel.T0]) == 1  # row 0's unit problem
+    assert solves(estimators._post_means(panel)[1:]) == 1  # its time problem
+    # then a time problem per post period, and the donors' unit (gsc, gsdid) and time problems
+    J, P = panel.n_controls, panel.n_periods - panel.T0
+    assert len(solved) == 2 + P + 3 * J
+
+
+def analysis_outputs():
+    """Each step of an analysis of a panel: its outputs as arrays."""
+
+    def gsc(r):
+        return [r.weights.values, [x.data for x in r.synthetic], [e.length for e in r.effects]]
+
+    def gsdid(r):
+        means = [x.data for x in r.intermediates.values()]
+        return [r.unit_weights.values, r.time_weights.values, r.synthetic.data, means]
+
+    def placebo(reports):
+        reports = reports if isinstance(reports, list) else [reports]
+        return [x for r in reports for x in (r.statistics, [r.rank_of_treated, r.p_value])]
+
+    return {
+        "gsc": lambda panel: gsc(g.estimate_gsc(panel)),
+        "gsdid": lambda panel: gsdid(g.estimate_gsdid(panel)) + [g.estimate_gsdid(panel).effect.length],
+        "per_time": lambda panel: [
+            [e.start.data for e in g.estimate_gsdid_per_time(panel)],
+            [e.length for e in g.estimate_gsdid_per_time(panel)],
+        ],
+        "placebo_gsc": lambda panel: placebo(g.placebo_test(panel, "gsc")),
+        "placebo_gsdid": lambda panel: placebo(g.placebo_test(panel, "gsdid")),
+    }
+
+
+@pytest.mark.parametrize("scenario", ["scalar", "spd", "sphere"])
+def test_outputs_do_not_depend_on_the_order_that_fills_the_store(scenario):
+    data = g.generate(g.SimConfig(scenario=scenario, seed=4, J=6, T=8, T0=5, effect_size=0.5))
+    forward, backward = (g.Panel(data.panel.space, data.panel.data, data.panel.T0) for _ in "ab")
+    steps = analysis_outputs()
+    first = {name: step(forward) for name, step in steps.items()}
+    last = {name: step(backward) for name, step in reversed(steps.items())}
+    for name in steps:
+        assert len(first[name]) == len(last[name])
+        for a, b in zip(first[name], last[name]):
+            assert np.array_equal(a, b), name
 
 
 def test_gsdid_intermediates_are_read_only():
