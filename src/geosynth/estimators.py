@@ -18,9 +18,9 @@ pseudo-treated rows: :func:`_weight_stack` fits a row's unit weights over
 the other units (and its time weights), :func:`_gsc_stack` and
 :func:`_did_stack` make its synthetic outcome a weighted Frechet mean of
 the other units and measure it against the row's own outcome. Row 0's
-unit and time weights are fitted once per config and stored on the panel,
-where every estimator reads them; the placebo donors, rows 1..J, are one
-call each on the panel's own coordinates, and no placebo permutes a panel.
+unit weights are fitted once per config and stored on the panel, where
+every estimator reads them; the placebo donors, rows 1..J, are one call
+each on the panel's own coordinates, and no placebo permutes a panel.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ class Panel:
     (nested points are stacked once), validated in one batched call;
     :attr:`outcomes` views it as points. Estimators read slices of
     :attr:`coords`, the panel embedded once, and on the flat kinds assemble
-    every weight QP from :attr:`grams`, computed once; so are row 0's weights
-    and the GSC and GSDID results that placebo tests reuse (:attr:`_fits`).
+    every weight QP from :attr:`grams`, computed once; so are row 0's unit
+    weights and the GSC and GSDID results that placebo tests reuse (:attr:`_fits`).
     """
 
     space: SpaceDescriptor
@@ -180,7 +180,7 @@ class Panel:
 
     @cached_property
     def _fits(self) -> dict:
-        """Row 0's weights by ``(role, cfg)`` and results by ``(method, cfg, repair)``."""
+        """Row 0's unit weights by ``("unit", cfg)``, results by ``(method, cfg, repair)``."""
         return {}
 
     def _stored(self, key: tuple, fit: Callable[[], object]):
@@ -534,8 +534,9 @@ def _gsc_result(panel: Panel, weights: SimplexWeights, repair: bool) -> GscResul
 
 def _unit_weights(panel: Panel, cfg: SolverConfig) -> SimplexWeights:
     """Row 0's unit weights over the controls, stored on the panel."""
-    fit = lambda: SimplexWeights(_weight_stack(panel, [0], cfg)[0][0, 1:])  # noqa: E731
-    return panel._stored(("unit", cfg), fit)
+    return panel._stored(
+        ("unit", cfg), lambda: SimplexWeights(_weight_stack(panel, [0], cfg)[0][0, 1:])
+    )
 
 
 def estimate_gsc(
@@ -896,14 +897,13 @@ def estimate_gsdid(
     displacement (between the doubly weighted control means) to the
     treated unit's time-weighted pre mean, and the effect is the geodesic
     from that synthetic point to the treated post mean. The panel stores
-    both weights and the result, as :func:`estimate_gsc`'s.
+    the unit weights and the result, as :func:`estimate_gsc`'s.
     """
     cfg = cfg or SolverConfig()
-    time = lambda: SimplexWeights(_weight_stack(panel, [], cfg, [0])[1][0])  # noqa: E731
-    fit = lambda: _gsdid_result(  # noqa: E731  (unit weights first: theirs is the error raised)
-        panel, _unit_weights(panel, cfg), panel._stored(("time", cfg), time), repair
-    )
-    return panel._stored(("gsdid", cfg, repair), fit)
+    return panel._stored(("gsdid", cfg, repair), lambda: _gsdid_result(
+        panel, _unit_weights(panel, cfg),  # first: if both fits fail, theirs is the error raised
+        SimplexWeights(_weight_stack(panel, [], cfg, [0])[1][0]), repair,
+    ))
 
 
 def estimate_gdid(panel: Panel, repair: bool = True) -> GsdidResult:

@@ -1465,12 +1465,13 @@ def test_another_config_or_repair_fits_anew(method, monkeypatch):
         estimate(panel, None, False),
     ]
     assert all(r is not first for r in results)
-    # one solve per weight problem and config: ``repair`` keys the result only
-    per_config = 1 if method == "gsc" else 2  # row 0's unit weights, and gsdid's time weights
-    assert calls.count("_solve_qps") == 3 * per_config
+    # row 0's unit weights once per config (``repair`` keys only results), and
+    # gsdid's time weights once per result
+    solves = 3 if method == "gsc" else 3 + 4
+    assert calls.count("_solve_qps") == solves
     ESTIMATES["gsdid" if method == "gsc" else "gsc"](panel)  # the other method's own key
     # gsdid adds its time weights, gsc nothing
-    assert calls.count("_solve_qps") == 3 * per_config + (method == "gsc")
+    assert calls.count("_solve_qps") == solves + (method == "gsc")
     calls.clear()
     assert estimate(panel, g.SolverConfig(tol_kkt=1e-9)) is results[0]
     assert estimate(panel, repair=False) is results[2]
@@ -1500,18 +1501,16 @@ def test_a_failed_fit_is_not_stored(method, monkeypatch):
         raise g.SpaceError("restore refused")
 
     monkeypatch.setattr(estimators, "_restore", refusing)
-    # the weight fits succeed and stay stored; the failed result is not stored
-    roles = ["unit"] if method == "gsc" else ["unit", "time"]
-    weights = {(role, g.SolverConfig()) for role in roles}
+    # the unit weights' fit succeeds and stays stored; the failed result is not stored
     for n in (1, 2):  # a failing fit raises again on every call
         with pytest.raises(g.SpaceError, match="restore refused"):
             ESTIMATES[method](panel)
-        assert len(attempts) == n and set(panel._fits) == weights
+        assert len(attempts) == n and set(panel._fits) == {("unit", g.SolverConfig())}
     with pytest.raises(SolverError, match="unit 'treated': restore refused"):
         g.placebo_test(panel, method)
     monkeypatch.setattr(estimators, "_restore", restore)
     result = ESTIMATES[method](panel)
-    assert ESTIMATES[method](panel) is result and len(panel._fits) == len(weights) + 1
+    assert ESTIMATES[method](panel) is result and len(panel._fits) == 2
 
 
 def record_weight_targets(monkeypatch):
