@@ -13,14 +13,12 @@ on the flat kinds, so the augmented estimator's regression and its
 correction are combinations of that tensor too. All estimators are pure
 functions of (panel, config): they change no input but the panel's caches.
 
-Weights and statistics are each one routine over a stack of
-pseudo-treated rows: :func:`_weight_stack` fits a row's unit weights over
-the other units (and its time weights), :func:`_gsc_stack` and
-:func:`_did_stack` make its synthetic outcome a weighted Frechet mean of
-the other units and measure it against the row's own outcome. Row 0's
-unit weights are fitted once per config and stored on the panel, where
-every estimator reads them; the placebo donors, rows 1..J, are one call
-each on the panel's own coordinates, and no placebo permutes a panel.
+Weights and statistics are each one routine over a stack of pseudo-treated
+rows: :func:`_weight_stack` fits their unit or time weights,
+:func:`_gsc_stack` and :func:`_did_stack` make each row's synthetic outcome
+a weighted Frechet mean of the other units and measure it against its own
+outcome. Each row's unit weights are fitted once per config and stored on
+the panel, where every estimator and placebo test reads them.
 """
 
 from __future__ import annotations
@@ -88,8 +86,8 @@ class Panel:
     (nested points are stacked once), validated in one batched call;
     :attr:`outcomes` views it as points. Estimators read slices of
     :attr:`coords`, the panel embedded once, and on the flat kinds assemble
-    every weight QP from :attr:`grams`, computed once; so are row 0's unit
-    weights and the GSC and GSDID results that placebo tests reuse (:attr:`_fits`).
+    every weight QP from :attr:`grams`, computed once; so are every row's
+    unit weights and the GSC and GSDID results that placebo tests reuse (:attr:`_fits`).
     """
 
     space: SpaceDescriptor
@@ -180,11 +178,11 @@ class Panel:
 
     @cached_property
     def _fits(self) -> dict:
-        """Row 0's unit weights by ``("unit", cfg)``, results by ``(method, cfg, repair)``."""
+        """Unit-weight rows by ``("unit", cfg)`` and row, results by ``(method, cfg, repair)``."""
         return {}
 
     def _stored(self, key: tuple, fit: Callable[[], object]):
-        """``_fits[key]``, from ``fit()`` on first use; a fit that raises stores nothing."""
+        """A result, ``_fits[key]``, from ``fit()`` on first use; one that raises is not stored."""
         if key not in self._fits:
             self._fits[key] = fit()
         return self._fits[key]
@@ -404,54 +402,47 @@ def _sphere_linearization(
 
 
 def _weight_stack(
-    panel: Panel, rows: Sequence[int], cfg: SolverConfig, time_rows: Sequence[int] = (),
+    panel: Panel, rows: Sequence[int], cfg: SolverConfig, time: bool = False,
     targets: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Simplex weights for a stack of pseudo-treated rows of the panel: the
-    unit weights of ``rows``, (B, J+1) and zero on each row's own unit, and
-    the time weights of ``time_rows``, (B', T0), if any; a failed fit raises.
+) -> np.ndarray:
+    """Simplex weights for a stack of pseudo-treated rows of the panel, one
+    problem per row: unit weights, (B, J+1) and zero on the row's own unit,
+    or with ``time`` time weights, (B, T0); a failed fit raises.
 
     Unit weights match the other units to the row before treatment, time
     weights each other unit's pre periods to its target in ``targets[:, b]``
-    ((J+1, B' or 1, D); by default the units' uniform post means). On the
+    ((J+1, B or 1, D); by default the units' uniform post means). On the
     flat kinds a unit QP spans all J+1 units on ``Panel.grams[0]``, uncopied,
     with the row's own weight held at zero, and a time QP reads the units
     after its row, cyclically, as a window of the doubled pre-period arrays;
-    all are one stack of QPs. On the sphere a row's problems span the other
-    units in panel order, as in ``panel.with_treated_unit(row)``, with one
-    Gauss-Newton run per kind.
+    all are one stack of QPs. On the sphere a row's problem spans the other
+    units in panel order, as in ``panel.with_treated_unit(row)``, and all
+    are one Gauss-Newton run.
     """
-    J, T0, B, n_time = panel.n_controls, panel.T0, len(rows), len(time_rows)
+    J, T0, B = panel.n_controls, panel.T0, len(rows)
     pre, sphere = panel.coords[:, :T0], panel.space.kind == "sphere"
-    targets = _post_means(panel)[:, None] if targets is None and time_rows else targets
-    others = np.arange(J + 1) != np.array([*rows, *time_rows])[:, None]
+    targets = _post_means(panel)[:, None] if targets is None and time else targets
+    others = np.arange(J + 1) != np.array(rows)[:, None]
     if sphere:
         order = np.nonzero(others)[1].reshape(-1, J)
-        problems = [(pre[order[:B]].swapaxes(1, 2), pre[rows])]
-        if time_rows:
-            y = np.broadcast_to(targets, (J + 1, n_time, pre.shape[-1]))
-            problems.append((pre[order[B:]], y[order[B:], np.arange(n_time)[:, None]]))
-        fits = [
-            solve_simplex_gauss_newton(_sphere_linearization(z, y), z.shape[2], cfg, len(z))
-            if len(z) else [] for z, y in problems
-        ]
+        if time:  # each row's targets of the other units
+            y = np.broadcast_to(targets, (J + 1, B, pre.shape[-1]))[order, np.arange(B)[:, None]]
+        z, y = (pre[order], y) if time else (pre[order].swapaxes(1, 2), pre[rows])
+        fits = solve_simplex_gauss_newton(_sphere_linearization(z, y), z.shape[2], cfg, B)
+    elif time:  # only row 0's window, units 1..J, never wraps around
+        wrap = (lambda a: np.concatenate([a, a])) if any(rows) else (lambda a: a)
+        pre2, h2 = wrap(pre), wrap(panel.grams[1])  # and the time Grams
+        y = np.broadcast_to(wrap(targets), (len(pre2), B, pre.shape[-1]))
+        windows = enumerate(slice(j + 1, j + 1 + J) for j in rows)
+        fits = _solve_qps([_weight_qp(pre2[s], y[s, b], h2[s].mean(0)) for b, s in windows], cfg)
     else:
-        z, (unit_gram, time_grams) = pre.swapaxes(0, 1), panel.grams
-        problems = [_weight_qp(z, pre[j], unit_gram, mask) for j, mask in zip(rows, others)]
-        if time_rows:  # only row 0's window, units 1..J, never wraps around
-            wrap = (lambda a: np.concatenate([a, a])) if any(time_rows) else (lambda a: a)
-            pre2, grams2 = wrap(pre), wrap(time_grams)
-            y = np.broadcast_to(wrap(targets), (len(pre2), n_time, pre.shape[-1]))
-            for b, j in enumerate(time_rows):
-                s = slice(j + 1, j + 1 + J)
-                problems.append(_weight_qp(pre2[s], y[s, b], grams2[s].mean(axis=0)))
-        stack = _solve_qps(problems, cfg)
-        fits = [stack[:B], stack[B:]]
-    for fit in (fit for kind in fits for fit in kind):
-        if isinstance(fit, SolverError):
-            raise fit
-    unit = [np.insert(w.values, j, 0.0) if sphere else w.values for j, (w, _) in zip(rows, fits[0])]
-    return np.array(unit), np.array([w.values for w, _ in fits[1]]) if time_rows else None
+        z, unit_gram = pre.swapaxes(0, 1), panel.grams[0]
+        fits = _solve_qps([_weight_qp(z, pre[j], unit_gram, m) for j, m in zip(rows, others)], cfg)
+    if failed := [fit for fit in fits if isinstance(fit, SolverError)]:
+        raise failed[0]
+    if sphere and not time:  # the row's own unit at weight zero
+        return np.array([np.insert(w.values, j, 0.0) for j, (w, _) in zip(rows, fits)])
+    return np.array([w.values for w, _ in fits])
 
 
 def _restore(
@@ -532,11 +523,20 @@ def _gsc_result(panel: Panel, weights: SimplexWeights, repair: bool) -> GscResul
     )
 
 
+def _unit_rows(panel: Panel, rows: Sequence[int], cfg: SolverConfig) -> np.ndarray:
+    """Unit weights of ``rows`` as :func:`_weight_stack` gives them, from the
+    panel's table under ``("unit", cfg)``: the rows missing from it are
+    fitted as one stack and stored only if that fit succeeds."""
+    key = ("unit", cfg)
+    if missing := [j for j in rows if j not in panel._fits.get(key, {})]:
+        fitted = zip(missing, _weight_stack(panel, missing, cfg))
+        panel._fits[key] = panel._fits.get(key, {}) | dict(fitted)
+    return np.array([panel._fits[key][j] for j in rows])
+
+
 def _unit_weights(panel: Panel, cfg: SolverConfig) -> SimplexWeights:
     """Row 0's unit weights over the controls, stored on the panel."""
-    return panel._stored(
-        ("unit", cfg), lambda: SimplexWeights(_weight_stack(panel, [0], cfg)[0][0, 1:])
-    )
+    return SimplexWeights(_unit_rows(panel, [0], cfg)[0, 1:])
 
 
 def estimate_gsc(
@@ -902,7 +902,7 @@ def estimate_gsdid(
     cfg = cfg or SolverConfig()
     return panel._stored(("gsdid", cfg, repair), lambda: _gsdid_result(
         panel, _unit_weights(panel, cfg),  # first: if both fits fail, theirs is the error raised
-        SimplexWeights(_weight_stack(panel, [], cfg, [0])[1][0]), repair,
+        SimplexWeights(_weight_stack(panel, [0], cfg, time=True)[0]), repair,
     ))
 
 
@@ -930,7 +930,7 @@ def estimate_gsdid_per_time(
     """
     cfg, post = cfg or SolverConfig(), panel.post_periods()
     unit = np.append(0.0, _unit_weights(panel, cfg).values)
-    _, time = _weight_stack(panel, [], cfg, [0] * len(post), panel.coords[:, panel.T0 :])
+    time = _weight_stack(panel, [0] * len(post), cfg, True, panel.coords[:, panel.T0 :])
     _, synthetic, lengths = _did_stack(
         panel, [0] * len(post), np.tile(unit, (len(post), 1)), time, np.eye(len(post)), repair, None
     )
@@ -954,17 +954,17 @@ def _donor_statistics(
     panel: Panel, method: Method, cfg: SolverConfig, repair: bool
 ) -> list[list[float]]:
     """Every control's placebo statistics, those of
-    ``estimate_*(panel.with_treated_unit(j))`` up to rounding, from one
-    :func:`_weight_stack` call and one statistics stack. If either fails,
-    the controls are taken one by one, so failures come in panel order."""
+    ``estimate_*(panel.with_treated_unit(j))`` up to rounding, from its stored
+    unit weights and a stack each of GSDID time weights and statistics. If
+    one fails, the controls are taken one by one, in panel order."""
     J, T0, T = panel.n_controls, panel.T0, panel.n_periods
 
     def statistics(units: list[int]) -> list[list[float]]:
-        w, B = _weight_stack(panel, units, cfg, units if method == "gsdid" else ()), len(units)
+        unit_w, B = _unit_rows(panel, units, cfg), len(units)
         if method == "gsdid":
-            post_w = np.full((B, T - T0), 1 / (T - T0))
-            return _did_stack(panel, units, *w, post_w, repair, None)[2][:, None].tolist()
-        return _gsc_stack(panel, units, w[0], slice(None), repair, None)[1][:, T0:].tolist()
+            w = unit_w, _weight_stack(panel, units, cfg, True), np.full((B, T - T0), 1 / (T - T0))
+            return _did_stack(panel, units, *w, repair, None)[2][:, None].tolist()
+        return _gsc_stack(panel, units, unit_w, slice(None), repair, None)[1][:, T0:].tolist()
 
     try:
         return statistics(list(range(1, J + 1)))
@@ -989,8 +989,8 @@ def placebo_test(
 
     The treated unit's statistics come from one ``estimate_*`` call on the
     panel, answered by its stored estimate if that ran, the controls' from
-    one weight stack and one statistics stack (:func:`_donor_statistics`);
-    no kind refits a permuted panel.
+    their stored unit weights, which either method's test fits once, and
+    stacks (:func:`_donor_statistics`); no kind refits a permuted panel.
 
     Returns one report per post period for ``method="gsc"`` (whose
     statistic is per-period) and a single report for ``method="gsdid"``

@@ -624,7 +624,7 @@ def test_gsdid_time_weights_read_only_the_controls_post_means(scenario):
     assert np.array_equal(estimators._post_means(controls), every[1:])
     targets = every.copy()
     targets[0] = np.nan
-    _, time = estimators._weight_stack(panel, [0], g.SolverConfig(), [0], targets[:, None])
+    time = estimators._weight_stack(panel, [0], g.SolverConfig(), True, targets[:, None])
     assert np.array_equal(g.estimate_gsdid(panel).time_weights.values, time[0])
 
 
@@ -1245,9 +1245,9 @@ def test_placebo_matches_per_refit_fits(scenario, size, monkeypatch):
             reports = g.placebo_test(panel, method)
             reports = reports if method == "gsc" else [reports]
             # the treated row's weight fit comes first, then the controls': gsc
-            # fits row 0's unit weights, gsdid reads them from the panel and
-            # fits its time weights
-            placebo_stacks, kinds = stacks[:], 1 if method == "gsc" else 2
+            # fits and stores the unit weights of row 0, then of the controls;
+            # gsdid reads them all from the panel and fits only time weights
+            placebo_stacks = stacks[:]
             refits = [
                 (g.estimate_gsc if method == "gsc" else g.estimate_gsdid)(panel.with_treated_unit(j))
                 for j in range(panel.n_units)
@@ -1264,20 +1264,19 @@ def test_placebo_matches_per_refit_fits(scenario, size, monkeypatch):
             ranks = [int(np.sum(col >= col[0])) for col in ref.T]
             assert [r.rank_of_treated for r in reports] == ranks, (seed, method)
             assert [r.p_value for r in reports] == [rank / panel.n_units for rank in ranks]
-            if scenario == "sphere":  # unit weights over the other units, then time weights
-                fits = [fit for stack in placebo_stacks[1:] for fit in stack]
-                assert len(placebo_stacks) == 1 + kinds and len(fits) == kinds * J
-                donors, bound = [fits[j - 1][0].values for j in range(1, J + 1)], 1e-12
-            else:
-                [treated, fits], bound = placebo_stacks, 1e-10
-                assert len(treated) == 1 and len(fits) == kinds * J
-                assert all(fits[j - 1][0].values[j] == 0.0 for j in range(1, J + 1))
-                donors = [np.delete(fits[j - 1][0].values, j) for j in range(1, J + 1)]
+            [treated, fits] = placebo_stacks
+            assert len(treated) == 1 and len(fits) == J
+            table = panel._fits[("unit", g.SolverConfig())]
+            bound = 1e-12 if scenario == "sphere" else 1e-10
             for j in range(1, J + 1):
-                assert np.max(np.abs(donors[j - 1] - unit[j])) <= bound
-                if method == "gsdid":
-                    time = fits[J + j - 1][0].values
-                    assert np.max(np.abs(time - refits[j].time_weights.values)) <= bound
+                assert table[j][j] == 0.0
+                assert np.max(np.abs(np.delete(table[j], j) - unit[j])) <= bound
+                fitted = fits[j - 1][0].values
+                if method == "gsc":  # the stored row is the stacked fit
+                    stored = np.delete(table[j], j) if scenario == "sphere" else table[j]
+                    assert np.array_equal(fitted, stored)
+                else:
+                    assert np.max(np.abs(fitted - refits[j].time_weights.values)) <= bound
 
 
 def test_placebo_on_location_scale_quantiles_takes_few_active_set_iterations(monkeypatch):
@@ -1335,16 +1334,11 @@ def test_sphere_placebo_donor_failure_names_the_first_failing_unit(method, monke
     fail_controls_5_and_3("sphere", method, monkeypatch)
 
 
-@pytest.mark.parametrize("scenario", ["scalar", "sphere"])
-@pytest.mark.parametrize("method", ["gsc", "gsdid"])
-def test_placebo_donor_weight_fit_failure_names_the_first_failing_unit(
-    scenario, method, monkeypatch
-):
+def refuse_unit_fits_of_controls_5_and_3(panel, monkeypatch):
     """A stacked weight solver that returns a SolverError in place of the
-    unit-weight fits of controls 5 and 3 fails the placebo test at control 3."""
-    panel = g.generate(g.SimConfig(scenario=scenario, seed=0, J=8, T=8, T0=6)).panel
+    unit-weight fits of controls 5 and 3."""
     refused = SolverError("weight fit refused")
-    if scenario == "sphere":  # a member is known by its target, the unit's pre periods
+    if panel.space.kind == "sphere":  # a member is known by its target, the unit's pre periods
         poisoned, targets = panel.coords[[5, 3], : panel.T0], []
         linearization = estimators._sphere_linearization
         solve = estimators.solve_simplex_gauss_newton
@@ -1373,6 +1367,17 @@ def test_placebo_donor_weight_fit_failure_names_the_first_failing_unit(
             ]
 
         monkeypatch.setattr(estimators, "_solve_qps", failing)
+
+
+@pytest.mark.parametrize("scenario", ["scalar", "sphere"])
+@pytest.mark.parametrize("method", ["gsc", "gsdid"])
+def test_placebo_donor_weight_fit_failure_names_the_first_failing_unit(
+    scenario, method, monkeypatch
+):
+    """A refused unit-weight fit of controls 5 and 3 fails the placebo test
+    at control 3."""
+    panel = g.generate(g.SimConfig(scenario=scenario, seed=0, J=8, T=8, T0=6)).panel
+    refuse_unit_fits_of_controls_5_and_3(panel, monkeypatch)
     with pytest.raises(SolverError, match="unit 'control_3': weight fit refused"):
         g.placebo_test(panel, method)
 
@@ -1436,15 +1441,16 @@ def test_placebo_after_an_estimate_fits_only_the_donors(scenario, method, monkey
     rows, weight_stack = [], estimators._weight_stack
     monkeypatch.setattr(
         estimators, "_weight_stack",
-        lambda panel, r, *a, **k: rows.append(list(r)) or weight_stack(panel, r, *a, **k),
+        lambda panel, r, cfg, time=False, *a: rows.append((list(r), time))
+        or weight_stack(panel, r, cfg, time, *a),
     )
     reports = g.placebo_test(panel, method)
     donors = list(range(1, panel.n_units))
-    assert rows == [donors]
+    roles = [False] if method == "gsc" else [False, True]  # unit weights, then gsdid's time weights
+    assert rows == [(donors, time) for time in roles]
     rows.clear()
     expected = g.placebo_test(fresh, method)
-    treated = [[0]] if method == "gsc" else [[0], []]  # unit weights, then gsdid's time weights
-    assert rows == treated + [donors]
+    assert rows == [([0], time) for time in roles] + [(donors, time) for time in roles]
     if method == "gsdid":
         reports, expected = [reports], [expected]
     assert len(reports) == len(expected)
@@ -1513,6 +1519,64 @@ def test_a_failed_fit_is_not_stored(method, monkeypatch):
     assert ESTIMATES[method](panel) is result and len(panel._fits) == 2
 
 
+@pytest.mark.parametrize("scenario", ["scalar", "sphere"])
+@pytest.mark.parametrize("method", ["gsc", "gsdid"])
+def test_a_refused_donor_unit_fit_is_never_stored(scenario, method, monkeypatch):
+    """The unit weights of the rows fitted before control 3's refused fit
+    stay stored, and a second placebo test fits from control 3 on again
+    and raises the same error."""
+    panel = g.generate(g.SimConfig(scenario=scenario, seed=0, J=8, T=8, T0=6)).panel
+    refuse_unit_fits_of_controls_5_and_3(panel, monkeypatch)
+    rows, weight_stack = [], estimators._weight_stack
+    monkeypatch.setattr(
+        estimators, "_weight_stack",
+        lambda panel, r, cfg, time=False, *a: rows.extend([] if time else [list(r)])
+        or weight_stack(panel, r, cfg, time, *a),
+    )
+    for fitted in ([[0], list(range(1, 9)), [1], [2], [3]], [list(range(3, 9)), [3]]):
+        with pytest.raises(SolverError, match="unit 'control_3': weight fit refused"):
+            g.placebo_test(panel, method)
+        assert rows == fitted  # the rows whose unit weights were fitted: all, then one by one
+        assert set(panel._fits[("unit", g.SolverConfig())]) == {0, 1, 2}
+        rows.clear()
+
+
+@pytest.mark.parametrize("scenario", ["scalar", "spd", "sphere"])
+def test_placebo_tests_share_the_donors_unit_weights(scenario, monkeypatch):
+    """A second GSC placebo test fits nothing, and a GSDID placebo test after
+    it fits only time weights: the J donors' and row 0's; a GSC placebo test
+    after a GSDID one fits nothing. Each report equals a fresh panel's."""
+    data = g.generate(g.SimConfig(scenario=scenario, seed=3, J=6, T=8, T0=5, effect_size=0.5))
+    space, T0 = data.panel.space, data.panel.T0
+    gsc_first, gsdid_first = (g.Panel(space, data.panel.data, T0) for _ in "ab")
+    expected = {
+        method: g.placebo_test(g.Panel(space, data.panel.data, T0), method)
+        for method in ("gsc", "gsdid")
+    }
+    calls = record_fit_work(monkeypatch)
+    solved = record_weight_targets(monkeypatch)
+    solvers = {"_solve_qps", "solve_simplex_gauss_newton"}
+
+    def placebo(panel, method, n_solved):
+        calls.clear(), solved.clear()
+        reports, want = g.placebo_test(panel, method), expected[method]
+        assert len(solved) == n_solved and bool(solvers & set(calls)) == (n_solved > 0)
+        for got, want in zip(*([r] if method == "gsdid" else r for r in (reports, want))):
+            assert np.array_equal(got.statistics, want.statistics)
+            assert got.rank_of_treated == want.rank_of_treated and got.p_value == want.p_value
+        return solved[:]
+
+    J = data.panel.n_controls
+    placebo(gsc_first, "gsc", J + 1)
+    placebo(gsc_first, "gsc", 0)
+    time_targets = placebo(gsc_first, "gsdid", J + 1)
+    D = gsc_first.coords.shape[-1]
+    assert all(y.shape == (J, D) for y in time_targets)  # time problems: a unit's is (T0, D)
+    assert sum(np.array_equal(y, estimators._post_means(gsc_first)[1:]) for y in time_targets) == 1
+    placebo(gsdid_first, "gsdid", 2 * (J + 1))
+    placebo(gsdid_first, "gsc", 0)
+
+
 def record_weight_targets(monkeypatch):
     """The target of every weight problem member solved, in call order: a
     unit problem's is its row's pre-period coordinates, a time problem's the
@@ -1546,9 +1610,10 @@ def record_weight_targets(monkeypatch):
 
 
 @pytest.mark.parametrize("scenario", ["scalar", "spd", "sphere"])
-def test_one_analysis_solves_the_treated_units_weight_problems_once(scenario, monkeypatch):
+def test_one_analysis_solves_each_rows_unit_problem_once(scenario, monkeypatch):
     """GSC, GSDID, per-period GSDID and both placebo tests on one panel solve
-    row 0's unit problem once and its time problem for the post means once."""
+    each row's unit problem once and row 0's time problem for the post means
+    once."""
     sim = g.SimConfig(scenario=scenario, seed=2, J=6, T=8, T0=5, effect_size=0.5)
     panel = g.generate(sim).panel
     solved = record_weight_targets(monkeypatch)
@@ -1561,11 +1626,13 @@ def test_one_analysis_solves_the_treated_units_weight_problems_once(scenario, mo
     def solves(target):
         return sum(y.shape == target.shape and np.array_equal(y, target) for y in solved)
 
-    assert solves(panel.coords[0, : panel.T0]) == 1  # row 0's unit problem
-    assert solves(estimators._post_means(panel)[1:]) == 1  # its time problem
-    # then a time problem per post period, and the donors' unit (gsc, gsdid) and time problems
     J, P = panel.n_controls, panel.n_periods - panel.T0
-    assert len(solved) == 2 + P + 3 * J
+    units = panel.coords[:, : panel.T0]
+    for target in units:  # each row's unit problem once (spd's rows 2 and 6 share a target)
+        assert solves(target) == sum(np.array_equal(target, other) for other in units)
+    assert solves(estimators._post_means(panel)[1:]) == 1  # row 0's time problem
+    # then a time problem per post period, and the donors' unit and (gsdid) time problems
+    assert len(solved) == 2 + P + 2 * J
 
 
 def analysis_outputs():

@@ -99,7 +99,7 @@ def test_time_weight_fit_value_is_the_mean_squared_distance(space, seed, J, T0):
     panel = panel_from_arrays(space, interior_data(space, rng, J + 1, T), T0)
     pre, target = panel.coords[1:, :T0], panel.coords[1:, T - 1]
     cfg = g.SolverConfig()
-    _, (lam,) = _weight_stack(panel, [0], cfg, [0], panel.coords[:, T - 1 :])
+    (lam,) = _weight_stack(panel, [0], cfg, True, panel.coords[:, T - 1 :])
     assert len(lam) == T0
     if space.kind == "sphere":  # the Gauss-Newton model at the weights
         resid, jac = _sphere_linearization(pre, target)(lam)
