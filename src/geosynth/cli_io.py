@@ -595,9 +595,10 @@ def _build_parser() -> _Parser:
     p_gsc = sub.add_parser("gsc", parents=[common], help="geodesic synthetic control")
     p_gsc.add_argument("--panel", required=True)
     p_gsc.add_argument("--out", required=True)
-    p_gsc.add_argument("--covariates", default=None,
-                       help="object-valued covariate file for weight fitting")
-    p_gsc.add_argument("--placebo", action="store_true")
+    exclusive = p_gsc.add_mutually_exclusive_group()  # the placebo test is plain GSC's
+    exclusive.add_argument("--covariates", default=None,
+                           help="object-valued covariate file for weight fitting")
+    exclusive.add_argument("--placebo", action="store_true")
 
     p_agsc = sub.add_parser("agsc", parents=[common],
                             help="regression-augmented geodesic synthetic control")

@@ -470,11 +470,12 @@ def _gsc_stack(
 ) -> tuple[np.ndarray, np.ndarray]:
     """GSC for a stack of B pseudo-treated ``rows`` of the panel.
 
-    Row ``b``'s synthetic outcomes in ``periods`` are the Frechet means of
-    all J+1 units weighted by ``unit_w[b]`` (zero on itself): on the flat
-    kinds one matrix product over the units, on the sphere one batch of
-    iterative means over the (row, period) pairs. They are restored and
-    validated in one call each and measured against the rows' outcomes.
+    Row ``b``'s synthetic outcomes in the P ``periods`` alone are the Frechet
+    means of all J+1 units weighted by ``unit_w[b]`` (zero on itself): on the
+    flat kinds the window of one matrix product over the units in all periods,
+    on the sphere one batch of iterative means over the window's (row, period)
+    pairs, bit for bit the full path's. They are restored and validated in
+    one call each and measured against the rows' outcomes.
 
     Returns the synthetic points' data, shape (B, P, *data_shape), and
     their distances to the rows' outcomes, shape (B, P).
@@ -484,8 +485,8 @@ def _gsc_stack(
     if space.kind == "sphere":
         z = np.tile(coords.swapaxes(0, 1), (B, 1, 1))
         means = _sphere_mean_stack(z, np.repeat(unit_w, P, axis=0)).reshape(B, P, -1)
-    else:
-        means = (unit_w @ coords.reshape(n, -1)).reshape(B, P, -1)
+    else:  # over all periods: a window's own product would round otherwise
+        means = (unit_w @ panel.coords.reshape(n, -1)).reshape(B, panel.n_periods, -1)[:, periods]
     data = _restore(space, means, repair, log)
     report = validate_stack(space, data.reshape((-1,) + space.data_shape))
     if report is not None:
@@ -955,8 +956,9 @@ def _donor_statistics(
 ) -> list[list[float]]:
     """Every control's placebo statistics, those of
     ``estimate_*(panel.with_treated_unit(j))`` up to rounding, from its stored
-    unit weights and a stack each of GSDID time weights and statistics. If
-    one fails, the controls are taken one by one, in panel order."""
+    unit weights and a stack each of GSDID time weights and statistics (GSC's
+    of the post periods alone: an invalid pre-period point fails no placebo).
+    If one fails, the controls are taken one by one, in panel order."""
     J, T0, T = panel.n_controls, panel.T0, panel.n_periods
 
     def statistics(units: list[int]) -> list[list[float]]:
@@ -964,7 +966,7 @@ def _donor_statistics(
         if method == "gsdid":
             w = unit_w, _weight_stack(panel, units, cfg, True), np.full((B, T - T0), 1 / (T - T0))
             return _did_stack(panel, units, *w, repair, None)[2][:, None].tolist()
-        return _gsc_stack(panel, units, unit_w, slice(None), repair, None)[1][:, T0:].tolist()
+        return _gsc_stack(panel, units, unit_w, slice(T0, None), repair, None)[1].tolist()
 
     try:
         return statistics(list(range(1, J + 1)))
@@ -991,6 +993,7 @@ def placebo_test(
     panel, answered by its stored estimate if that ran, the controls' from
     their stored unit weights, which either method's test fits once, and
     stacks (:func:`_donor_statistics`); no kind refits a permuted panel.
+    GSC's forms the donors' post-period points alone, bit for bit as in full.
 
     Returns one report per post period for ``method="gsc"`` (whose
     statistic is per-period) and a single report for ``method="gsdid"``

@@ -666,6 +666,27 @@ def test_cli_gsc_rejects_covariates_without_periods(tmp_path, capsys):
     assert "Traceback" not in err and not os.path.exists(out)
 
 
+def test_cli_gsc_placebo_with_covariates_is_a_usage_error(tmp_path, capsys):
+    """The placebo test is plain GSC's: its treated statistics are not the
+    effects of a covariate-weighted fit, so the two flags are refused
+    together before any file is read or written."""
+    panel = g.generate(g.SimConfig(scenario="spd", seed=0, J=5, T=6, T0=4)).panel
+    panel_path, covs_path = str(tmp_path / "panel.json"), str(tmp_path / "covs.json")
+    save_panel(panel, panel_path)
+    pre = tuple(tuple((x,) for x in row[: panel.T0]) for row in panel.outcomes)
+    covs = g.CovariatePanel(spaces=(panel.space,), covariates=pre)
+    save_covariates(covs, covs_path)
+    out = tmp_path / "res.json"
+    out.write_text("kept\n")
+    code, _, err = run(capsys, "gsc", "--placebo", "--panel", panel_path,
+                       "--covariates", covs_path, "--out", str(out))
+    assert code == EXIT_USAGE and "--covariates" in err and "--placebo" in err
+    assert out.read_text() == "kept\n"
+    code, _, _ = run(capsys, "gsc", "--panel", panel_path, "--covariates", covs_path,
+                     "--out", str(out))
+    assert code == EXIT_OK and json.loads(out.read_text())["method"] == "gsc"
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "gsc", "--panel", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "o.json"))

@@ -1291,22 +1291,80 @@ def test_placebo_on_location_scale_quantiles_takes_few_active_set_iterations(mon
         simplex_opt, "_face_solves", lambda *a: solves.append(1) or face_solves(*a)
     )
     for seed in (0, 9):
-        rng = np.random.default_rng(seed)
-        space = g.wasserstein_space(21)
-        m, s = 70.0 + np.cumsum(rng.normal(0.2, 0.4, size=8)), rng.uniform(0.9, 1.1, size=8)
-        mu, sigma = rng.normal(0.0, 3.0, size=51), rng.uniform(8.0, 14.0, size=51)
-        data = m[:, None] + s[:, None] * (mu[:, None, None] + sigma[:, None, None] * ndtri(space.grid))
         solves.clear()
-        reports = g.placebo_test(panel_from_arrays(space, data, 6), "gsc")
+        reports = g.placebo_test(location_scale_quantile_panel(seed, J=50), "gsc")
         assert len(solves) < 100 and len(reports) == 2
 
 
+def location_scale_quantile_panel(seed, J, T=8, T0=6):
+    """Gaussian quantile functions on a 21-point grid whose location and
+    scale follow one shared path over the T periods."""
+    rng = np.random.default_rng(seed)
+    space = g.wasserstein_space(21)
+    m, s = 70.0 + np.cumsum(rng.normal(0.2, 0.4, size=T)), rng.uniform(0.9, 1.1, size=T)
+    mu, sigma = rng.normal(0.0, 3.0, size=J + 1), rng.uniform(8.0, 14.0, size=J + 1)
+    data = m[:, None] + s[:, None] * (mu[:, None, None] + sigma[:, None, None] * ndtri(space.grid))
+    return panel_from_arrays(space, data, T0)
+
+
+def assert_gsc_donor_statistics_are_the_full_paths_post_window(panel):
+    cfg, J = g.SolverConfig(), panel.n_controls
+    stats = np.array(estimators._donor_statistics(panel, "gsc", cfg, True))
+    unit_w = estimators._unit_rows(panel, range(1, J + 1), cfg)
+    full = estimators._gsc_stack(panel, range(1, J + 1), unit_w, slice(None), True, None)[1]
+    assert np.array_equal(stats, full[:, panel.T0 :])
+
+
+@pytest.mark.parametrize("size", [dict(J=8, T=8, T0=6), {}], ids=["small", "default"])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_gsc_donor_statistics_are_the_full_paths_post_window_bit_for_bit(scenario, size):
+    """The GSC placebo forms its donors' synthetic points in the post window
+    only; their distances are those of the full path's post window."""
+    for seed in range(3):
+        panel = g.generate(g.SimConfig(scenario=scenario, seed=seed, effect_size=0.5, **size)).panel
+        assert_gsc_donor_statistics_are_the_full_paths_post_window(panel)
+
+
+def test_quantile_gsc_donor_statistics_are_the_full_paths_post_window_bit_for_bit():
+    panel = location_scale_quantile_panel(3, J=20)
+    assert_gsc_donor_statistics_are_the_full_paths_post_window(panel)
+
+
+def gsc_placebo_panel(kind):
+    if kind == "wasserstein1d":
+        return location_scale_quantile_panel(1, J=6)
+    return g.generate(g.SimConfig(scenario=kind, seed=1, J=6, T=8, T0=6)).panel
+
+
+@pytest.mark.parametrize("kind", ["scalar", "spd", "sphere", "wasserstein1d"])
+def test_gsc_placebo_restores_and_validates_only_the_donors_post_period_points(kind, monkeypatch):
+    """The treated row restores its synthetic point in every period, the J
+    donors theirs in the T - T0 post periods alone."""
+    panel = gsc_placebo_panel(kind)
+    J, T, T0 = panel.n_controls, panel.n_periods, panel.T0
+    points = {"_restore": [], "validate_stack": []}  # the shapes of the stacks of points
+    point_axes = {"_restore": 1, "validate_stack": len(panel.space.data_shape)}
+
+    def recording(name, original):
+        def record(space, stack, *args):
+            points[name].append(stack.shape[: stack.ndim - point_axes[name]])
+            return original(space, stack, *args)
+        return record
+
+    for name in points:
+        monkeypatch.setattr(estimators, name, recording(name, getattr(estimators, name)))
+    g.placebo_test(panel, "gsc")
+    assert points["_restore"] == [(1, T), (J, T - T0)]
+    assert points["validate_stack"] == [(T,), (J * (T - T0),)]
+
+
 def fail_controls_5_and_3(scenario, method, monkeypatch):
-    """A restore that refuses the synthetic outcomes (gsc) or the post mean
-    (gsdid) of controls 5 and 3 fails the placebo test at control 3."""
+    """A restore that refuses the post-period synthetic outcomes (gsc, from
+    T0 = 6 on) or the post mean (gsdid) of controls 5 and 3 fails the
+    placebo test at control 3."""
     panel = g.generate(g.SimConfig(scenario=scenario, seed=0, J=8, T=8, T0=6)).panel
     poisoned = [
-        np.array([p.data for p in g.estimate_gsc(panel.with_treated_unit(j)).synthetic])
+        np.array([p.data for p in g.estimate_gsc(panel.with_treated_unit(j)).synthetic[6:]])
         if method == "gsc" else g.estimate_gsdid(panel.with_treated_unit(j)).observed_post_mean.data
         for j in (5, 3)
     ]
@@ -1332,6 +1390,27 @@ def test_placebo_donor_failure_names_the_first_failing_unit(method, monkeypatch)
 @pytest.mark.parametrize("method", ["gsc", "gsdid"])
 def test_sphere_placebo_donor_failure_names_the_first_failing_unit(method, monkeypatch):
     fail_controls_5_and_3("sphere", method, monkeypatch)
+
+
+def test_an_invalid_post_period_donor_point_names_its_unit_and_period(monkeypatch):
+    """The donors' window starts at T0: a point refused in it is named by
+    its own period, time 4 here, and not by its place in the window."""
+    panel = make_flat_panel(np.random.default_rng(2), g.spd_space(3), J=3, T=6, T0=3)
+    bad = g.estimate_gsc(panel.with_treated_unit(2)).synthetic[4].data
+    restore = estimators.metric_restore_stack
+
+    def negate_the_bad_point(space, vecs, **kwargs):
+        data = restore(space, vecs, **kwargs)
+        hit = np.all(np.isclose(data, bad, rtol=0.0, atol=1e-9), axis=(-2, -1))
+        data[hit] = -data[hit]
+        return data
+
+    monkeypatch.setattr(estimators, "metric_restore_stack", negate_the_bad_point)
+    with pytest.raises(
+        SolverError,
+        match=r"unit 'control_2': synthetic outcome \(time 4\) is invalid: spd_frobenius: minimum",
+    ):
+        g.placebo_test(panel, "gsc")
 
 
 def refuse_unit_fits_of_controls_5_and_3(panel, monkeypatch):
