@@ -611,8 +611,9 @@ def _build_parser() -> _Parser:
                            help="geodesic synthetic difference-in-differences")
     p_did.add_argument("--panel", required=True)
     p_did.add_argument("--out", required=True)
-    p_did.add_argument("--per-time", action="store_true")
-    p_did.add_argument("--placebo", action="store_true")
+    exclusive = p_did.add_mutually_exclusive_group()  # the placebo test pools the post window
+    exclusive.add_argument("--per-time", action="store_true")
+    exclusive.add_argument("--placebo", action="store_true")
 
     p_val = sub.add_parser("validate", parents=[common], help="validate a panel file")
     p_val.add_argument("--panel", required=True)
@@ -683,13 +684,13 @@ def _cmd_agsc(args: argparse.Namespace) -> int:
 def _cmd_gsdid(args: argparse.Namespace) -> int:
     panel = load_panel(args.panel)
     cfg = _solver_config(args)
-    placebo = placebo_test(panel, "gsdid", cfg, repair=args.repair) if args.placebo else None
     if args.per_time:
         effects = estimate_gsdid_per_time(panel, cfg, repair=args.repair)
-        save_result(effects, args.out, panel, cfg, "gsdid_per_time", placebo)
+        save_result(effects, args.out, panel, cfg, "gsdid_per_time")
         lengths = ", ".join(f"{e.length:.6g}" for e in effects)
         print(f"wrote {args.out}: per-period effect lengths [{lengths}]")
     else:
+        placebo = placebo_test(panel, "gsdid", cfg, repair=args.repair) if args.placebo else None
         result = estimate_gsdid(panel, cfg, repair=args.repair)
         save_result(result, args.out, panel, cfg, "gsdid", placebo)
         print(f"wrote {args.out}: effect length {result.effect.length:.6g}")

@@ -34,10 +34,13 @@ the rest of its stack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+_EPS = float(np.finfo(float).eps)
 
 
 class SolverError(RuntimeError):
@@ -235,6 +238,21 @@ def _certified(problem: SimplexQp, w: np.ndarray, tol: float, g=None) -> bool:
     return kkt_residual(problem, w, g) <= tol * (1.0 + float(np.sqrt(face @ face)))
 
 
+def _cannot_certify(
+    w: np.ndarray, support: np.ndarray, g: np.ndarray, drop: float, tol: float
+) -> bool:
+    """Whether ``drop = g_j - mean(g_S)``, for a zero coordinate ``j`` of
+    the face, proves :func:`_certified` false at ``w`` (gradient ``g``),
+    positive on its ``support`` S. By Moreau, with the unit tangent
+    direction ``(e_j - 1_S/|S|) / sqrt(1 + 1/|S|)``, ``kkt_residual >=
+    -drop / sqrt(1 + 1/|S|)``; this must exceed twice the certificate's
+    bound plus ``8 n^2 eps |g|`` of rounding (the whole gradient's norm
+    and length bound the face's)."""
+    norm = math.sqrt(float(g @ g))
+    limit = 2.0 * tol * (1.0 + norm) + 8.0 * g.size**2 * _EPS * norm
+    return -drop > limit * math.sqrt(1.0 + 1.0 / support.size) and w[support].min() > 0.0
+
+
 def _face_solves(kkt: np.ndarray, rhs: np.ndarray, lu: bool) -> tuple[np.ndarray, np.ndarray]:
     """Solutions of the face KKT systems ``kkt[r] x = rhs[r]`` and which
     came from LU. LAPACK factors each matrix of a stack on its own, so no
@@ -260,10 +278,11 @@ def _face_solves(kkt: np.ndarray, rhs: np.ndarray, lu: bool) -> tuple[np.ndarray
 def _active_set(
     problems: list[SimplexQp], starts: list[np.ndarray], tol: float, max_iter: int,
     lu: bool = True,
-) -> list[np.ndarray]:
+) -> tuple[list[np.ndarray], list[bool]]:
     """Primal active-set method on a stack of problems, each started from
     its feasible point ``starts[i]`` on its face; see Nocedal & Wright,
-    Numerical Optimization, ch. 16.
+    Numerical Optimization, ch. 16. Returns each member's finish point and
+    whether it stopped certified there.
 
     Each member keeps its own working set (its zero coordinates), ratio
     test, certificate and release rule; members with faces of one size
@@ -278,11 +297,15 @@ def _active_set(
     :func:`_certified` holds at ``tol``, no release would lower its
     objective, or, on LU faces, it is back at a face minimizer it has left,
     which exact steps never do (an LU step on a face singular to rounding).
+    The certificate is skipped where the release candidate proves it
+    false (:func:`_cannot_certify`), so a fit evaluates it about once,
+    where it stops.
     """
     ws = [np.array(w, dtype=float) for w in starts]
     free = [w > 0.0 for w in ws]
     grads = [p.gradient(w) for p, w in zip(problems, ws)]
     seen: list[set] = [set() for _ in problems]
+    certified = [False] * len(problems)
     live = list(range(len(problems)))
     for _ in range(max_iter):
         supports = {i: free[i].nonzero()[0] for i in live}
@@ -329,27 +352,30 @@ def _active_set(
                     free[i][s[blocking[r]]] = False
                 (going if blocked[r] else settled).append(i)
         for i in settled:
-            g, face = grads[i], free[i].tobytes()
-            if _certified(problems[i], ws[i], tol, g) or (lu and face in seen[i]):
+            g, s, problem = grads[i], supports[i], problems[i]
+            closed = free[i] if problem.allowed is None else free[i] | ~problem.allowed
+            reduced = np.where(closed, np.inf, g - float(g[s].sum()) / s.size)
+            j = int(np.argmin(reduced))
+            if not _cannot_certify(ws[i], s, g, float(reduced[j]), tol):
+                certified[i] = _certified(problem, ws[i], tol, g)
+            face = free[i].tobytes()
+            if certified[i] or (lu and face in seen[i]):
                 continue  # certified, or back at a face minimizer: LU faces lost to rounding
             seen[i].add(face)
-            g_s, allowed = g[supports[i]], problems[i].allowed
-            closed = free[i] if allowed is None else free[i] | ~allowed
-            reduced = np.where(closed, np.inf, g - float(g_s.sum()) / g_s.size)
-            j = int(np.argmin(reduced))
             if reduced[j] < 0.0:
                 free[i][j] = True
                 going.append(i)
         live = going
         if not live:
             break
-    return ws
+    return ws, certified
 
 
 def _solve_qp_stack(problems: list[SimplexQp], cfg: SolverConfig | None = None) -> list:
     """:func:`solve_simplex_qp` on a stack of problems at once: each one's
     ``(weights, objective)``, or in its place the :class:`SolverError` it
-    fails with."""
+    fails with. A finish point :func:`_active_set` stopped certified at is
+    not certified again, and the uniform point only where it wins or ties."""
     cfg = cfg or SolverConfig()
     results: list = [None] * len(problems)
     starts, uniforms = {}, {}
@@ -359,17 +385,21 @@ def _solve_qp_stack(problems: list[SimplexQp], cfg: SolverConfig | None = None) 
         starts[i], uniforms[i] = (np.arange(problem.n) == vertex) * 1.0, mask / mask.sum()
     pending = list(starts)
     for lu in (True, False):  # a member uncertified on LU faces retries on minimum-norm ones
-        finishes = _active_set(
+        finishes, stopped = _active_set(
             [problems[i] for i in pending], [starts[i] for i in pending],
             cfg.tol_kkt, cfg.max_iter, lu,
         )
-        for i, finish in zip(pending, finishes):
+        for i, finish, done in zip(pending, finishes, stopped):
             problem, best = problems[i], uniforms[i]
             f_best, f_finish = problem.objective(best), problem.objective(finish)
-            tie = f_finish == f_best and not _certified(problem, best, cfg.tol_kkt)
-            if f_finish < f_best or tie:
+            tie = f_finish == f_best
+            ok = tie and _certified(problem, best, cfg.tol_kkt)  # a certified uniform point wins
+            if f_finish < f_best or (tie and not ok):
                 best, f_best = finish, f_finish
-            if _certified(problem, best, cfg.tol_kkt):
+                ok = done or _certified(problem, best, cfg.tol_kkt)
+            elif not ok:
+                ok = _certified(problem, best, cfg.tol_kkt)
+            if ok:
                 weights = _normalized(best)
                 same = np.array_equal(weights.values, best)
                 results[i] = weights, f_best if same else problem.objective(weights.values)

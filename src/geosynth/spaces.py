@@ -327,8 +327,9 @@ def validate_stack(space: SpaceDescriptor, data: np.ndarray) -> tuple[int, str] 
 
     Returns ``None`` when every point is valid, otherwise the index of the
     first invalid point and a message naming its first violated invariant.
-    Each invariant is checked for the whole stack at once; ``eigvalsh``
-    broadcasts over the leading axis.
+    Each invariant is checked for the whole stack at once. The
+    positive-definite check runs ``eigvalsh`` only where one batched
+    ``cholesky`` fails, with the decisions and messages ``eigvalsh`` gives.
     """
     kind = space.kind
     x = np.asarray(data, dtype=float)
@@ -339,8 +340,9 @@ def validate_stack(space: SpaceDescriptor, data: np.ndarray) -> tuple[int, str] 
     checks: list[tuple[np.ndarray, object]] = []
     if kind in MATRIX_KINDS:
         asym = np.abs(x - np.swapaxes(x, -1, -2)).max(axis=(-2, -1))
+        scale = np.finfo(float).eps * np.abs(x).max(axis=(-2, -1))
         # the floor TOL_VALIDATE, or the rounding of the matrix's largest entry
-        tol = np.maximum(TOL_VALIDATE, 64 * np.finfo(float).eps * np.abs(x).max(axis=(-2, -1)))
+        tol = np.maximum(TOL_VALIDATE, 64 * scale)
         checks.append((asym > tol, f"{kind}: matrix is not symmetric"))
     if kind == "laplacian":
         off = np.where(np.eye(space.dim, dtype=bool), 0.0, x).max(axis=(-2, -1))
@@ -350,10 +352,17 @@ def validate_stack(space: SpaceDescriptor, data: np.ndarray) -> tuple[int, str] 
             (row_sums > TOL_VALIDATE, "laplacian: rows do not sum to 0"),
         ]
     elif kind in MATRIX_KINDS:
-        eig = np.linalg.eigvalsh(_sym(x)).min(axis=-1)
-        checks.append(
-            (eig < EPS_PD, lambda i: f"{kind}: minimum eigenvalue {eig[i]:.3e} is below {EPS_PD:.0e}")
-        )
+        # If every A - (EPS_PD + 64 n^3 eps max|a_ij|) I factors, no eigvalsh
+        # minimum is below EPS_PD: the slack covers the backward errors of
+        # Cholesky, about (n + 1) n eps |A|, and eigvalsh, with |A| <= n max|a_ij|.
+        shift = EPS_PD + 64 * space.dim**3 * scale
+        try:
+            np.linalg.cholesky(_sym(x) - shift[:, None, None] * np.eye(space.dim))
+        except np.linalg.LinAlgError:
+            eig = np.linalg.eigvalsh(_sym(x)).min(axis=-1)
+            checks.append((eig < EPS_PD, lambda i: (
+                f"{kind}: minimum eigenvalue {eig[i]:.3e} is below {EPS_PD:.0e}"
+            )))
     elif kind == "sphere":
         norm = np.sqrt(np.einsum("ij,ij->i", x, x))
         off_unit = np.abs(norm - 1.0) > TOL_VALIDATE

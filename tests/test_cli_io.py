@@ -687,6 +687,22 @@ def test_cli_gsc_placebo_with_covariates_is_a_usage_error(tmp_path, capsys):
     assert code == EXIT_OK and json.loads(out.read_text())["method"] == "gsc"
 
 
+def test_cli_gsdid_per_time_placebo_is_a_usage_error(tmp_path, capsys):
+    """The GSDID placebo test pools the post window: its statistics are not
+    per-period effects, so the two flags are refused together before any
+    file is read or written."""
+    panel_path, out = str(tmp_path / "panel.json"), tmp_path / "res.json"
+    save_panel(g.generate(g.SimConfig(scenario="spd", seed=0, J=5, T=6, T0=4)).panel, panel_path)
+    out.write_text("kept\n")
+    code, _, err = run(capsys, "gsdid", "--per-time", "--placebo", "--panel", panel_path,
+                       "--out", str(out))
+    assert code == EXIT_USAGE and "--per-time" in err and "--placebo" in err
+    assert out.read_text() == "kept\n"
+    code, _, _ = run(capsys, "gsdid", "--per-time", "--panel", panel_path, "--out", str(out))
+    doc = json.loads(out.read_text())
+    assert code == EXIT_OK and doc["method"] == "gsdid_per_time" and "placebo" not in doc
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "gsc", "--panel", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "o.json"))

@@ -1296,6 +1296,25 @@ def test_placebo_on_location_scale_quantiles_takes_few_active_set_iterations(mon
         assert len(solves) < 100 and len(reports) == 2
 
 
+def test_a_scalar_gsc_placebo_evaluates_one_certificate_per_fitted_member(monkeypatch):
+    """On a fresh default-size scalar panel the GSC placebo fits J+1 unit
+    QPs, row 0's and the donors', and evaluates one KKT certificate for
+    each: none of these fits ties the uniform point, which would add one."""
+    certificates, members = [], []
+    residual, stack = simplex_opt.kkt_residual, simplex_opt._solve_qp_stack
+    monkeypatch.setattr(
+        simplex_opt, "kkt_residual", lambda *a: certificates.append(1) or residual(*a)
+    )
+    monkeypatch.setattr(
+        simplex_opt, "_solve_qp_stack", lambda p, cfg=None: members.extend(p) or stack(p, cfg)
+    )
+    for seed in range(3):
+        certificates.clear()
+        members.clear()
+        g.placebo_test(g.generate(g.SimConfig(scenario="scalar", seed=seed)).panel, "gsc")
+        assert len(members) == 21 and len(certificates) == 21, seed
+
+
 def location_scale_quantile_panel(seed, J, T=8, T0=6):
     """Gaussian quantile functions on a 21-point grid whose location and
     scale follow one shared path over the T periods."""

@@ -8,11 +8,13 @@ import pytest
 from scipy.optimize import nnls
 
 import geosynth as g
+from geosynth import simplex_opt
 from geosynth.simplex_opt import (
     SimplexQp,
     SimplexWeights,
     SolverError,
     _active_set,
+    _certified,
     _solve_qp_stack,
     kkt_residual,
     project_simplex,
@@ -243,7 +245,7 @@ def test_qp_two_unit_problems_within_rounding_of_the_uniform_point(sign):
     a = 1e4
     qp = g.stack_weight_qp(np.array([[[a], [-a]]]), np.array([[linear[0] / a]]))
     vertex = np.eye(2)[int(np.argmin(np.diag(qp.gram) - 2.0 * qp.linear))]
-    [finish] = _active_set([qp], [vertex], -1.0, 100)  # a negative tol never certifies
+    [finish], _ = _active_set([qp], [vertex], -1.0, 100)  # a negative tol never certifies
     assert np.all(finish >= 0.0) and finish.sum() == 1.0
     with pytest.raises(SolverError, match="KKT residual"):
         g.solve_simplex_qp(qp)
@@ -376,11 +378,11 @@ def test_qp_stack_with_a_duplicated_donor_reaches_the_minimum_norm_fallback(monk
     monkeypatch.setattr(
         np.linalg, "lstsq", lambda *a, **k: fallbacks.append(a[0].shape) or lstsq(*a, **k)
     )
-    finishes = _active_set(problems, starts, 1e-10, 100)
+    finishes, _ = _active_set(problems, starts, 1e-10, 100)
     assert (3, 3) in fallbacks
     for qp, start, finish in zip(problems, starts, finishes):
         assert kkt_residual(qp, finish) <= 1e-10 * (1.0 + np.linalg.norm(qp.gradient(finish)))
-        assert np.array_equal(finish, _active_set([qp], [start], 1e-10, 100)[0])
+        assert np.array_equal(finish, _active_set([qp], [start], 1e-10, 100)[0][0])
 
 
 def test_qp_stack_holds_disallowed_weights_at_zero():
@@ -415,6 +417,112 @@ def test_masked_qp_through_solve_simplex_qp_is_certified_over_its_face():
         ref, ref_val = g.solve_simplex_qp(g.stack_weight_qp(a[:, allowed].T[None], qp.target))
         assert np.max(np.abs(w.values[allowed] - ref.values)) <= 1e-12
         assert val == pytest.approx(ref_val, rel=1e-12)
+
+
+def screened_problems(rng: np.random.Generator) -> list[SimplexQp]:
+    """Stress QPs of several sizes, each whole and on a random masked face
+    of at least two coordinates."""
+    problems = []
+    for kind, n in itertools.product(STRESS_KINDS, (3, 8, 40)):
+        a, b = stress_problem(kind, n, rng)
+        qp = g.stack_weight_qp(a.T[None], b[None])
+        allowed = rng.random(n) < 0.6
+        allowed[rng.choice(n, size=2, replace=False)] = True
+        problems += [qp, dataclasses.replace(qp, allowed=allowed)]
+    return problems
+
+
+def best_vertex(qp: SimplexQp) -> np.ndarray:
+    """The start :func:`_solve_qp_stack` gives a problem."""
+    mask = np.ones(qp.n, dtype=bool) if qp.allowed is None else qp.allowed
+    return np.eye(qp.n)[np.argmin(np.where(mask, np.diag(qp.gram) - 2.0 * qp.linear, np.inf))]
+
+
+@pytest.mark.parametrize("tol", [1e-14, 1e-10, 1e-6])
+def test_a_certificate_the_release_gradient_rules_out_fails(tol, monkeypatch):
+    """Wherever the active set skips a certificate because its release
+    candidate rules it out, the certificate fails: at every point the
+    solver settles on, on seeded random QPs whole and on masked faces."""
+    screen, ruled_out = simplex_opt._cannot_certify, []
+
+    def recorded(w, support, grad, drop, tol):
+        out = screen(w, support, grad, drop, tol)
+        if out:
+            ruled_out.append(_certified(qp, w, tol, grad))
+        return out
+
+    monkeypatch.setattr(simplex_opt, "_cannot_certify", recorded)
+    for qp in screened_problems(np.random.default_rng(21)):
+        _solve_qp_stack([qp], g.SolverConfig(tol_kkt=tol))
+    assert len(ruled_out) > 50 and not any(ruled_out)
+
+
+def test_the_release_gradient_bounds_the_kkt_residual():
+    """At random points of random faces, the release candidate's bound
+    holds; at the largest tolerance the screen still rules out, the
+    certificate fails, and at the smallest one the certificate holds at,
+    the screen rules nothing out."""
+    rng = np.random.default_rng(22)
+    screen, checked = simplex_opt._cannot_certify, 0
+    for qp in screened_problems(rng):
+        face = np.flatnonzero(np.ones(qp.n, dtype=bool) if qp.allowed is None else qp.allowed)
+        for size in range(1, face.size):
+            support = np.sort(rng.choice(face, size=size, replace=False))
+            w = np.zeros(qp.n)
+            w[support] = rng.dirichlet(np.ones(size))
+            if w[support].min() <= 0.0:
+                continue
+            grad = qp.gradient(w)
+            others = face[~np.isin(face, support)]
+            drop = float(np.min(grad[others] - float(grad[support].sum()) / size))
+            residual = kkt_residual(qp, w, grad)
+            bound = -drop / np.sqrt(1.0 + 1.0 / size)
+            assert residual >= bound * (1.0 - 1e-9) - 1e-12 * np.abs(grad).max()
+            holds = residual / (1.0 + np.linalg.norm(grad[face])) * (1.0 + 1e-9)
+            assert _certified(qp, w, holds, grad)
+            assert not screen(w, support, grad, drop, holds)
+            if screen(w, support, grad, drop, 0.0):
+                low, high = 0.0, 1.0  # bisect for the largest tol the screen rules out
+                while screen(w, support, grad, drop, high):
+                    high *= 2.0
+                for _ in range(100):
+                    mid = 0.5 * (low + high)
+                    low, high = (mid, high) if screen(w, support, grad, drop, mid) else (low, mid)
+                assert not _certified(qp, w, low, grad)
+                checked += 1
+    assert checked > 100
+
+
+def test_a_stacked_member_finishes_and_certifies_as_its_lone_run():
+    """Each member of a stack reaches its lone run's point bit for bit and
+    reports the same certified flag, which is the certificate at that
+    point."""
+    problems = screened_problems(np.random.default_rng(23))
+    starts = [best_vertex(qp) for qp in problems]
+    finishes, certified = _active_set(problems, starts, 1e-10, 10000)
+    assert sum(certified) > len(problems) // 2
+    for qp, start, finish, done in zip(problems, starts, finishes, certified):
+        [lone], [lone_done] = _active_set([qp], [start], 1e-10, 10000)
+        assert np.array_equal(finish, lone) and done == lone_done
+        assert done == _certified(qp, finish, 1e-10)
+
+
+def test_each_fit_evaluates_one_certificate_and_one_more_for_a_uniform_tie(monkeypatch):
+    """A stack of fits certifies each member once, at the point where its
+    active set stopped; a constant objective, whose finish point ties the
+    uniform point, certifies the uniform point too."""
+    calls = []
+    monkeypatch.setattr(
+        simplex_opt, "kkt_residual", lambda *a: calls.append(1) or kkt_residual(*a)
+    )
+    rng = np.random.default_rng(24)
+    problems = [g.stack_weight_qp(x.T[None], y[None]) for x, y in
+                (stress_problem(kind, 20, rng) for kind in ("off_hull", "duplicated") * 5)]
+    results = _solve_qp_stack(problems)
+    assert len(calls) == len(problems) and not any(isinstance(r, SolverError) for r in results)
+    calls.clear()
+    w, _ = g.solve_simplex_qp(g.stack_weight_qp(np.ones((1, 4, 2)), np.ones((1, 2))))
+    assert len(calls) == 2 and np.array_equal(w.values, np.full(4, 0.25))
 
 
 @pytest.mark.parametrize(

@@ -93,6 +93,52 @@ def test_symmetry_bound_is_the_larger_of_the_floor_and_the_rounding_of_the_entri
             assert validate_stack(space, x[None]) == expected, (scale, asym)
 
 
+def spd_with_min_eigenvalue(rng: np.random.Generator, low: float, n: int = 3) -> list:
+    """A diagonal matrix whose minimum eigenvalue is exactly ``low`` and a
+    rotated one within rounding of it."""
+    vals = np.append(low, rng.uniform(1.0, 3.0, size=n - 1))
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    rotated = (q * vals) @ q.T
+    return [np.diag(vals), (rotated + rotated.T) / 2.0]
+
+
+def eigvalsh_rule(kind: str, stack: np.ndarray):
+    """The positive-definite check point by point: the first matrix whose
+    ``eigvalsh`` minimum is below EPS_PD, and its message."""
+    for i, x in enumerate(stack):
+        low = np.linalg.eigvalsh((x + x.T) / 2.0).min()
+        if low < g.EPS_PD:
+            return i, f"{kind}: minimum eigenvalue {low:.3e} is below {g.EPS_PD:.0e}"
+    return None
+
+
+@pytest.mark.parametrize(
+    "space",
+    [g.spd_space(3), g.spd_space(3, "log_euclidean"), g.spd_power_space(3, 0.5),
+     g.spd_space(3, "log_cholesky")],
+    ids=lambda s: s.kind,
+)
+def test_the_cholesky_screen_decides_as_eigvalsh(space, monkeypatch):
+    """The batched Cholesky screen accepts and rejects the stacks that the
+    eigvalsh rule does, with the same first index and message, at minimum
+    eigenvalues on both sides of EPS_PD, at 0 and at -1e-3. A stack well
+    inside the cone takes no eigvalsh at all."""
+    rng = np.random.default_rng(14)
+    inside = np.stack(spd_with_min_eigenvalue(rng, 0.5) * 3)
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    assert validate_stack(space, inside) is None and not calls
+    for low in (g.EPS_PD * (1.0 + 1e-9), g.EPS_PD * (1.0 - 1e-9), 0.0, -1e-3):
+        for k, matrix in enumerate(spd_with_min_eigenvalue(rng, low)):
+            for at in (0, 2, 5):
+                stack = inside.copy()
+                stack[at] = matrix
+                expected = eigvalsh_rule(space.kind, stack)
+                assert validate_stack(space, stack) == expected, (low, k, at)
+                if k == 0:  # exact eigenvalues
+                    assert (expected is None) == (low >= g.EPS_PD), (low, at)
+
+
 @pytest.mark.parametrize("space", all_spaces(), ids=lambda s: s.kind)
 def test_validate_stack_names_the_first_invalid_point(space):
     rng = np.random.default_rng(11)
