@@ -375,28 +375,27 @@ class PlaceboReport:
 def _sphere_linearization(
     z: np.ndarray, y: np.ndarray
 ) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
-    """Residuals and Jacobians of ``mean_b d(m_b(w), y_b)^2`` on the sphere.
+    """``linearize(w, members)`` of a stack of problems ``mean_b d(m_b(w),
+    y_b)^2`` on the sphere, as :func:`solve_simplex_gauss_newton` takes it.
 
-    ``m_b(w)`` is the ``w``-weighted Frechet mean of the points ``z[b]``
-    (shape (B, n, d)), and ``y`` (shape (B, d)) holds the targets. At
-    weights ``w`` the residual of row ``b`` is ``Log_{m_b}(y_b)``, the
-    tangent vector from the mean to its target, so the mean of the squared
-    residual norms is the objective. To first order it moves by ``-dm_b``,
-    the implicit derivative of the mean. For a stack of such problems,
-    ``z`` (M, B, n, d) and ``y`` (M, B, d), it is ``linearize(w, members)``
-    as :func:`solve_simplex_gauss_newton` takes a stack: the rows of all
-    members asked for are one batch of means and one of Jacobians.
+    Member ``i``'s ``m_b(w)`` is the ``w``-weighted Frechet mean of the
+    points ``z[i, b]`` (``z`` of shape (M, B, n, d)), and ``y`` (shape
+    (M, B, d)) holds the targets. At weights ``w`` the residual of row
+    ``b`` is ``Log_{m_b}(y_b)``, the tangent vector from the mean to its
+    target, so the mean of the squared residual norms is the objective. To
+    first order it moves by ``-dm_b``, the implicit derivative of the mean.
+    The rows of all members asked for are one batch of means and one of
+    Jacobians.
     """
-    *stack, B, n, d = z.shape
-    z, y = np.ascontiguousarray(z).reshape(-1, B, n, d), y.reshape(-1, B, d)
+    _, B, n, d = z.shape
+    z = np.ascontiguousarray(z)
 
-    def linearize(w: np.ndarray, members: np.ndarray | None = None) -> tuple:
-        rows, weights = z[members].reshape(-1, n, d), np.repeat(w.reshape(-1, n), B, axis=0)
+    def linearize(w: np.ndarray, members: np.ndarray) -> tuple:
+        rows, weights = z[members].reshape(-1, n, d), np.repeat(w, B, axis=0)
         means = _sphere_mean_stack(rows, weights)
         resid = _sphere_log_stack(means, y[members].reshape(-1, d))
         jac = -_sphere_mean_jacobian(rows, weights, means)
-        shape = (len(w), B) if stack else (B,)
-        return resid.reshape(shape + (d,)), jac.reshape(shape + (d, n))
+        return resid.reshape(len(w), B, d), jac.reshape(len(w), B, d, n)
 
     return linearize
 
@@ -600,20 +599,24 @@ def estimate_gsc_with_covariates(
     else:
         flat_jac = flat[:, 1:].transpose(0, 2, 1)
         sphere_parts = [
-            _sphere_linearization(data[:, 1:], data[:, 0])
+            _sphere_linearization(data[None, :, 1:], data[None, :, 0])
             for data in (covs._component(c) for c, s in enumerate(covs.spaces)
                          if s.kind == "sphere")
         ]
 
-        def linearize(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """Each period's residual row: the flat components' ``C_t w - y_t``
-            followed by each sphere component's ``Log_m(y)``."""
-            parts = [part(w) for part in sphere_parts]
-            resid = [flat_jac @ w - flat[:, 0]] + [r for r, _ in parts]
-            jac = [flat_jac] + [d for _, d in parts]
-            return np.concatenate(resid, axis=1), np.concatenate(jac, axis=1)
+        def linearize(w: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """Each period's residual row, as a stack of one: the flat
+            components' ``C_t w - y_t`` followed by each sphere component's
+            ``Log_m(y)``."""
+            parts = [part(w, members) for part in sphere_parts]
+            resid = [(flat_jac @ w[0] - flat[:, 0])[None]] + [r for r, _ in parts]
+            jac = [flat_jac[None]] + [d for _, d in parts]
+            return np.concatenate(resid, axis=2), np.concatenate(jac, axis=2)
 
-        weights, _ = solve_simplex_gauss_newton(linearize, panel.n_controls, cfg)
+        [fit] = solve_simplex_gauss_newton(linearize, panel.n_controls, cfg)
+        if isinstance(fit, SolverError):
+            raise fit
+        weights = fit[0]
     return _gsc_result(panel, weights, repair)
 
 

@@ -239,6 +239,9 @@ def gen_spd_panel(cfg: SimConfig) -> SimOutput:
 
     The treated unit's latent ``U_1`` is the ``w*``-combination of the
     control levels in the log chart, giving perfect pre-treatment fit.
+    The scales are symmetric about control 4 (``j = 5``), so controls 3 and
+    5 (from J = 5), 2 and 6, and 1 and 7 are equal up to the rounding of
+    their scales (e.g. 0.09 against 0.09000000000000002): nearly singular QPs.
     """
     rng = np.random.default_rng(cfg.seed)
     n = 10

@@ -13,10 +13,10 @@ of n points to a target in each of B blocks. Unit weights match the
 controls to the treated unit in each pre-treatment period; time weights
 match each control's pre-treatment periods to its post-treatment target.
 :func:`stack_weight_qp`, the one builder, assembles that problem for
-either role from a (B, n, D) stack of chart coordinates, taking its Gram
-matrix (the one part that costs more than a pass over the stack) from the
-panel's cached Gram blocks, uncopied, when it can. Gauss-Newton builds
-its subproblems through it too, from a stack of Jacobians.
+either role from a (B, n, D) stack of chart coordinates; Gauss-Newton
+builds its subproblems with it, from a stack of Jacobians. The flat fits
+take their Gram matrix (the one part that costs more than a pass over the
+stack) from the panel's cached Gram blocks, uncopied, through :func:`_weight_qp`.
 
 A problem keeps the stack, a view of the panel's coordinates, and its
 targets; ``q(w) = w' G w - 2 l' w + c`` is its expanded form. It evaluates
@@ -142,35 +142,23 @@ class SolverConfig:
             )
 
 
-def stack_weight_qp(
-    stacks: np.ndarray, targets: np.ndarray, gram: np.ndarray | None = None
-) -> SimplexQp:
+def stack_weight_qp(stacks: np.ndarray, targets: np.ndarray) -> SimplexQp:
     """Objective ``(1/B) sum_b || y_b - w @ z_b ||^2`` over a (B, n, D) stack
     ``z`` of chart coordinates (any strided view, not copied) and its (B, D)
     targets ``y``: the average squared distance between each target and its
-    w-weighted combination. ``gram``, ``(1/B) sum_b z_b z_b'``, is computed
-    here unless the caller has it; a given one is used as it is, uncopied.
+    w-weighted combination, with its Gram ``(1/B) sum_b z_b z_b'``.
     """
     z, y = np.asarray(stacks, dtype=float), np.asarray(targets, dtype=float)
     if z.ndim != 3 or y.shape != (z.shape[0], z.shape[2]):
         raise SolverError("factor/target dimensions are inconsistent")
-    n = z.shape[1]
-    if gram is None:
-        flat = z.swapaxes(0, 1).reshape(n, -1)
-        gram = (1.0 / z.shape[0]) * (flat @ flat.T)
-    else:
-        gram = np.asarray(gram, dtype=float)
-        if gram.shape != (n, n):
-            raise SolverError(f"gram must be {n}x{n}, got {gram.shape}")
-        if np.max(np.abs(gram - gram.T)) > 1e-10 * (1.0 + np.max(np.abs(gram))):
-            raise SolverError("gram matrix must be symmetric")
-    return _weight_qp(z, y, gram)
+    flat = z.swapaxes(0, 1).reshape(z.shape[1], -1)
+    return _weight_qp(z, y, (1.0 / z.shape[0]) * (flat @ flat.T))
 
 
 def _weight_qp(z: np.ndarray, y: np.ndarray, gram: np.ndarray, allowed=None) -> SimplexQp:
-    """The QP of :func:`stack_weight_qp` from a stack, targets and Gram it
-    has checked (or that come checked, like a panel's Gram blocks), over
-    the face ``allowed``."""
+    """The QP of :func:`stack_weight_qp` from a stack, targets and Gram that
+    come checked, over the face ``allowed``: a panel's estimators pass its
+    cached Gram blocks here, uncopied, in place of computing them."""
     scale = 1.0 / z.shape[0]
     linear = scale * np.einsum("bnd,bd->n", z, y)
     return SimplexQp(z, y, gram, linear, scale * float(np.vdot(y, y)), allowed)
@@ -461,48 +449,34 @@ def _solve_qps(problems: list[SimplexQp], cfg: SolverConfig | None = None) -> li
 
 
 def solve_simplex_gauss_newton(
-    linearize: Callable,
-    n: int,
-    cfg: SolverConfig | None = None,
-    size: int | None = None,
-) -> tuple[SimplexWeights, float] | list:
-    """Minimize a nonlinear least-squares objective over the probability simplex.
+    linearize: Callable, n: int, cfg: SolverConfig | None = None, size: int = 1
+) -> list:
+    """Minimize a stack of ``size`` nonlinear least-squares objectives
+    ``F(w) = (1/T) sum_t ||r_t(w)||^2`` over the probability simplex; like
+    :func:`_solve_qp_stack`, return each member's ``(weights, objective)``,
+    or in its place the :class:`SolverError` it fails with.
 
-    The objective is ``F(w) = (1/T) sum_t ||r_t(w)||^2``. ``linearize(w)``
-    returns the residuals ``r`` of shape (T, D) and their Jacobians ``D``
-    of shape (T, D, n), so that ``r_t(v) ~ r_t(w) + D_t (v - w)``. Each step
-    minimizes that linear model over the simplex with
-    :func:`solve_simplex_qp`, then backtracks on the true ``F`` until the
-    Armijo condition holds to within a few ulps of ``F``. The iteration
-    starts at the uniform point.
+    ``linearize(w, members)`` returns the residuals ``r`` (M, T, D) and
+    their Jacobians ``D`` (M, T, D, n) of the members ``members`` (an index
+    array) at their weights ``w`` (M, n): ``r_t(v) ~ r_t(w) + D_t (v - w)``.
+    Each step minimizes the live members' linear models over the simplex
+    as one stack of QPs, then backtracks on each true ``F`` until the Armijo
+    condition holds to within a few ulps of ``F``. Every member starts at
+    the uniform point; its weights never depend on the rest of its stack.
 
-    The model's gradient at ``w`` is the gradient of ``F``, so the returned
-    point carries the certificate of the QP solver: the norm of the negative
+    The model's gradient at ``w`` is the gradient of ``F``, so a returned
+    point carries the QP solver's certificate: the norm of the negative
     gradient of ``F`` projected onto the simplex tangent cone is at most
-    ``tol_kkt * (1 + |gradient|)``. A problem whose objective is constant
-    returns exactly uniform weights.
-
-    Given ``size``, it solves a stack of that many problems, and
-    ``linearize(w, members)`` returns the residuals (M, T, D) and Jacobians
-    (M, T, D, n) of the problems ``members`` (an index array) at their
-    weights ``w`` (M, n). Like :func:`_solve_qp_stack` it then returns each
-    problem's ``(weights, objective)``, or in its place the
-    :class:`SolverError` it fails with. A single fit is the stack of one.
-
-    Raises
-    ------
-    SolverError
-        If the certificate is not met within ``max_iter`` steps, the line
-        search stalls, an accepted step leaves the weights unchanged (the
-        next step would repeat it), or the residuals are not finite.
+    ``tol_kkt * (1 + |gradient|)``. A constant objective returns exactly
+    uniform weights. A member fails if the certificate is not met within
+    ``max_iter`` steps, the line search stalls, an accepted step leaves its
+    weights unchanged (the next step would repeat it), or its residuals are
+    not finite.
     """
     cfg = cfg or SolverConfig()
     if n < 1:
         raise SolverError("need at least one weight")
-    single, short = size is None, f"before reaching KKT residual {cfg.tol_kkt:.1e}"
-    if single:  # the stack of one
-        size, one = 1, linearize
-        linearize = lambda w, _: tuple(a[None] for a in one(w[0]))  # noqa: E731
+    short = f"before reaching KKT residual {cfg.tol_kkt:.1e}"
     results: list = [None] * size
 
     def evaluate(members: np.ndarray, w: np.ndarray) -> dict:
@@ -517,7 +491,7 @@ def solve_simplex_gauss_newton(
         return found
 
     live = evaluate(np.arange(size), np.full((size, n), 1.0 / n))
-    for _ in range(cfg.max_iter if n > 1 else 0):
+    for _ in range(cfg.max_iter):
         if not live:
             break
         models, steps, moved, alpha = {}, {}, {}, 1.0
@@ -561,14 +535,12 @@ def solve_simplex_gauss_newton(
                     f"Gauss-Newton line search stalled at objective {live[i][1]:.3e} {short}"
                 )
         live = moved
-    for i, (w, fval, _, _) in live.items():
-        results[i] = (SimplexWeights(w), fval) if n == 1 else SolverError(
+    for i in live:
+        results[i] = SolverError(
             f"Gauss-Newton failed to reach KKT residual {cfg.tol_kkt:.1e} "
             f"within {cfg.max_iter} steps"
         )
-    if single and isinstance(results[0], SolverError):
-        raise results[0]
-    return results[0] if single else results
+    return results
 
 
 # ---------------------------------------------------------------------------

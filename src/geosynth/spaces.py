@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -110,10 +111,10 @@ class SpaceDescriptor:
         Matrix order for matrix kinds, ambient dimension for the sphere,
         grid length for ``wasserstein1d`` and ``l2function``.
     power_p : float, optional
-        Exponent of the power metric. Required (and only allowed) for
-        ``spd_power``.
+        Exponent of the power metric, a finite positive real number.
+        Required (and only allowed) for ``spd_power``.
     grid : array-like, optional
-        Strictly increasing grid of length ``dim``. Required for
+        Strictly increasing grid of ``dim`` finite numbers. Required for
         ``wasserstein1d`` (probability levels in the open unit interval)
         and ``l2function`` (domain samples).
     """
@@ -130,24 +131,27 @@ class SpaceDescriptor:
             raise SpaceError(f"dim must be a positive integer, got {self.dim!r}")
         object.__setattr__(self, "dim", int(self.dim))
         if self.kind == "spd_power":
-            if self.power_p is None or not (float(self.power_p) > 0):
-                raise SpaceError("spd_power requires power_p > 0")
-            object.__setattr__(self, "power_p", float(self.power_p))
+            p = self.power_p  # a real number: not a bool or a numeric string
+            if isinstance(p, bool) or not isinstance(p, Real) or not 0 < p < np.inf:
+                raise SpaceError(f"spd_power requires a finite power_p > 0, got {p!r}")
+            object.__setattr__(self, "power_p", float(p))
         elif self.power_p is not None:
             raise SpaceError(f"power_p is only valid for spd_power, not {self.kind}")
         if self.kind in GRID_KINDS:
             if self.grid is None:
                 raise SpaceError(f"{self.kind} requires a grid")
-            grid = np.asarray(self.grid, dtype=float)
-            if grid.ndim != 1 or grid.size != self.dim:
-                raise SpaceError(
-                    f"grid must be a vector of length dim={self.dim}, got shape {grid.shape}"
-                )
+            try:
+                grid = np.array(self.grid)
+            except ValueError:  # ragged
+                grid = np.array(None)
+            finite = grid.dtype.kind in "iuf" and bool(np.isfinite(grid).all())
+            if not finite or grid.shape != (self.dim,):
+                raise SpaceError(f"grid must be a vector of dim={self.dim} finite numbers")
+            grid = grid.astype(float)
             if not np.all(np.diff(grid) > 0):
                 raise SpaceError("grid must be strictly increasing")
             if self.kind == "wasserstein1d" and not (grid[0] > 0 and grid[-1] < 1):
                 raise SpaceError("wasserstein1d grid entries must lie strictly in (0, 1)")
-            grid = grid.copy()
             grid.setflags(write=False)
             object.__setattr__(self, "grid", grid)
         elif self.grid is not None:

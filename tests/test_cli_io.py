@@ -310,6 +310,37 @@ def test_file_integers_must_be_json_integers(tmp_path, capsys, field, value):
     assert code == EXIT_VALIDATION and field in err
 
 
+@pytest.mark.parametrize(
+    "space, text",
+    [
+        ({"kind": "spd_power", "dim": 1, "power_p": math.inf}, "Infinity"),
+        ({"kind": "spd_power", "dim": 1, "power_p": "abc"}, None),
+        ({"kind": "spd_power", "dim": 1, "power_p": "0.5"}, None),
+        ({"kind": "spd_power", "dim": 1, "power_p": True}, None),
+        ({"kind": "l2function", "dim": 3, "grid": [0, 1, math.inf]}, "1e999"),
+        ({"kind": "l2function", "dim": 3, "grid": ["a", 1, 2]}, None),
+    ],
+    ids=["infinite_power", "text_power", "numeric_text_power", "bool_power",
+         "infinite_grid", "text_grid"],
+)
+def test_cli_rejects_space_parameters_that_are_not_finite_numbers(tmp_path, capsys, space, text):
+    """Python's json reads ``Infinity`` and ``1e999`` as infinity; such a
+    space, like one with text or a bool for a number, is a file error."""
+    point = [[1.0]] if space["kind"] == "spd_power" else [0.0, 0.0, 0.0]
+    doc = {
+        "format_version": 1, "type": "panel", "space": space, "T0": 1,
+        "outcomes": [[point, point], [point, point]],
+    }
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc).replace("Infinity", text or "Infinity"))
+    with pytest.raises(FileFormatError, match="space"):
+        load_panel(str(path))
+    for argv in (["validate"], ["gsc", "--out", str(tmp_path / "res.json")]):
+        code, _, err = run(capsys, *argv, "--panel", str(path))
+        assert code == EXIT_VALIDATION and str(path) in err, argv
+    assert not (tmp_path / "res.json").exists()
+
+
 def test_load_panel_reports_json_position(tmp_path):
     path = tmp_path / "syntax.json"
     path.write_text('{\n  "format_version": 1,\n  "oops"\n}\n')

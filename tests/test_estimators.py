@@ -470,7 +470,7 @@ def test_flat_gsc_weights_match_the_unmasked_unit_qp(scenario, size):
     for seed in range(3):
         panel = g.generate(g.SimConfig(scenario=scenario, seed=seed, **size)).panel
         pre = panel.coords[:, : panel.T0]
-        qp = g.stack_weight_qp(pre[1:].swapaxes(0, 1), pre[0], panel.grams[0][1:, 1:])
+        qp = simplex_opt._weight_qp(pre[1:].swapaxes(0, 1), pre[0], panel.grams[0][1:, 1:])
         ref, _ = g.solve_simplex_qp(qp)
         w = g.estimate_gsc(panel).weights.values
         assert np.max(np.abs(w - ref.values)) <= 1e-10, seed
@@ -495,10 +495,20 @@ def sphere_objective_and_gradient(linearize, w):
     return value, grad
 
 
+def member(linearize, i=0):
+    """Member ``i`` of a stacked linearization, as a function of its weights."""
+    return lambda w: tuple(a[0] for a in linearize(np.asarray(w)[None], np.array([i])))
+
+
+def sphere_linearization(z, y):
+    """The linearization of one sphere problem, a stack of one."""
+    return member(_sphere_linearization(z[None], y[None]))
+
+
 def unit_linearization(panel):
     """The sphere unit-weight problem: pre periods x controls."""
     pre = panel.coords[:, : panel.T0]
-    return _sphere_linearization(pre[1:].swapaxes(0, 1), pre[0])
+    return sphere_linearization(pre[1:].swapaxes(0, 1), pre[0])
 
 
 def test_sphere_implicit_gradient_matches_central_differences():
@@ -510,7 +520,7 @@ def test_sphere_implicit_gradient_matches_central_differences():
     # period: each control's three pre periods matched to its period-4 outcome.
     cases = [
         (unit_linearization(panel), 5),
-        (_sphere_linearization(arrays[1:, :3], arrays[1:, 3]), 3),
+        (sphere_linearization(arrays[1:, :3], arrays[1:, 3]), 3),
     ]
     for linearize, n in cases:
         w = rng.dirichlet(np.full(n, 3.0))
@@ -560,15 +570,9 @@ def record_gauss_newton_fits(monkeypatch):
     fits = []
     solve = estimators.solve_simplex_gauss_newton
 
-    def member(linearize, i):
-        return lambda w: tuple(a[0] for a in linearize(w[None], np.array([i])))
-
-    def recording(linearize, n, cfg=None, size=None):
+    def recording(linearize, n, cfg=None, size=1):
         result = solve(linearize, n, cfg, size)
-        if size is None:
-            fits.append((linearize, n, result[0].values))
-        else:
-            fits.extend((member(linearize, i), n, fit[0].values) for i, fit in enumerate(result))
+        fits.extend((member(linearize, i), n, fit[0].values) for i, fit in enumerate(result))
         return result
 
     monkeypatch.setattr(estimators, "solve_simplex_gauss_newton", recording)
@@ -638,8 +642,10 @@ def test_gauss_newton_steps_below_the_rounding_of_the_objective():
     targets = [panel.outcomes[j][panel.T0] for j in range(1, panel.n_units)]
     z = np.stack([[p.data for p in row[: panel.T0]] for row in panel.controls])
     y = np.stack([p.data for p in targets])
-    lam, _ = simplex_opt.solve_simplex_gauss_newton(_sphere_linearization(z, y), panel.T0, cfg)
-    assert is_certified(_sphere_linearization(z, y), lam.values, cfg)
+    [(lam, _)] = simplex_opt.solve_simplex_gauss_newton(
+        _sphere_linearization(z[None], y[None]), panel.T0, cfg
+    )
+    assert is_certified(sphere_linearization(z, y), lam.values, cfg)
     assert len(g.estimate_gsdid_per_time(panel)) == 2
 
 
@@ -661,12 +667,12 @@ def test_per_period_time_weights_equal_each_period_fitted_alone(scenario, monkey
     for lam, t in zip(time, panel.post_periods()):
         y = panel.coords[1:, t]
         if scenario == "sphere":
-            alone, _ = simplex_opt.solve_simplex_gauss_newton(
-                _sphere_linearization(pre, y), panel.T0, cfg
+            [(alone, _)] = simplex_opt.solve_simplex_gauss_newton(
+                _sphere_linearization(pre[None], y[None]), panel.T0, cfg
             )
         else:
             gram = panel.grams[1][1:].mean(axis=0)
-            alone, _ = g.solve_simplex_qp(g.stack_weight_qp(pre, y, gram), cfg)
+            alone, _ = g.solve_simplex_qp(simplex_opt._weight_qp(pre, y, gram), cfg)
         assert np.array_equal(lam, alone.values), t
 
 
@@ -792,6 +798,30 @@ def test_gsc_mixed_sphere_scalar_covariates_are_certified(monkeypatch):
     n = panel.n_controls
     for candidate in [np.full(n, 1.0 / n)] + list(np.eye(n)):
         assert f_fit <= objective(candidate) + 1e-12
+
+
+def test_gsc_sphere_covariates_raise_an_uncertified_fit():
+    """The covariate fit is a Gauss-Newton stack of one, whose failure comes
+    back in place and is raised. The treated unit's covariates lie past the
+    last control's on one great circle, so the fit's first step reaches
+    that control's vertex and only a second step certifies it."""
+    panel = small_sphere_panel(3)
+
+    def point(angle, t):
+        return g.ObjectPoint(
+            panel.space, np.array([np.cos(angle), np.sin(angle) * np.cos(0.1 * t),
+                                   np.sin(angle) * np.sin(0.1 * t)])
+        )
+
+    angles = [0.5] + [0.05 * j for j in range(1, panel.n_units)]
+    covs = g.CovariatePanel(
+        spaces=(panel.space,),
+        covariates=tuple(tuple((point(a, t),) for t in range(panel.T0)) for a in angles),
+    )
+    with pytest.raises(SolverError, match="within 1 steps"):
+        g.estimate_gsc_with_covariates(panel, covs, g.SolverConfig(max_iter=1))
+    w = g.estimate_gsc_with_covariates(panel, covs, g.SolverConfig(max_iter=2)).weights.values
+    assert np.array_equal(w, np.eye(panel.n_controls)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -1230,9 +1260,9 @@ def test_placebo_matches_per_refit_fits(scenario, size, monkeypatch):
         estimators, "_solve_qps", lambda *a: stacks.append(solve_qps(*a)) or stacks[-1]
     )
 
-    def gauss_newton(linearize, n, cfg=None, size=None):  # records the stacked runs
+    def gauss_newton(linearize, n, cfg=None, size=1):  # records the stacked runs
         fits = solve_gauss_newton(linearize, n, cfg, size)
-        return fits if size is None else stacks.append(fits) or fits
+        return stacks.append(fits) or fits
 
     monkeypatch.setattr(estimators, "solve_simplex_gauss_newton", gauss_newton)
     for seed in range(3):
@@ -1445,7 +1475,7 @@ def refuse_unit_fits_of_controls_5_and_3(panel, monkeypatch):
             lambda z, y: targets.append(y) or linearization(z, y),
         )
 
-        def failing(linearize, n, cfg=None, size=None):
+        def failing(linearize, n, cfg=None, size=1):
             fits = solve(linearize, n, cfg, size)
             return [
                 refused if any(np.array_equal(y, bad) for bad in poisoned) else fit
@@ -1696,7 +1726,7 @@ def record_weight_targets(monkeypatch):
         solved.extend(targets[id(qp)][1] for qp in problems)
         return solve_qps(problems, cfg)
 
-    def solving_gauss_newton(linearize, n, cfg=None, size=None):
+    def solving_gauss_newton(linearize, n, cfg=None, size=1):
         solved.extend(targets[id(linearize)][1])
         return gauss_newton(linearize, n, cfg, size)
 

@@ -16,7 +16,7 @@ from scipy.special import ndtri
 
 import geosynth as g
 from geosynth.estimators import _sphere_linearization, _weight_stack
-from geosynth.simplex_opt import kkt_residual
+from geosynth.simplex_opt import _weight_qp, kkt_residual
 from helpers import all_spaces, panel_from_arrays, random_point
 
 SPACES = all_spaces(3)
@@ -102,11 +102,11 @@ def test_time_weight_fit_value_is_the_mean_squared_distance(space, seed, J, T0):
     (lam,) = _weight_stack(panel, [0], cfg, True, panel.coords[:, T - 1 :])
     assert len(lam) == T0
     if space.kind == "sphere":  # the Gauss-Newton model at the weights
-        resid, jac = _sphere_linearization(pre, target)(lam)
+        [resid], [jac] = _sphere_linearization(pre[None], target[None])(lam[None], [0])
         value = float(np.mean(np.sum(resid * resid, axis=1)))
         qp = g.stack_weight_qp(jac.swapaxes(1, 2), jac @ lam - resid)
     else:
-        qp = g.stack_weight_qp(pre, target, panel.grams[1][1:].mean(axis=0))
+        qp = _weight_qp(pre, target, panel.grams[1][1:].mean(axis=0))
         value = qp.objective(lam)
     assert kkt_residual(qp, lam) <= cfg.tol_kkt * (1.0 + np.linalg.norm(qp.gradient(lam)))
     direct = np.mean([

@@ -170,7 +170,7 @@ def test_stack_qp_takes_a_precomputed_gram(role):
     z, y = stack_roles(role, coords, T0=4)
     computed = g.stack_weight_qp(z, y)
     gram = np.einsum("bnd,bmd->nm", z, z) / len(z)
-    given = g.stack_weight_qp(z, y, gram=gram)
+    given = simplex_opt._weight_qp(z, y, gram)
     assert np.allclose(given.gram, computed.gram, rtol=1e-12, atol=1e-14)
     assert np.array_equal(given.linear, computed.linear)
     assert given.constant == computed.constant
@@ -181,26 +181,17 @@ def test_stack_qp_takes_a_precomputed_gram(role):
     assert np.allclose(given.gradient(w), computed.gradient(w), rtol=1e-12, atol=1e-14)
 
 
-def test_qp_requires_symmetry():
-    with pytest.raises(SolverError):
-        g.stack_weight_qp(
-            np.zeros((1, 2, 1)), np.zeros((1, 1)), gram=np.array([[1.0, 0.5], [0.0, 1.0]])
-        )
-
-
 @pytest.mark.parametrize(
-    "stacks, targets, gram, message",
+    "stacks, targets, message",
     [
-        (np.zeros((2, 3, 4)), np.zeros((2, 5)), None, "inconsistent"),
-        (np.zeros((3, 4)), np.zeros((1, 4)), None, "inconsistent"),
-        (np.zeros((1, 3, 2)), np.zeros((1, 2)), np.eye(2), "gram must be 3x3"),
-        (np.zeros((1, 2, 1)), np.zeros((1, 1)), np.array([[1.0, 1.0], [-1.0, 1.0]]), "symmetric"),
+        (np.zeros((2, 3, 4)), np.zeros((2, 5)), "inconsistent"),
+        (np.zeros((3, 4)), np.zeros((1, 4)), "inconsistent"),
     ],
-    ids=["mismatched_targets", "two_dimensional_stack", "wrong_shape_gram", "asymmetric_gram"],
+    ids=["mismatched_targets", "two_dimensional_stack"],
 )
-def test_stack_qp_rejects_inconsistent_shapes(stacks, targets, gram, message):
+def test_stack_qp_rejects_inconsistent_shapes(stacks, targets, message):
     with pytest.raises(SolverError, match=message):
-        g.stack_weight_qp(stacks, targets, gram)
+        g.stack_weight_qp(stacks, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -583,10 +574,10 @@ def test_gauss_newton_affine_residuals_match_qp():
     factors = rng.normal(size=(3, 4, 5))
     targets = rng.normal(size=(3, 4))
 
-    def linearize(w):
-        return np.einsum("tdn,n->td", factors, w) - targets, factors
+    def linearize(w, members):
+        return (np.einsum("tdn,n->td", factors, w[0]) - targets)[None], factors[None]
 
-    w, val = solve_simplex_gauss_newton(linearize, 5)
+    [(w, val)] = solve_simplex_gauss_newton(linearize, 5)
     qp = g.stack_weight_qp(factors.swapaxes(1, 2), targets)
     w_qp, val_qp = g.solve_simplex_qp(qp)
     assert val == pytest.approx(qp.objective(w.values), rel=1e-12)
@@ -595,32 +586,47 @@ def test_gauss_newton_affine_residuals_match_qp():
 
 
 def test_gauss_newton_constant_objective_returns_uniform():
-    def linearize(w):
-        return np.ones((2, 3)), np.zeros((2, 3, 4))
+    def linearize(w, members):
+        return np.ones((1, 2, 3)), np.zeros((1, 2, 3, 4))
 
-    w, val = solve_simplex_gauss_newton(linearize, 4)
+    [(w, val)] = solve_simplex_gauss_newton(linearize, 4)
     assert np.array_equal(w.values, np.full(4, 0.25))
     assert val == 3.0
 
 
-def test_gauss_newton_rejects_non_finite():
-    def linearize(w):
-        return np.full((1, 2), np.nan), np.zeros((1, 2, 3))
+def test_gauss_newton_certifies_one_weight_on_its_first_step():
+    # with n = 1 the simplex is a point: every member returns it and its
+    # objective, even on a budget of one step
+    resid = np.random.default_rng(3).normal(size=(3, 2, 4))
 
-    with pytest.raises(SolverError):
-        solve_simplex_gauss_newton(linearize, 3)
+    def linearize(w, members):
+        return resid[members], np.ones((len(members), 2, 4, 1))
+
+    for cfg in (None, g.SolverConfig(max_iter=1)):
+        results = solve_simplex_gauss_newton(linearize, 1, cfg, size=3)
+        for m, (w, val) in enumerate(results):
+            assert np.array_equal(w.values, [1.0])
+            assert val == float(np.mean(np.sum(resid[m] * resid[m], axis=1)))
+
+
+def test_gauss_newton_rejects_non_finite():
+    def linearize(w, members):
+        return np.full((1, 1, 2), np.nan), np.zeros((1, 1, 2, 3))
+
+    [result] = solve_simplex_gauss_newton(linearize, 3)  # in place: a stack of one never raises
+    assert isinstance(result, SolverError) and "not finite" in str(result)
 
 
 def test_gauss_newton_reports_uncertified_budget():
     # a nonconvex residual needs more than one step; a budget of one step
     # must fail loudly rather than return an uncertified point
-    def linearize(w):
-        resid = np.array([[np.sin(3.0 * w[0]) - 0.5]])
-        return resid, np.array([[[3.0 * np.cos(3.0 * w[0]), 0.0]]])
+    def linearize(w, members):
+        resid = np.array([[[np.sin(3.0 * w[0, 0]) - 0.5]]])
+        return resid, np.array([[[[3.0 * np.cos(3.0 * w[0, 0]), 0.0]]]])
 
-    with pytest.raises(SolverError):
-        solve_simplex_gauss_newton(linearize, 2, g.SolverConfig(max_iter=1))
-    w, val = solve_simplex_gauss_newton(linearize, 2)
+    [failed] = solve_simplex_gauss_newton(linearize, 2, g.SolverConfig(max_iter=1))
+    assert isinstance(failed, SolverError)
+    [(w, val)] = solve_simplex_gauss_newton(linearize, 2)
     assert np.sin(3.0 * w.values[0]) == pytest.approx(0.5, abs=1e-9)
 
 
@@ -631,16 +637,16 @@ def test_gauss_newton_raises_when_an_accepted_step_leaves_w_unchanged():
     # a few ulps of F that trial is accepted; it makes no progress, and
     # the next step would repeat it.
     start = np.full(2, 0.5)
-    jac = np.array([[[1.0, -1.0], [0.0, 0.0]]])
+    jac = np.array([[[[1.0, -1.0], [0.0, 0.0]]]])
     calls = []
 
-    def linearize(w):
+    def linearize(w, members):
         calls.append(w)
-        drift = 2e-7 if np.array_equal(w, start) else 1.0
-        return np.array([[drift, 1e-5]]), jac
+        drift = 2e-7 if np.array_equal(w[0], start) else 1.0
+        return np.array([[[drift, 1e-5]]]), jac
 
-    with pytest.raises(SolverError, match="unchanged"):
-        solve_simplex_gauss_newton(linearize, 2, g.SolverConfig(max_iter=200))
+    [failed] = solve_simplex_gauss_newton(linearize, 2, g.SolverConfig(max_iter=200))
+    assert isinstance(failed, SolverError) and "unchanged" in str(failed)
     # one evaluation at the start plus one halving line search, far from
     # the 200-step budget (which would take about 6,600 evaluations)
     assert len(calls) <= 40
@@ -655,26 +661,27 @@ def test_gauss_newton_stack_members_match_single_fits_and_fail_in_place():
     targets = rng.uniform(-0.5, 0.5, size=(5, 3, 2))
     calls = []
 
-    def member(m):
-        def linearize(w):
-            inner = factors[m] @ w
-            resid = np.sin(inner) - targets[m] + (np.nan if m == 2 else 0.0)
-            return resid, np.cos(inner)[..., None] * factors[m]
-        return linearize
+    def residuals(m, w):
+        inner = factors[m] @ w
+        resid = np.sin(inner) - targets[m] + (np.nan if m == 2 else 0.0)
+        return resid, np.cos(inner)[..., None] * factors[m]
 
     def stacked(w, members):
         calls.append(len(members))
-        parts = [member(m)(wm) for m, wm in zip(members, w)]
+        parts = [residuals(m, wm) for m, wm in zip(members, w)]
         return tuple(np.array(a) for a in zip(*parts))
+
+    def alone(m):  # member m as a stack of one
+        return lambda w, _: tuple(a[None] for a in residuals(m, w[0]))
 
     results = solve_simplex_gauss_newton(stacked, 4, size=5)
     assert "not finite" in str(results[2])
     for m in (1, 4):  # they stall on their own too, with the same message
-        with pytest.raises(SolverError, match="stalled") as alone:
-            solve_simplex_gauss_newton(member(m), 4)
-        assert str(results[m]) == str(alone.value)
+        [single] = solve_simplex_gauss_newton(alone(m), 4)
+        assert isinstance(single, SolverError) and "stalled" in str(single)
+        assert str(results[m]) == str(single)
     for m in (0, 3):
-        w, val = solve_simplex_gauss_newton(member(m), 4)
+        [(w, val)] = solve_simplex_gauss_newton(alone(m), 4)
         assert np.array_equal(results[m][0].values, w.values) and results[m][1] == val
     # every step linearizes the live members in one call
     assert calls[0] == 5 and len(calls) < sum(calls)

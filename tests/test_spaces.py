@@ -43,6 +43,43 @@ def test_descriptor_grid_rules():
         g.spd_power_space(3, -1.0)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        dict(kind="spd_power", dim=2, power_p=math.inf),
+        dict(kind="spd_power", dim=2, power_p=math.nan),
+        dict(kind="spd_power", dim=2, power_p="abc"),
+        dict(kind="spd_power", dim=2, power_p="0.5"),
+        dict(kind="spd_power", dim=2, power_p=True),
+        dict(kind="spd_power", dim=2, power_p=[0.5]),
+        dict(kind="l2function", dim=3, grid=[0.0, 1.0, math.inf]),
+        dict(kind="l2function", dim=3, grid=[0.0, math.nan, 2.0]),
+        dict(kind="l2function", dim=3, grid=["a", 1, 2]),
+        dict(kind="l2function", dim=3, grid=["0", "1", "2"]),
+        dict(kind="l2function", dim=3, grid=[0.0, None, 2.0]),
+        dict(kind="l2function", dim=2, grid=[[0.0], [1.0, 2.0]]),
+        dict(kind="wasserstein1d", dim=2, grid=[0.2, 1j]),
+    ],
+    ids=[
+        "infinite_power", "nan_power", "text_power", "numeric_text_power", "bool_power",
+        "list_power", "infinite_grid", "nan_grid", "text_grid", "numeric_text_grid",
+        "null_in_grid", "ragged_grid", "complex_grid",
+    ],
+)
+def test_descriptor_rejects_parameters_that_are_not_finite_numbers(params):
+    with pytest.raises(g.SpaceError):
+        g.SpaceDescriptor(**params)
+
+
+def test_descriptor_stores_numeric_parameters_as_floats():
+    for p in (1, np.float32(0.5), np.int64(2)):
+        space = g.SpaceDescriptor(kind="spd_power", dim=2, power_p=p)
+        assert type(space.power_p) is float and space.power_p == float(p)
+    grid = g.SpaceDescriptor(kind="l2function", dim=3, grid=[0, 1, 2]).grid
+    assert grid.dtype == float and np.array_equal(grid, [0.0, 1.0, 2.0])
+    assert not grid.flags.writeable
+
+
 def test_descriptor_equality_and_hash():
     a = g.wasserstein_space(11)
     b = g.wasserstein_space(11)
