@@ -373,6 +373,22 @@ def test_robustness_s2_breaks_parallel_trends_only():
     assert abs(float(w @ u) - float(u.mean())) * gap >= 0.3
 
 
+@pytest.mark.parametrize("J", [100, 300])
+def test_robustness_s2_builds_at_many_donors(J):
+    """From J = 50 or so a Dirichlet(0.3) mix of the controls concentrates
+    near their mean and 1000 draws can all fail; the generator then mixes
+    only controls far enough above it, and the guarantee holds: a perfect
+    unit fit and a uniform-weight DID biased by at least 0.3."""
+    for seed in range(5):
+        out = g.generate(g.SimConfig(scenario="robustness_s2", J=J, seed=seed))
+        u, w, trend = out.truth["u"], out.truth["w_star"], out.truth["trend"]
+        gap = trend[19:].mean() - trend[:19].mean()
+        assert abs(float(w @ u) - float(u.mean())) * gap >= 0.3
+        assert w.min() >= 0.0 and w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert max_pre_fit_gap(out) <= 1e-12
+        assert g.estimate_gdid(out.panel).effect.length >= 0.3 - 1e-12
+
+
 def test_robustness_s3_puts_treated_outside_hull():
     out = g.generate(g.SimConfig(scenario="robustness_s3", T=10, T0=8, J=6, seed=16))
     assert out.truth["assumption"] == "S3"

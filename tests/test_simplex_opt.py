@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 from scipy.optimize import nnls
+from scipy.special import ndtri
 
 import geosynth as g
 from geosynth import simplex_opt
@@ -561,6 +562,195 @@ def test_qp_determinism():
     w1, v1 = g.solve_simplex_qp(qp)
     w2, v2 = g.solve_simplex_qp(qp)
     assert np.array_equal(w1.values, w2.values) and v1 == v2
+
+
+# ---------------------------------------------------------------------------
+# the objective on the support and the uniform point's screen
+
+
+def test_the_objective_on_the_support_matches_the_whole_stack():
+    """``objective`` contracts only the points of nonzero weight: within a
+    few ulps of the residual over the whole stack, on strided stacks of
+    either role and on masked faces, and that very product where every
+    weight is positive."""
+    rng = np.random.default_rng(31)
+    eps, partial = np.finfo(float).eps, 0
+    for trial in range(300):
+        J, T0, D = rng.integers(2, 60), rng.integers(1, 12), rng.integers(1, 30)
+        coords = rng.normal(size=(J + 1, T0 + 2, D)) * 10.0 ** rng.uniform(-3, 3)
+        qp = g.stack_weight_qp(*stack_roles(("unit", "time")[trial % 2], coords, T0))
+        face = np.ones(qp.n, dtype=bool)
+        if trial % 3 == 0:
+            face = rng.random(qp.n) < 0.7
+            face[rng.integers(qp.n)] = True
+            qp = dataclasses.replace(qp, allowed=face)
+        size = rng.integers(1, face.sum() + 1)
+        w = np.zeros(qp.n)
+        w[rng.choice(np.flatnonzero(face), size, replace=False)] = rng.dirichlet(np.ones(size))
+        whole = simplex_opt._mean_square(qp, w)
+        if np.all(w > 0.0):
+            assert qp.objective(w) == whole
+        else:
+            partial += 1
+            assert abs(qp.objective(w) - whole) <= 8.0 * eps * whole, trial
+    assert partial > 200
+
+
+def quantile_panel(J: int, seed: int, T: int = 20, T0: int = 19) -> g.Panel:
+    """Quantile functions on a 51-point grid, ``m_t + s_t (mu_j + sigma_j
+    z(p))`` with ``z`` the normal quantile function; the treated unit mixes
+    five donors, so its unit fit is perfect, and shifts by 2 after ``T0``."""
+    rng = np.random.default_rng(seed)
+    space = g.wasserstein_space(51)
+    m, s = 70.0 + np.cumsum(rng.normal(0.2, 0.4, size=T)), rng.uniform(0.9, 1.1, size=T)
+    mu, sigma = rng.normal(0.0, 3.0, size=J), rng.uniform(8.0, 14.0, size=J)
+    mix = np.zeros(J)
+    mix[rng.choice(J, size=5, replace=False)] = rng.dirichlet(np.ones(5))
+    mu, sigma = np.append(mix @ mu, mu), np.append(mix @ sigma, sigma)
+    data = m[:, None] + s[:, None] * (mu[:, None, None] + sigma[:, None, None] * ndtri(space.grid))
+    data[0, T0:] += 2.0
+    return g.Panel(space, data, T0)
+
+
+def with_and_without_the_screen(monkeypatch, solve) -> tuple:
+    """``solve()``'s output and certificate count with the screen run on
+    every problem, however small, and how many uniform points it ruled out;
+    then the output and count with the screen off, both points' residuals
+    formed over the whole stack."""
+    calls, ruled_out = [], []
+    tie_break, mean_square = simplex_opt._tie_break, simplex_opt._mean_square
+
+    def screened_tie_break(problem, u, w):
+        out = tie_break(problem, u, w)
+        ruled_out.append(out[0] == np.inf)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex_opt, "kkt_residual", lambda *a: calls.append(1) or kkt_residual(*a))
+        patch.setattr(simplex_opt, "_SCREEN_OVERHEAD", -np.inf)
+        patch.setattr(simplex_opt, "_tie_break", screened_tie_break)
+        screened = solve(), len(calls)
+        calls.clear()
+        patch.setattr(
+            simplex_opt, "_tie_break", lambda p, u, w: (mean_square(p, u), mean_square(p, w))
+        )
+        return screened, (solve(), len(calls)), sum(ruled_out)
+
+
+def fit_records(results: list, problems: list[SimplexQp]) -> list:
+    """Each fit's weights, whether they are its face's uniform point, or
+    its error text."""
+    records = []
+    for qp, result in zip(problems, results):
+        if isinstance(result, SolverError):
+            records.append(str(result))
+            continue
+        face = np.ones(qp.n, dtype=bool) if qp.allowed is None else qp.allowed
+        w = result[0].values
+        records.append((w.tobytes(), np.array_equal(w, face / face.sum())))
+    return records
+
+
+def test_the_screen_changes_no_weight_winner_or_certificate(monkeypatch):
+    """With the uniform point's screen off, every fit returns the same
+    weights from the same winning point after as many certificates: on 240
+    random QPs (whole, on masked faces, perfect fits), near ties, constant
+    objectives and a failing fit."""
+    problems = []
+    for seed in range(7):
+        problems += screened_problems(np.random.default_rng(40 + seed))
+    rng = np.random.default_rng(47)
+    for n in rng.integers(2, 60, size=30):  # perfect fits of sparse mixes
+        a, mix = rng.normal(size=(rng.integers(1, 40), n)), np.zeros(n)
+        mix[rng.choice(n, size=min(n, 4), replace=False)] = rng.dirichlet(np.ones(min(n, 4)))
+        problems.append(g.stack_weight_qp(a.T[None], (a @ mix)[None]))
+    ties = [  # the two-unit test's near ties and failing fit, and constant objectives
+        g.stack_weight_qp(np.array([[[100.0, 0.0], [-100.0, 0.0]]]), np.array([[1e-12, 1.0]])),
+        g.stack_weight_qp(np.array([[[100.0, 0.0], [-100.0, 0.0]]]), np.array([[-1e-12, 1.0]])),
+        g.stack_weight_qp(np.array([[[1e4], [-1e4]]]), np.array([[1e-14]])),
+        g.stack_weight_qp(np.zeros((1, 4, 2)), np.ones((1, 2))),
+        g.stack_weight_qp(np.ones((1, 4, 2)), np.ones((1, 2))),
+    ]
+
+    def compare(group):
+        return with_and_without_the_screen(
+            monkeypatch, lambda: fit_records(_solve_qp_stack(group), group)
+        )
+
+    on, off, ruled_out = compare(problems)
+    assert on == off and ruled_out > len(problems) // 2
+    on, off, ruled_out = compare(ties)
+    assert on == off and ruled_out == 0
+    assert sum(isinstance(record, str) for record in on[0]) == 1  # the failing fit
+
+
+def test_the_uniform_point_is_ruled_out_or_both_residuals_span_the_stack(monkeypatch):
+    """At random points of random faces, the tie break either rules the
+    uniform point out, and then its expanded form exceeds the point's
+    objective, or returns both points' residuals over the whole stack; on
+    problems this small it does the latter unless made to screen them."""
+    rng, whole = np.random.default_rng(48), simplex_opt._mean_square
+    cases = []
+    for qp in screened_problems(rng) + screened_problems(rng):
+        face = np.ones(qp.n, dtype=bool) if qp.allowed is None else qp.allowed
+        u, w = face / face.sum(), np.zeros(qp.n)
+        size = rng.integers(1, face.sum() + 1)
+        w[rng.choice(np.flatnonzero(face), size, replace=False)] = rng.dirichlet(np.ones(size))
+        cases.append((qp, u, w))
+        assert simplex_opt._tie_break(qp, u, w) == (whole(qp, u), whole(qp, w))
+    monkeypatch.setattr(simplex_opt, "_SCREEN_OVERHEAD", -np.inf)
+    ruled_out = 0
+    for qp, u, w in cases:
+        f_u, f_w = simplex_opt._tie_break(qp, u, w)
+        if f_u == np.inf:
+            ruled_out += 1
+            assert f_w == qp.objective(w) < u @ qp.gram @ u - 2.0 * qp.linear @ u + qp.constant
+        else:
+            assert (f_u, f_w) == (whole(qp, u), whole(qp, w))
+    assert 10 < ruled_out < len(cases) - 10
+
+
+@pytest.mark.parametrize("method", ["gsc", "gsdid"])
+def test_the_screen_changes_no_quantile_placebo(method, monkeypatch):
+    """A J=50 quantile panel's placebo, on fresh panels, has the same
+    statistics, ranks and p-values, after as many certificates, with the
+    uniform point's screen off; on it the screen rules out every uniform
+    point."""
+
+    def report():
+        reports = g.placebo_test(quantile_panel(50, seed=0), method)
+        reports = reports if method == "gsc" else [reports]
+        return [(r.statistics.tobytes(), r.rank_of_treated, r.p_value) for r in reports]
+
+    on, off, ruled_out = with_and_without_the_screen(monkeypatch, report)
+    assert on == off and ruled_out >= 51
+
+
+@pytest.mark.parametrize("method", ["gsc", "gsdid"])
+def test_a_quantile_placebo_forms_one_residual_per_fit_on_its_support(method, monkeypatch):
+    """Each fit of a J=50 quantile panel's placebo forms one residual, at
+    its finish point and over its support, plus one where normalizing moved
+    its weights; none spans the whole stack, the uniform point's included."""
+    whole, support, fits, moved = [], [], [], []
+    mean_square, tie_break, normalized = (
+        simplex_opt._mean_square, simplex_opt._tie_break, simplex_opt._normalized
+    )
+
+    def counted_mean_square(problem, w, s=slice(None)):
+        (whole if isinstance(s, slice) else support).append(1)
+        return mean_square(problem, w, s)
+
+    def counted_normalized(w):
+        out = normalized(w)
+        moved.append(not np.array_equal(out.values, w))
+        return out
+
+    monkeypatch.setattr(simplex_opt, "_mean_square", counted_mean_square)
+    monkeypatch.setattr(simplex_opt, "_tie_break", lambda *a: fits.append(1) or tie_break(*a))
+    monkeypatch.setattr(simplex_opt, "_normalized", counted_normalized)
+    g.placebo_test(quantile_panel(50, seed=0), method)
+    assert len(fits) >= 51 and not whole
+    assert len(support) == len(fits) + sum(moved)
 
 
 # ---------------------------------------------------------------------------
