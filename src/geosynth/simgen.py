@@ -402,8 +402,7 @@ def gen_robustness_panel(cfg: SimConfig) -> SimOutput:
     period-to-period changes are proportional to ``u_j``, so parallel
     trends fail; the draw is rejected until the uniform-mean gap
     ``|w* . u - mean(u)|`` times the pre/post trend gap exceeds 0.3,
-    guaranteeing a visibly biased uniform-weight DID baseline; after 1000
-    rejected draws (from J = 50 or so) ``w*`` mixes only units above the bar.
+    guaranteeing a visibly biased uniform-weight DID baseline.
 
     ``robustness_s3``: additive two-way structure ``u_j + v_t``. Every
     time shift is common, so parallel trends hold for any weighting, but
@@ -421,11 +420,11 @@ def gen_robustness_panel(cfg: SimConfig) -> SimOutput:
             w_star = rng.dirichlet(np.full(cfg.J, 0.3))
             if abs(float(w_star @ u) - float(u.mean())) * gap >= 0.3:
                 break
-        else:
+        else:  # from J = 50 or so: mix only the controls above the bar, if any
             far = (u - float(u.mean())) * gap >= 0.3
             w_star = np.zeros(cfg.J)
             w_star[far] = rng.dirichlet(np.full(far.sum(), 0.3))
-            if abs(float(w_star @ u) - float(u.mean())) * gap < 0.3:
+            if not far.any() or abs(float(w_star @ u) - float(u.mean())) * gap < 0.3:
                 raise SpaceError("failed to draw a visibly non-parallel configuration")
         u_treated = float(w_star @ u)
         values = u[:, None] * trend[None, :]

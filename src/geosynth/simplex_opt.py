@@ -18,10 +18,10 @@ builds its subproblems with it, from a stack of Jacobians. The flat fits
 take their Gram matrix (the one part that costs more than a pass over the
 stack) from the panel's cached Gram blocks, uncopied, through :func:`_weight_qp`.
 
-A problem keeps the stack, a view of the panel's coordinates, and its
-targets; ``q(w) = w' G w - 2 l' w + c`` is its expanded form. Its objective
-is the residual form ``mean_b |y_b - w @ z_b|^2`` (the expanded form cancels
-near a perfect fit) over the support S of ``w``: O(B |S| D), not O(B n D).
+A problem keeps the stack, a view of the panel's coordinates, and its targets;
+``q(w) = w' G w - 2 l' w + c`` is its expanded form. Its objective is the residual form
+``mean_b |y_b - w @ z_b|^2`` (the expanded form cancels near a perfect fit) over the support
+S of ``w``; on large stacks the tie rule rules the uniform point out on ``q`` where it can.
 
 Both solvers run a stack of problems at once: a placebo test's donor fits
 are one stack, and a single fit is a stack of one. Each member keeps its
@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 _EPS = float(np.finfo(float).eps)
-_SCREEN_OVERHEAD = 2**15  # the tie break's screen costs about n^2 plus this many coordinates
+_SCREEN_MIN = 2**15  # stack coordinates below which the tie rule's screen costs more than it saves
 
 
 class SolverError(RuntimeError):
@@ -86,13 +86,11 @@ def _normalized(w: np.ndarray) -> SimplexWeights:
 
 @dataclass(frozen=True)
 class SimplexQp:
-    """Least squares ``q(w) = (1/B) sum_b || target_b - w @ factor_b ||^2``
-    over a (B, n, D) stack and its (B, D) targets, as :func:`stack_weight_qp`
-    builds and checks it, uncopied; ``objective`` forms it over the support of
-    ``w``, and its expanded form ``w' gram w - 2 linear' w + constant`` gives the gradient.
-    ``allowed``, a boolean mask or ``None`` (all), is the face it is solved
-    over: its other weights stay zero, at full length, and out of its certificate.
-    """
+    """Least squares ``q(w) = (1/B) sum_b || target_b - w @ factor_b ||^2`` over a (B, n, D)
+    stack and its (B, D) targets, as :func:`stack_weight_qp` builds and checks them, uncopied.
+    Its expanded form ``w' gram w - 2 linear' w + constant`` gives the gradient; ``objective``
+    takes the residual form over the support of ``w``. ``allowed``, a boolean mask or ``None``
+    (all), is its face: its other weights stay zero, at full length, and out of its certificate."""
 
     factor: np.ndarray
     target: np.ndarray
@@ -106,32 +104,23 @@ class SimplexQp:
         return int(self.linear.size)
 
     def objective(self, w: np.ndarray) -> float:
-        w = np.asarray(w, dtype=float)
         s = np.flatnonzero(w)
-        return _mean_square(self, w, s if s.size < w.size else slice(None))
+        resid = self.target - np.asarray(w, dtype=float)[s] @ self.factor[:, s]
+        return (1.0 / len(self.target)) * float(np.vdot(resid, resid))
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
         return 2.0 * (self.gram @ np.asarray(w, dtype=float) - self.linear)
 
 
-def _mean_square(problem: SimplexQp, w: np.ndarray, s=slice(None)) -> float:
-    """The residual form at ``w`` over coordinates ``s`` that hold its support."""
-    resid = problem.target - w[s] @ problem.factor[:, s]
-    return (1.0 / len(problem.target)) * float(np.vdot(resid, resid))
-
-
-def _tie_break(problem: SimplexQp, u: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    """The objectives that decide between the uniform point ``u`` and the
-    finish point ``w``: both residuals over the whole stack, or ``inf`` and
-    ``w``'s on its support where ``u``'s expanded form exceeds that by more
-    than the rounding of both (README, "Numerical contract")."""
-    (B, n, D), gram = problem.factor.shape, problem.gram
-    if n * n + _SCREEN_OVERHEAD <= B * n * D:  # else the screen costs more than a residual
-        f_w, a = problem.objective(w), np.sqrt(np.diagonal(gram))
-        bound = 8.0 * (n + B * D) * _EPS * ((u + w) @ a + 2.0 * math.sqrt(problem.constant)) ** 2
-        if u @ gram @ u - 2.0 * (problem.linear @ u) + problem.constant - f_w > bound:
+def _tie_break(problem: SimplexQp, u: np.ndarray, w: np.ndarray) -> tuple[float, ...]:
+    """``(q(u), q(w))`` on the whole stack, or ``(inf, q(w))`` once the screen rules ``u`` out."""
+    if problem.n**2 + _SCREEN_MIN <= problem.factor.size:
+        s = (u + w) @ np.sqrt(np.diagonal(problem.gram)) + 2.0 * math.sqrt(problem.constant)
+        f_w, bound = problem.objective(w), 8.0 * (problem.n + problem.target.size) * _EPS * s**2
+        if u @ problem.gram @ u - 2.0 * (problem.linear @ u) + problem.constant - f_w > bound:
             return math.inf, f_w
-    return _mean_square(problem, u), _mean_square(problem, w)
+    resids = [problem.target - x @ problem.factor for x in (u, w)]
+    return tuple([(1.0 / len(problem.target)) * float(np.vdot(r, r)) for r in resids])
 
 
 @dataclass(frozen=True)
@@ -437,11 +426,10 @@ def solve_simplex_qp(
     stationarity certificate: the norm of the negative gradient projected
     onto the tangent cone of the face is at most ``tol_kkt * (1 + |gradient|)``.
 
-    Ties are broken deterministically on the whole stack's residuals
-    (:func:`_tie_break`): the uniform point wins when the active-set point
-    does not improve on it strictly, so a constant objective returns exactly
-    uniform weights, unless the uniform point fails the certificate and the
-    active-set point ties it. The returned objective is taken on the support.
+    Ties are broken deterministically on whole-stack residuals: the uniform point
+    wins when the active-set point does not improve on it strictly, so a constant
+    objective returns exactly uniform weights, unless the uniform point fails the
+    certificate and the active-set point ties it. The objective is on the support.
 
     Raises
     ------

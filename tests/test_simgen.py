@@ -373,20 +373,31 @@ def test_robustness_s2_breaks_parallel_trends_only():
     assert abs(float(w @ u) - float(u.mean())) * gap >= 0.3
 
 
-@pytest.mark.parametrize("J", [100, 300])
-def test_robustness_s2_builds_at_many_donors(J):
+@pytest.mark.parametrize(
+    ("J", "T0", "seeds"), [(100, 19, 5), (300, 19, 5), (30, 1, 10), (40, 1, 10)]
+)
+def test_robustness_s2_builds_at_many_donors(J, T0, seeds):
     """From J = 50 or so a Dirichlet(0.3) mix of the controls concentrates
     near their mean and 1000 draws can all fail; the generator then mixes
-    only controls far enough above it, and the guarantee holds: a perfect
-    unit fit and a uniform-weight DID biased by at least 0.3."""
-    for seed in range(5):
-        out = g.generate(g.SimConfig(scenario="robustness_s2", J=J, seed=seed))
+    only controls far enough above it, and the guarantee holds: simplex
+    weights, a perfect unit fit and a uniform-weight DID biased by at least
+    0.3. At T0 = 1 the bar is so high that some draws have no such control,
+    and the generator raises."""
+    raised = 0
+    for seed in range(seeds):
+        try:
+            out = g.generate(g.SimConfig(scenario="robustness_s2", J=J, T0=T0, seed=seed))
+        except g.SpaceError as exc:
+            assert str(exc) == "failed to draw a visibly non-parallel configuration"
+            raised += 1
+            continue
         u, w, trend = out.truth["u"], out.truth["w_star"], out.truth["trend"]
-        gap = trend[19:].mean() - trend[:19].mean()
+        gap = trend[T0:].mean() - trend[:T0].mean()
         assert abs(float(w @ u) - float(u.mean())) * gap >= 0.3
         assert w.min() >= 0.0 and w.sum() == pytest.approx(1.0, abs=1e-12)
         assert max_pre_fit_gap(out) <= 1e-12
         assert g.estimate_gdid(out.panel).effect.length >= 0.3 - 1e-12
+    assert raised == 0 if T0 > 1 else 0 < raised < seeds
 
 
 def test_robustness_s3_puts_treated_outside_hull():

@@ -568,11 +568,16 @@ def test_qp_determinism():
 # the objective on the support and the uniform point's screen
 
 
+def whole_objective(qp: SimplexQp, w: np.ndarray) -> float:
+    """The residual form over the whole stack, zero weights included."""
+    resid = qp.target - w @ qp.factor
+    return (1.0 / len(qp.target)) * float(np.vdot(resid, resid))
+
+
 def test_the_objective_on_the_support_matches_the_whole_stack():
-    """``objective`` contracts only the points of nonzero weight: within a
-    few ulps of the residual over the whole stack, on strided stacks of
-    either role and on masked faces, and that very product where every
-    weight is positive."""
+    """``objective`` contracts only the points of nonzero weight, within a
+    few ulps of the residual over the whole stack: on strided stacks of
+    either role, on masked faces and where every weight is positive."""
     rng = np.random.default_rng(31)
     eps, partial = np.finfo(float).eps, 0
     for trial in range(300):
@@ -587,13 +592,10 @@ def test_the_objective_on_the_support_matches_the_whole_stack():
         size = rng.integers(1, face.sum() + 1)
         w = np.zeros(qp.n)
         w[rng.choice(np.flatnonzero(face), size, replace=False)] = rng.dirichlet(np.ones(size))
-        whole = simplex_opt._mean_square(qp, w)
-        if np.all(w > 0.0):
-            assert qp.objective(w) == whole
-        else:
-            partial += 1
-            assert abs(qp.objective(w) - whole) <= 8.0 * eps * whole, trial
-    assert partial > 200
+        whole = whole_objective(qp, w)
+        partial += bool(np.any(w == 0.0))
+        assert abs(qp.objective(w) - whole) <= 8.0 * eps * whole, trial
+    assert 200 < partial < 300
 
 
 def quantile_panel(J: int, seed: int, T: int = 20, T0: int = 19) -> g.Panel:
@@ -618,22 +620,23 @@ def with_and_without_the_screen(monkeypatch, solve) -> tuple:
     then the output and count with the screen off, both points' residuals
     formed over the whole stack."""
     calls, ruled_out = [], []
-    tie_break, mean_square = simplex_opt._tie_break, simplex_opt._mean_square
+    tie_break = simplex_opt._tie_break
 
     def screened_tie_break(problem, u, w):
         out = tie_break(problem, u, w)
         ruled_out.append(out[0] == np.inf)
         return out
 
+    def unscreened_tie_break(problem, u, w):
+        return whole_objective(problem, u), whole_objective(problem, w)
+
     with monkeypatch.context() as patch:
         patch.setattr(simplex_opt, "kkt_residual", lambda *a: calls.append(1) or kkt_residual(*a))
-        patch.setattr(simplex_opt, "_SCREEN_OVERHEAD", -np.inf)
+        patch.setattr(simplex_opt, "_SCREEN_MIN", -np.inf)
         patch.setattr(simplex_opt, "_tie_break", screened_tie_break)
         screened = solve(), len(calls)
         calls.clear()
-        patch.setattr(
-            simplex_opt, "_tie_break", lambda p, u, w: (mean_square(p, u), mean_square(p, w))
-        )
+        patch.setattr(simplex_opt, "_tie_break", unscreened_tie_break)
         return screened, (solve(), len(calls)), sum(ruled_out)
 
 
@@ -684,29 +687,30 @@ def test_the_screen_changes_no_weight_winner_or_certificate(monkeypatch):
     assert sum(isinstance(record, str) for record in on[0]) == 1  # the failing fit
 
 
-def test_the_uniform_point_is_ruled_out_or_both_residuals_span_the_stack(monkeypatch):
+def test_the_uniform_point_is_ruled_out_only_where_it_loses_on_the_whole_stack(monkeypatch):
     """At random points of random faces, the tie break either rules the
-    uniform point out, and then its expanded form exceeds the point's
-    objective, or returns both points' residuals over the whole stack; on
-    problems this small it does the latter unless made to screen them."""
-    rng, whole = np.random.default_rng(48), simplex_opt._mean_square
-    cases = []
+    uniform point out, where its expanded form exceeds the point's objective
+    and its residual over the whole stack exceeds the point's, or returns
+    both points' residuals over the whole stack; on stacks this small it
+    does the latter unless made to screen them."""
+    rng, cases = np.random.default_rng(48), []
     for qp in screened_problems(rng) + screened_problems(rng):
         face = np.ones(qp.n, dtype=bool) if qp.allowed is None else qp.allowed
         u, w = face / face.sum(), np.zeros(qp.n)
         size = rng.integers(1, face.sum() + 1)
         w[rng.choice(np.flatnonzero(face), size, replace=False)] = rng.dirichlet(np.ones(size))
         cases.append((qp, u, w))
-        assert simplex_opt._tie_break(qp, u, w) == (whole(qp, u), whole(qp, w))
-    monkeypatch.setattr(simplex_opt, "_SCREEN_OVERHEAD", -np.inf)
+        assert simplex_opt._tie_break(qp, u, w) == (whole_objective(qp, u), whole_objective(qp, w))
+    monkeypatch.setattr(simplex_opt, "_SCREEN_MIN", -np.inf)
     ruled_out = 0
     for qp, u, w in cases:
         f_u, f_w = simplex_opt._tie_break(qp, u, w)
         if f_u == np.inf:
             ruled_out += 1
             assert f_w == qp.objective(w) < u @ qp.gram @ u - 2.0 * qp.linear @ u + qp.constant
+            assert whole_objective(qp, w) < whole_objective(qp, u)
         else:
-            assert (f_u, f_w) == (whole(qp, u), whole(qp, w))
+            assert (f_u, f_w) == (whole_objective(qp, u), whole_objective(qp, w))
     assert 10 < ruled_out < len(cases) - 10
 
 
@@ -730,27 +734,29 @@ def test_the_screen_changes_no_quantile_placebo(method, monkeypatch):
 def test_a_quantile_placebo_forms_one_residual_per_fit_on_its_support(method, monkeypatch):
     """Each fit of a J=50 quantile panel's placebo forms one residual, at
     its finish point and over its support, plus one where normalizing moved
-    its weights; none spans the whole stack, the uniform point's included."""
-    whole, support, fits, moved = [], [], [], []
-    mean_square, tie_break, normalized = (
-        simplex_opt._mean_square, simplex_opt._tie_break, simplex_opt._normalized
+    its weights; the screen rules out every uniform point, so no fit forms
+    a residual over the whole stack."""
+    objectives, whole, moved = [], [], []
+    objective, tie_break, normalized = (
+        SimplexQp.objective, simplex_opt._tie_break, simplex_opt._normalized
     )
 
-    def counted_mean_square(problem, w, s=slice(None)):
-        (whole if isinstance(s, slice) else support).append(1)
-        return mean_square(problem, w, s)
+    def counted_tie_break(problem, u, w):
+        out = tie_break(problem, u, w)
+        whole.append(out[0] != np.inf)
+        return out
 
     def counted_normalized(w):
         out = normalized(w)
         moved.append(not np.array_equal(out.values, w))
         return out
 
-    monkeypatch.setattr(simplex_opt, "_mean_square", counted_mean_square)
-    monkeypatch.setattr(simplex_opt, "_tie_break", lambda *a: fits.append(1) or tie_break(*a))
+    monkeypatch.setattr(SimplexQp, "objective", lambda *a: objectives.append(1) or objective(*a))
+    monkeypatch.setattr(simplex_opt, "_tie_break", counted_tie_break)
     monkeypatch.setattr(simplex_opt, "_normalized", counted_normalized)
     g.placebo_test(quantile_panel(50, seed=0), method)
-    assert len(fits) >= 51 and not whole
-    assert len(support) == len(fits) + sum(moved)
+    assert len(whole) >= 51 and not any(whole)
+    assert len(objectives) == len(whole) + sum(moved)
 
 
 # ---------------------------------------------------------------------------
